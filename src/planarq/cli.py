@@ -129,6 +129,9 @@ def cmd_scan(args) -> int:
     if bad:
         print(f"unknown methods: {bad}", file=sys.stderr)
         return USAGE_EXIT
+    if args.workers < 1:
+        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return USAGE_EXIT
     tower = build_tower(args.p, args.m, max_q3=args.max_q3)
     report = scan(tower, methods=methods, workers=args.workers)
     rd = report.to_report_dict(seed=args.seed, version=__version__)

@@ -10,13 +10,23 @@ Consequences used throughout the package:
   * embedding a subfield element into the extension is the identity on codes,
   * ``code < s`` tests membership in the base field.
 
+Since s is a power of p, the code of an element of F_{p^n} is also the
+little-endian base-p packing of n flat F_p-digits, however the field was
+built.  Arithmetic works on those digits alone.  Each field stores the digits
+of every product of two flat basis elements (its F_p structure tensor),
+computed once at construction from the base field and the modulus, and
+builds the F_p matrix of each Frobenius power on first use; no operation goes
+back through the base field.
+
 Moduli are chosen deterministically (lexicographically smallest monic
 irreducible, see :func:`find_irreducible`) unless explicit moduli are passed
 for cross-checking against external tables.
 
-Scalar arithmetic works on plain Python ints.  The ``*_vec`` methods operate
-on numpy integer arrays and back all exhaustive sweeps; they accept anything
-``np.asarray`` handles and broadcast like ordinary numpy ufuncs.
+Each operation is one kernel written with ``divmod``, ``+``, ``*`` and ``%``
+only, so the same body runs on plain Python ints (the scalar methods, which
+return ints) and on int64 numpy arrays (the ``*_vec`` methods, which accept
+anything ``np.asarray`` handles and broadcast like ordinary numpy ufuncs).
+Array entry points refuse a field whose digit products could pass 2^63.
 
 Fields are immutable after construction apart from monotone internal caches,
 so a tower can be shared freely across worker processes or threads.
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZero, LevelMismatch, NotOddPrime, SizeLimit
+from .errors import DivisionByZero, LevelMismatch, NotOddPrime, PlanarqError, SizeLimit
 
 DEFAULT_MAX_Q3 = 2 ** 24
 MAX_Q3_ENV = "PLANARQ_MAX_Q3"
@@ -42,7 +52,13 @@ def max_enumeration_order(override: int | None = None) -> int:
     """Effective bound for operations that enumerate a whole field."""
     if override is not None:
         return int(override)
-    return int(os.environ.get(MAX_Q3_ENV, DEFAULT_MAX_Q3))
+    raw = os.environ.get(MAX_Q3_ENV)
+    if raw is None:
+        return DEFAULT_MAX_Q3
+    try:
+        return int(raw)
+    except ValueError:
+        raise PlanarqError(f"{MAX_Q3_ENV} must be an integer, got {raw!r}") from None
 
 
 def _is_prime(n: int) -> bool:
@@ -67,19 +83,6 @@ def _poly_trim(c):
     return c[:i]
 
 
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return _poly_trim(out)
-
-
 def _poly_divmod(field, a, b):
     a = list(a)
     b = _poly_trim(list(b))
@@ -98,27 +101,6 @@ def _poly_divmod(field, a, b):
         for j in range(db + 1):
             rem[i - db + j] = field.sub(rem[i - db + j], field.mul(factor, b[j]))
     return _poly_trim(quo), _poly_trim(rem)
-
-
-def _poly_invmod(field, a, mod):
-    # extended Euclid; mod is irreducible so any nonzero a is invertible
-    r0, r1 = list(mod), _poly_trim(list(a))
-    s0, s1 = [], [1]
-    if not r1:
-        raise DivisionByZero("0 has no inverse")
-    while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul(field, q, s1)
-        new_s = [0] * max(len(s0), len(qs))
-        for i in range(len(new_s)):
-            x = s0[i] if i < len(s0) else 0
-            y = qs[i] if i < len(qs) else 0
-            new_s[i] = field.sub(x, y)
-        s0, s1 = s1, _poly_trim(new_s)
-    # r0 is the gcd, a nonzero constant
-    scale = field.inv(r0[0])
-    return _poly_trim([field.mul(scale, c) for c in s0])
 
 
 def is_irreducible(base, poly) -> bool:
@@ -169,33 +151,182 @@ def find_irreducible(base, degree: int) -> tuple[int, ...]:
 # fields
 # ---------------------------------------------------------------------------
 
-class Field:
-    """Common scalar/vector machinery; elements are integer codes."""
+def _decode(x, radix: int, count: int) -> list:
+    """The ``count`` little-endian base-``radix`` digits of x (int or array)."""
+    digits = []
+    for _ in range(count):
+        x, r = divmod(x, radix)
+        digits.append(r)
+    return digits
 
-    order: int
-    char: int
-    degree: int
+
+def _encode(digits, radix: int):
+    """Inverse of :func:`_decode`."""
+    acc = 0
+    for d in reversed(digits):
+        acc = acc * radix + d
+    return acc
+
+
+class Field:
+    """F_{p^n} on flat base-p digits; built by PrimeField or ExtensionField.
+
+    ``base`` and ``modulus`` record how the field was built.  They fix
+    ``coords``/``encode`` (coordinates over the immediate base), equality and
+    pickling; no operation uses the base after construction.
+    """
+
     _max_override: int | None = None
+
+    def __init__(self, char: int, base: Field | None = None, modulus=None):
+        self.char = p = char
+        self.base = base
+        self.modulus = modulus
+        self._cache: dict = {}
+        if base is None:
+            self.degree, n, self._radix = 1, 1, p
+            products = {1: [(0, 0)]}
+        else:
+            d, m = len(modulus) - 1, base._n
+            self.degree, n, self._radix = d, m * d, base.order
+            # s^e modulo the modulus, as coordinates over the base
+            red = [_poly_divmod(base, [0] * e + [1], modulus)[1] for e in range(2 * d - 1)]
+            # flat basis element k has code p^k = p^a * s^i with (i, a) = divmod(k, m)
+            products = {}
+            for k1 in range(n):
+                i1, a1 = divmod(k1, m)
+                for k2 in range(n):
+                    i2, a2 = divmod(k2, m)
+                    c = base._mul(p ** a1, p ** a2)
+                    code = _encode([base._mul(c, r) for r in red[i1 + i2]], base.order)
+                    products.setdefault(code, []).append((k1, k2))
+        self._n = n
+        self.order = p ** n
+        # the structure tensor: digit pairs (i, j) grouped by the product of
+        # basis elements p^i * p^j, each group with that product's nonzero digits
+        self._plan = tuple(
+            (tuple(pairs), tuple((k, c) for k, c in enumerate(_decode(code, p, n)) if c))
+            for code, pairs in products.items())
+        # before its final reduction, output digit k of _mul is at most peak[k] * (p-1)^2
+        peak = [0] * n
+        for pairs, terms in self._plan:
+            for k, c in terms:
+                peak[k] += c * len(pairs)
+        self._wraps = max(peak) * (p - 1) ** 2 >= 2 ** 63
+
+    def __repr__(self):
+        return f"F{self.order}"
+
+    def __eq__(self, other):
+        return other is self or (isinstance(other, Field) and other.char == self.char
+                                 and other.base == self.base
+                                 and other.modulus == self.modulus)
+
+    def __hash__(self):
+        return hash((self.char, self.base, self.modulus))
+
+    def __reduce__(self):
+        if self.base is None:
+            return (PrimeField, (self.char,))
+        return (ExtensionField, (self.base, self.modulus))
 
     def enum_bound(self) -> int:
         """Enumeration bound for this field (tower override, env, or default)."""
         return max_enumeration_order(self._max_override)
 
-    # -- derived scalar ops --------------------------------------------------
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+    # -- kernels: one body for Python ints and int64 arrays ------------------
+    def _add(self, a, b):
+        p = self.char
+        if self._n == 1:
+            return (a + b) % p
+        da, db = _decode(a, p, self._n), _decode(b, p, self._n)
+        return _encode([(x + y) % p for x, y in zip(da, db)], p)
 
-    def pow(self, a: int, e: int) -> int:
+    def _sub(self, a, b):
+        p = self.char
+        if self._n == 1:
+            return (a - b) % p
+        da, db = _decode(a, p, self._n), _decode(b, p, self._n)
+        return _encode([(x - y) % p for x, y in zip(da, db)], p)
+
+    def _neg(self, a):
+        p = self.char
+        if self._n == 1:
+            return -a % p
+        return _encode([-x % p for x in _decode(a, p, self._n)], p)
+
+    def _mul(self, a, b):
+        p = self.char
+        if self._n == 1:
+            return a * b % p
+        da, db = _decode(a, p, self._n), _decode(b, p, self._n)
+        out = [0] * self._n
+        for pairs, terms in self._plan:
+            s = 0
+            for i, j in pairs:
+                s = s + da[i] * db[j]
+            for k, c in terms:
+                out[k] = out[k] + (s if c == 1 else c * s)
+        return _encode([x % p for x in out], p)
+
+    def _pow(self, a, e):
         e = int(e)
         if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
+            a, e = self._inv(a), -e
+        result = a * 0 + 1
         while e:
             if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
+                result = self._mul(result, a)
             e >>= 1
+            if e:
+                a = self._mul(a, a)
         return result
+
+    def _inv(self, a):
+        if np.any(a == 0):
+            raise DivisionByZero("0 has no inverse")
+        return self._pow(a, self.order - 2)
+
+    def _frob(self, a, k=1):
+        """a^(s^k), s the base order: an F_p-linear map of the digits."""
+        k %= self.degree
+        if k == 0:
+            return a
+        p = self.char
+        da = _decode(a, p, self._n)
+        out = []
+        for col in self._frob_cols(k):
+            acc = 0
+            for i, c in col:
+                acc = acc + c * da[i]
+            out.append(acc % p)
+        return _encode(out, p)
+
+    def _frob_cols(self, k):
+        """Nonzero entries (i, c) of each column of the matrix of x -> x^(s^k)."""
+        cols = self._cache.get(("frob", k))
+        if cols is None:
+            p, n = self.char, self._n
+            images = [_decode(self._pow(p ** i, self._radix ** k), p, n) for i in range(n)]
+            cols = tuple(tuple((i, images[i][j]) for i in range(n) if images[i][j])
+                         for j in range(n))
+            self._cache[("frob", k)] = cols
+        return cols
+
+    # -- scalar entry points ---------------------------------------------------
+    # The kernels themselves.  Kernels call each other by their private names,
+    # so one public call is one field operation.
+    add, sub, neg, mul, pow, inv, frob = _add, _sub, _neg, _mul, _pow, _inv, _frob
+
+    def div(self, a: int, b: int) -> int:
+        return self._mul(a, self._inv(b))
+
+    def coords(self, a: int) -> tuple[int, ...]:
+        """Coordinates of a over the immediate base field."""
+        return tuple(_decode(a, self._radix, self.degree))
+
+    def encode(self, coords) -> int:
+        return _encode(coords, self._radix)
 
     def from_int(self, k: int) -> int:
         """Code of the constant k * 1 (an F_p multiple of the identity)."""
@@ -205,30 +336,45 @@ class Field:
         """All field elements in canonical code order."""
         return (Elt(self, c) for c in range(self.order))
 
-    # -- derived vector ops ----------------------------------------------------
+    # -- array entry points ----------------------------------------------------
+    def _arr(self, a):
+        if self._wraps:
+            raise SizeLimit(f"array arithmetic over {self!r} could overflow int64")
+        return np.asarray(a, dtype=np.int64)
+
+    def add_vec(self, a, b):
+        return self._add(self._arr(a), self._arr(b))
+
     def sub_vec(self, a, b):
-        return self.add_vec(a, self.neg_vec(b))
+        return self._sub(self._arr(a), self._arr(b))
+
+    def mul_vec(self, a, b):
+        return self._mul(self._arr(a), self._arr(b))
 
     def pow_vec(self, a, e):
-        a = np.asarray(a, dtype=np.int64)
-        e = int(e)
-        if e < 0:
-            a, e = self.inv_vec(a), -e
-        result = np.ones_like(a)
-        while e:
-            if e & 1:
-                result = self.mul_vec(result, a)
-            a = self.mul_vec(a, a)
-            e >>= 1
-        return result
+        return self._pow(self._arr(a), e)
 
     def inv_vec(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise DivisionByZero("0 has no inverse")
-        return self.pow_vec(a, self.order - 2)
+        return self._inv(self._arr(a))
+
+    def decode_vec(self, codes):
+        """Coordinates over the immediate base, stacked on a new leading axis."""
+        return np.array(_decode(self._arr(codes), self._radix, self.degree))
+
+    def encode_vec(self, coords):
+        return _encode(self._arr(coords), self._radix)
 
     # -- cached tables ---------------------------------------------------------
+    def frob_table(self, k: int = 1):
+        """Permutation array code -> code^(s^k) over the whole field."""
+        k %= self.degree
+        tabs = self._cache.setdefault("frobtab", {})
+        if k not in tabs:
+            if self.order > self.enum_bound():
+                raise SizeLimit(f"Frobenius table needs |F| <= bound, got {self.order}")
+            tabs[k] = self._frob(self._arr(np.arange(self.order)), k)
+        return tabs[k]
+
     def sqrt_code(self, a: int) -> int | None:
         """Smaller square root by code, or None when a is a non-square."""
         tab = self._cache.get("sqrt")
@@ -237,7 +383,7 @@ class Field:
                 raise SizeLimit(f"square-root table needs |F| <= bound, got {self.order}")
             tab = {}
             for c in range(self.order):
-                tab.setdefault(self.mul(c, c), c)
+                tab.setdefault(self._mul(c, c), c)
             self._cache["sqrt"] = tab
         return tab.get(a)
 
@@ -258,307 +404,26 @@ class Field:
         return tab
 
 
-class PrimeField(Field):
+def PrimeField(p: int) -> Field:
     """F_p for an odd prime p; codes are the residues 0..p-1."""
-
-    degree = 1
-
-    def __init__(self, p: int):
-        p = int(p)
-        if p == 2 or not _is_prime(p):
-            raise NotOddPrime(f"p must be an odd prime, got {p}")
-        self.p = p
-        self.order = p
-        self.char = p
-        self._cache: dict = {}
-
-    def __repr__(self):
-        return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __reduce__(self):
-        return (PrimeField, (self.p,))
-
-    # scalar
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, e):
-        e = int(e)
-        if e < 0:
-            a, e = self.inv(a), -e
-        return pow(a, e, self.p)
-
-    def coords(self, a):
-        return (a % self.p,)
-
-    def encode(self, coords):
-        return coords[0] % self.p
-
-    # vector
-    def add_vec(self, a, b):
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
-
-    def neg_vec(self, a):
-        return (-np.asarray(a, dtype=np.int64)) % self.p
-
-    def mul_vec(self, a, b):
-        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-
-    def inv_vec(self, a):
-        a = np.asarray(a, dtype=np.int64) % self.p
-        if np.any(a == 0):
-            raise DivisionByZero("0 has no inverse")
-        inv = self._cache.get("invtab")
-        if inv is None:
-            inv = np.array([0] + [pow(x, self.p - 2, self.p) for x in range(1, self.p)],
-                           dtype=np.int64)
-            self._cache["invtab"] = inv
-        return inv[a]
-
-    def decode_vec(self, codes):
-        return np.asarray(codes, dtype=np.int64)[None, ...] % self.p
-
-    def encode_vec(self, coords):
-        return coords[0] % self.p
-
-    # Frobenius x -> x^p is the identity on the prime field.
-    def frob(self, a, k=1):
-        return a % self.p
-
-    def frob_vec(self, codes, k=1):
-        return np.asarray(codes, dtype=np.int64) % self.p
+    p = int(p)
+    if p == 2 or not _is_prime(p):
+        raise NotOddPrime(f"p must be an odd prime, got {p}")
+    return Field(p)
 
 
-class ExtensionField(Field):
+def ExtensionField(base: Field, modulus) -> Field:
     """Degree-d extension of an existing field by a monic irreducible modulus."""
-
-    def __init__(self, base: Field, modulus):
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) < 3:
-            raise ValueError("extension degree must be >= 2")
-        if any(not 0 <= c < base.order for c in modulus):
-            raise ValueError("modulus coefficients out of range")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not is_irreducible(base, modulus):
-            raise ValueError(f"modulus {modulus} is reducible over {base!r}")
-        self.base = base
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.order = base.order ** self.degree
-        self.char = base.char
-        self._cache = {}
-        # rows[k] = coordinates of t^(degree+k), enough to reduce products
-        d = self.degree
-        rows = [tuple(base.neg(c) for c in modulus[:-1])]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            top = prev[-1]
-            new = [0] + list(prev[:-1])
-            if top:
-                r0 = rows[0]
-                new = [base.add(new[j], base.mul(top, r0[j])) for j in range(d)]
-            rows.append(tuple(new))
-        self._red_rows = tuple(rows)
-
-    def __repr__(self):
-        return f"F{self.order}"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField)
-                and other.base == self.base and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("ExtensionField", hash(self.base), self.modulus))
-
-    def __reduce__(self):
-        return (ExtensionField, (self.base, self.modulus))
-
-    # -- scalar ----------------------------------------------------------------
-    def coords(self, a):
-        s = self.base.order
-        out = []
-        for _ in range(self.degree):
-            a, r = divmod(a, s)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, coords):
-        s = self.base.order
-        acc = 0
-        for c in reversed(coords):
-            acc = acc * s + c
-        return acc
-
-    def add(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        return self.encode([self.base.add(x, y) for x, y in zip(ca, cb)])
-
-    def sub(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        return self.encode([self.base.sub(x, y) for x, y in zip(ca, cb)])
-
-    def neg(self, a):
-        return self.encode([self.base.neg(x) for x in self.coords(a)])
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        base, d = self.base, self.degree
-        ca, cb = self.coords(a), self.coords(b)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                if y:
-                    conv[i + j] = base.add(conv[i + j], base.mul(x, y))
-        res = list(conv[:d])
-        for k in range(d - 1):
-            hi = conv[d + k]
-            if hi:
-                row = self._red_rows[k]
-                for j in range(d):
-                    if row[j]:
-                        res[j] = base.add(res[j], base.mul(hi, row[j]))
-        return self.encode(res)
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("0 has no inverse")
-        poly = _poly_trim(list(self.coords(a)))
-        inv = _poly_invmod(self.base, poly, list(self.modulus))
-        inv = list(inv) + [0] * (self.degree - len(inv))
-        return self.encode(inv)
-
-    # -- vector ------------------------------------------------------------------
-    def decode_vec(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        s = self.base.order
-        out = np.empty((self.degree,) + codes.shape, dtype=np.int64)
-        rem = codes
-        for i in range(self.degree):
-            out[i] = rem % s
-            rem = rem // s
-        return out
-
-    def encode_vec(self, coords):
-        s = self.base.order
-        acc = np.zeros_like(np.asarray(coords[-1]))
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * s + coords[i]
-        return acc
-
-    @staticmethod
-    def _pair(a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape != b.shape:
-            a, b = np.broadcast_arrays(a, b)
-        return a, b
-
-    def add_vec(self, a, b):
-        a, b = self._pair(a, b)
-        return self.encode_vec(self.base.add_vec(self.decode_vec(a), self.decode_vec(b)))
-
-    def neg_vec(self, a):
-        return self.encode_vec(self.base.neg_vec(self.decode_vec(a)))
-
-    def mul_vec(self, a, b):
-        a, b = self._pair(a, b)
-        base, d = self.base, self.degree
-        ca, cb = self.decode_vec(a), self.decode_vec(b)
-        conv = [None] * (2 * d - 1)
-        for i in range(d):
-            for j in range(d):
-                term = base.mul_vec(ca[i], cb[j])
-                k = i + j
-                conv[k] = term if conv[k] is None else base.add_vec(conv[k], term)
-        res = conv[:d]
-        for k in range(d - 1):
-            hi = conv[d + k]
-            row = self._red_rows[k]
-            for j in range(d):
-                if row[j]:
-                    res[j] = base.add_vec(res[j], base.mul_vec(hi, row[j]))
-        return self.encode_vec(res)
-
-    # -- Frobenius x -> x^(|base|^k), |base|-linear over the base field ----------
-    def frob_matrix(self, k: int):
-        """Coordinates of (t^i)^(s^k) for each i, s the base order."""
-        k %= self.degree
-        mats = self._cache.setdefault("frobmat", {})
-        if k not in mats:
-            s = self.base.order
-            cols = []
-            for i in range(self.degree):
-                image = self.pow(s ** i, s ** k)  # code of t^i is s^i
-                cols.append(self.coords(image))
-            mats[k] = tuple(cols)
-        return mats[k]
-
-    def frob(self, a: int, k: int = 1) -> int:
-        k %= self.degree
-        if k == 0:
-            return a
-        cols = self.frob_matrix(k)
-        ca = self.coords(a)
-        out = [0] * self.degree
-        for i, ci in enumerate(ca):
-            if ci == 0:
-                continue
-            for j in range(self.degree):
-                if cols[i][j]:
-                    out[j] = self.base.add(out[j], self.base.mul(ci, cols[i][j]))
-        return self.encode(out)
-
-    def frob_vec(self, codes, k: int = 1):
-        k %= self.degree
-        codes = np.asarray(codes, dtype=np.int64)
-        if k == 0:
-            return codes
-        cols = self.frob_matrix(k)
-        ca = self.decode_vec(codes)
-        out = [None] * self.degree
-        for i in range(self.degree):
-            for j in range(self.degree):
-                if cols[i][j]:
-                    term = self.base.mul_vec(ca[i], cols[i][j])
-                    out[j] = term if out[j] is None else self.base.add_vec(out[j], term)
-        zeros = np.zeros_like(codes)
-        out = [zeros if o is None else o for o in out]
-        return self.encode_vec(out)
-
-    def frob_table(self, k: int = 1):
-        """Permutation array code -> code^(s^k) over the whole field."""
-        k %= self.degree
-        tabs = self._cache.setdefault("frobtab", {})
-        if k not in tabs:
-            if self.order > self.enum_bound():
-                raise SizeLimit(f"Frobenius table needs |F| <= bound, got {self.order}")
-            tabs[k] = self.frob_vec(np.arange(self.order, dtype=np.int64), k)
-        return tabs[k]
+    modulus = tuple(int(c) for c in modulus)
+    if len(modulus) < 3:
+        raise ValueError("extension degree must be >= 2")
+    if any(not 0 <= c < base.order for c in modulus):
+        raise ValueError("modulus coefficients out of range")
+    if modulus[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if not is_irreducible(base, modulus):
+        raise ValueError(f"modulus {modulus} is reducible over {base!r}")
+    return Field(base.char, base, modulus)
 
 
 def prime_ext_field(p: int, n: int) -> Field:
@@ -626,7 +491,7 @@ class Elt:
                 and other.code == self.code)
 
     def __hash__(self):
-        return hash((self.field, self.code))
+        return hash(self.code)  # agrees with __eq__, which equates an Elt with its int code
 
     def __repr__(self):
         return f"{self.field!r}({self.code})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelMismatch, SizeLimit
-from .gf import Elt, ExtensionField, FieldTower
+from .gf import Elt, Field, FieldTower
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,13 @@ class LinTriple:
 
     def __post_init__(self):
         f = self.c0.field
-        if not (isinstance(f, ExtensionField) and f.degree == 3):
+        if not (isinstance(f, Field) and f.degree == 3):
             raise LevelMismatch("LinTriple coefficients must live in a cubic extension")
         if self.c1.field != f or self.c2.field != f:
             raise LevelMismatch("LinTriple coefficients must share one field")
 
     @property
-    def field(self) -> ExtensionField:
+    def field(self) -> Field:
         return self.c0.field
 
     def apply(self, x: Elt) -> Elt:

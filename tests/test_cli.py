@@ -147,6 +147,8 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("scan", "--p", "5", "--methods", "magic") == 1
     assert run_cli("verify", "--p", "5", "--A", "7", "--B", "0") == 1
     assert run_cli("families", "check", "--id", "nope") == 1
+    assert run_cli("scan", "--p", "5", "--workers", "0") == 1
+    assert run_cli("scan", "--p", "5", "--workers", "-3") == 1
 
 
 def test_size_limit_is_config_error():
@@ -160,6 +162,8 @@ def test_console_entrypoint_runs():
 
 
 def test_env_var_override(tmp_path, monkeypatch):
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "abc")
+    assert run_cli("scan", "--p", "5") == 1  # not an integer: config error, no traceback
     monkeypatch.setenv("PLANARQ_MAX_Q3", "100")
     assert run_cli("scan", "--p", "5") == 1
     out = tmp_path / "s.json"

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarq import (
     DivisionByZero,
@@ -16,6 +18,7 @@ from planarq import (
     find_irreducible,
     find_normal_element,
     frobenius_q,
+    prime_ext_field,
     sqrt_in_fq,
 )
 from planarq.gf import is_irreducible
@@ -56,6 +59,14 @@ def test_prime_field_arith():
         f5.inv(0)
 
 
+def test_vector_ops_never_wrap_int64():
+    p = 2 ** 32 - 5  # prime, and (p - 1)^2 > 2^63
+    f = prime_ext_field(p, 1)
+    assert f.mul(p - 1, p - 1) == 1
+    with pytest.raises(SizeLimit):
+        f.mul_vec([p - 1], [p - 1])
+
+
 def test_mid_field_generator_square():
     # F_9 = F_3[t]/(t^2 + 1): t * t = -1 = 2
     t9 = build_tower(3, 2)
@@ -71,6 +82,7 @@ def test_elt_operators_and_level_mismatch():
     assert (a * b) / b == a
     assert -(-a) == a
     assert a ** 0 == 1
+    assert len({t.eq(3), 3}) == 1  # equal to its int code, so hashed alike
     with pytest.raises(LevelMismatch):
         _ = a + t.eq(2)
     with pytest.raises(DivisionByZero):
@@ -265,3 +277,131 @@ def test_tower_pickles_to_same_tower(towers):
     t2 = pickle.loads(pickle.dumps(t))
     assert t2 == t
     assert t2.fq3.mul(17, 23) == t.fq3.mul(17, 23)
+
+
+# ---------------------------------------------------------------------------
+# code contract at m >= 2, against plain nested polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+def _poly_mulmod(mul, add, sub, zero, a, b, mod):
+    """a * b modulo the monic mod, coefficients combined by the given ops."""
+    d = len(mod) - 1
+    prod = [zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = add(prod[i + j], mul(x, y))
+    for k in range(2 * d - 2, d - 1, -1):
+        for l in range(d):
+            prod[k - d + l] = sub(prod[k - d + l], mul(prod[k], mod[l]))
+    return prod[:d]
+
+
+def _digits(x, radix, count):
+    out = []
+    for _ in range(count):
+        out.append(x % radix)
+        x = x // radix
+    return out
+
+
+def _nested_mul(t, a, b):
+    """fq3 product of codes (ints or arrays) in F_p[t]/(mid)[s]/(top)."""
+    p, m, q = t.p, t.m, t.q
+
+    def fp_add(x, y):
+        return (x + y) % p
+
+    def fp_sub(x, y):
+        return (x - y) % p
+
+    def fp_mul(x, y):
+        return x * y % p
+
+    def fq_add(x, y):
+        return [fp_add(u, v) for u, v in zip(x, y)]
+
+    def fq_sub(x, y):
+        return [fp_sub(u, v) for u, v in zip(x, y)]
+
+    def fq_mul(x, y):
+        return _poly_mulmod(fp_mul, fp_add, fp_sub, 0, x, y, t.mid_modulus)
+
+    def split(code):
+        return [_digits(c, p, m) for c in _digits(code, q, 3)]
+
+    top = [_digits(c, p, m) for c in t.top_modulus]
+    prod = _poly_mulmod(fq_mul, fq_add, fq_sub, [0] * m, split(a), split(b), top)
+    return sum(sum(d * p ** j for j, d in enumerate(c)) * q ** i for i, c in enumerate(prod))
+
+
+def test_mul_matches_nested_oracle_exhaustive_q9():
+    t = build_tower(3, 2)
+    codes = np.arange(t.fq3.order, dtype=np.int64)
+    A, B = codes[:, None], codes[None, :]
+    assert np.array_equal(t.fq3.mul_vec(A, B), _nested_mul(t, A, B))
+    rng = random.Random(9)
+    for _ in range(2000):
+        a, b = rng.randrange(t.fq3.order), rng.randrange(t.fq3.order)
+        assert t.fq3.mul(a, b) == _nested_mul(t, a, b)
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3)])
+def test_mul_matches_nested_oracle_sampled(p, m):
+    t = build_tower(p, m)
+    f = t.fq3
+    rng = np.random.default_rng(p ** m)
+    a, b = (rng.integers(0, f.order, 20_000) for _ in range(2))
+    assert np.array_equal(f.mul_vec(a, b), _nested_mul(t, a, b))
+    for x, y in zip(a[:500].tolist(), b[:500].tolist()):
+        assert f.mul(x, y) == _nested_mul(t, x, y)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
+def test_frobenius_is_power_q(p, m):
+    t = build_tower(p, m)
+    f = t.fq3
+    rng = random.Random(p * m)
+    for x in [rng.randrange(f.order) for _ in range(300)]:
+        for k in (1, 2):
+            assert f.frob(x, k) == f.pow(x, t.q ** k)
+    if f.order <= 729:
+        codes = np.arange(f.order, dtype=np.int64)
+        for k in (1, 2):
+            assert np.array_equal(f.frob_table(k), f.pow_vec(codes, t.q ** k))
+
+
+def _towers():
+    """Small towers with moduli drawn at random, rejected until irreducible."""
+    def build(p, m, mid, top):
+        try:
+            return build_tower(p, m, mid_modulus=mid if m > 1 else None,
+                               top_modulus=top)
+        except ValueError:
+            return None
+
+    def moduli(pm):
+        p, m = pm
+        q = p ** m
+        mid = st.tuples(*[st.integers(0, p - 1)] * m).map(lambda c: c + (1,))
+        top = st.tuples(*[st.integers(0, q - 1)] * 3).map(lambda c: c + (1,))
+        return st.builds(build, st.just(p), st.just(m), mid, top)
+
+    pm = st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+    return pm.flatmap(moduli).filter(lambda t: t is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=_towers(), data=st.data())
+def test_field_axioms_and_frobenius_property(t, data):
+    f = t.fq3
+    a, b, c = (data.draw(st.integers(0, f.order - 1)) for _ in range(3))
+    assert f.mul(a, b) == f.mul(b, a) == _nested_mul(t, a, b)
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.sub(f.add(a, b), b) == a and f.add(a, f.neg(a)) == 0
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+    assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
+    assert f.frob(f.mul(a, b)) == f.mul(f.frob(a), f.frob(b))
+    assert f.frob(f.frob(f.frob(a))) == a
+    assert f.mul_vec([a, b], [c, c]).tolist() == [f.mul(a, c), f.mul(b, c)]
