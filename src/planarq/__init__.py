@@ -28,6 +28,7 @@ from .gf import (
     max_enumeration_order,
     prime_ext_field,
     sqrt_in_fq,
+    standard_extension,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,6 +37,9 @@ DISAGREE_EXIT = 2
 # brute decider joins a verify dossier automatically up to this field size
 _AUTO_BRUTE_MAX = 4096
 
+# integer parameters a catalog family may take (`families check --<name>`)
+_FAMILY_PARAMS = ("p", "n", "k", "s", "e", "m", "u", "v", "omega", "beta")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -45,9 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_tower_args(p):
     p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-    p.add_argument("--m", type=int, default=1, help="q = p^m (default 1)")
+    p.add_argument("--m", type=_positive_int, default=1, help="q = p^m (default 1)")
     p.add_argument("--max-q3", type=int, default=None,
                    help="override the enumeration bound for this run")
 
@@ -69,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_scan)
     p_scan.add_argument("--methods", type=str, default="theorem,det",
                         help="comma list from theorem,det,brute")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_positive_int, default=1)
 
     p_verify = sub.add_parser("verify", help="full dossier for one pair")
     _add_tower_args(p_verify)
@@ -80,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identities", help="run the identity batteries")
     _add_tower_args(p_ident)
-    p_ident.add_argument("--samples", type=int, default=1000)
+    p_ident.add_argument("--samples", type=_positive_int, default=1000)
     p_ident.add_argument("--seed", type=int, default=0)
 
     p_fam = sub.add_parser("families", help="known planar families")
@@ -88,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam_sub.add_parser("list", help="list catalog entries and parameters")
     p_check = fam_sub.add_parser("check", help="validate/instantiate/brute-check")
     p_check.add_argument("--id", type=str, required=True)
-    for name in ("p", "n", "k", "s", "e", "m", "u", "v", "omega", "beta"):
+    for name in _FAMILY_PARAMS:
         p_check.add_argument(f"--{name}", type=int, default=None)
     p_check.add_argument("--no-brute", action="store_true",
                          help="skip the exhaustive planarity check")
@@ -126,11 +140,9 @@ def _scan_csv(report_dict) -> str:
 def cmd_scan(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     bad = [m for m in methods if m not in ALL_METHODS]
-    if bad:
-        print(f"unknown methods: {bad}", file=sys.stderr)
-        return USAGE_EXIT
-    if args.workers < 1:
-        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+    if bad or not methods:
+        print(f"--methods needs names from {','.join(ALL_METHODS)}, got {args.methods!r}",
+              file=sys.stderr)
         return USAGE_EXIT
     tower = build_tower(args.p, args.m, max_q3=args.max_q3)
     report = scan(tower, methods=methods, workers=args.workers)
@@ -245,8 +257,7 @@ def cmd_families(args) -> int:
         print(f"unknown family id {args.id!r}; see `planarq families list`",
               file=sys.stderr)
         return USAGE_EXIT
-    params = {name: getattr(args, name)
-              for name in ("p", "n", "k", "s", "e", "m", "u", "v", "omega", "beta")
+    params = {name: getattr(args, name) for name in _FAMILY_PARAMS
               if getattr(args, name) is not None}
     report = family_report(FamilySpec(args.id, params), brute=not args.no_brute)
     print(_json_text(report), end="")

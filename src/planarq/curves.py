@@ -7,16 +7,17 @@ matrix of linear forms), so no transcribed coefficient is ever trusted; the
 published bivariate form is kept verbatim in ``build_F_paper`` and the two
 are related by an X <-> Y swap (a documented erratum, pinned by tests).
 
-The module also verifies the branch factorizations of the cubic, searches for
-its linear components over F_q, F_{q^2}, F_{q^3} (an independent oracle), and
-carries the normal-basis change of variables H plus F_q point counting that
-replaces the curve-theoretic existence argument for roots.
+The module also verifies the branch factorizations of the cubic and finds its
+linear components over F_q, F_{q^2}, F_{q^3} (an independent oracle): every
+such line meets the coordinate lines at roots of three one-variable
+restrictions of the cubic, and each candidate is confirmed at four points of
+the line.  It also carries the normal-basis change of variables H plus F_q
+point counting that replaces the curve-theoretic existence argument for roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import comb
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     SizeLimit,
     SquareRootUnavailable,
 )
-from .gf import Elt, ExtensionField, Field, FieldTower, find_irreducible
+from .gf import Elt, Field, FieldTower, standard_extension
 from .linearized import det3, dickson_matrix, difference_triple
 
 # degree-3 monomials (i, j, k) with X^i * Y^j * T^k, fixed order
@@ -460,83 +461,11 @@ def _normalize_line(f: Field, line):
     raise ValueError("zero line")
 
 
-def _substitution_grids(field: Field, terms: dict, degree: int, mode: str):
-    """Coefficient grids for the parametric line substitutions.
-
-    mode "slope":    Y := a*X + b*T.  grids[s][r] maps a-power -> coefficient,
-                     covering the b^r part of the X^(degree-s) T^s coefficient.
-    mode "vertical": X := c*T.  grids[s][i] maps 0 -> coefficient of c^i in
-                     the Y^(degree-s) T^s coefficient (reusing the same shape,
-                     with the c-power stored in the r slot).
-    """
-    n = degree + 1
-    grids = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in terms.items():
-        if mode == "slope":
-            # X^i (aX + bT)^j T^k -> sum_r comb(j, r) a^(j-r) b^r X^(i+j-r) T^(k+r)
-            for r in range(j + 1):
-                coeff = field.mul(c, field.from_int(comb(j, r)))
-                if coeff == 0:
-                    continue
-                d = grids[k + r][r]
-                d[j - r] = field.add(d.get(j - r, 0), coeff)
-        else:
-            # (cT)^i Y^j T^k -> c^i Y^j T^(k+i)
-            d = grids[k + i][i]
-            d[0] = field.add(d.get(0, 0), c)
-    return grids
-
-
 def _horner_vec(field: Field, coeffs, codes):
-    vals = np.zeros_like(codes)
-    for c in reversed(coeffs):
+    vals = np.full_like(codes, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         vals = field.add_vec(field.mul_vec(vals, codes), c)
     return vals
-
-
-def _slope_line_roots(field: Field, terms: dict, degree: int):
-    """(a, b) pairs such that Y - aX - bT divides the form."""
-    grids = _substitution_grids(field, terms, degree, "slope")
-    codes = np.arange(field.order, dtype=np.int64)
-    n = degree + 1
-    # the X^degree coefficient is b-free; with no coordinate factors left it is
-    # a nonzero polynomial in a, so at most `degree` candidate slopes survive
-    pa = [grids[0][0].get(apow, 0) for apow in range(n)]
-    out = []
-    for a in codes[_horner_vec(field, pa, codes) == 0].tolist():
-        apows = [1]
-        for _ in range(degree):
-            apows.append(field.mul(apows[-1], a))
-        mask = np.ones(codes.shape, dtype=bool)
-        for s in range(1, n):
-            pb = []
-            for r in range(n):
-                acc = 0
-                for apow, coeff in grids[s][r].items():
-                    acc = field.add(acc, field.mul(coeff, apows[apow]))
-                pb.append(acc)
-            mask &= _horner_vec(field, pb, codes) == 0
-            if not mask.any():
-                break
-        out.extend((a, b) for b in codes[mask].tolist())
-    return out
-
-
-def _vertical_line_roots(field: Field, terms: dict, degree: int):
-    """c values such that X - cT divides the form."""
-    grids = _substitution_grids(field, terms, degree, "vertical")
-    n = degree + 1
-    # the Y^degree coefficient (s = 0) is constant in c; nonzero kills all lines
-    if grids[0][0].get(0, 0) != 0:
-        return []
-    codes = np.arange(field.order, dtype=np.int64)
-    mask = np.ones(codes.shape, dtype=bool)
-    for s in range(1, n):
-        poly = [grids[s][i].get(0, 0) for i in range(n)]
-        mask &= _horner_vec(field, poly, codes) == 0
-        if not mask.any():
-            break
-    return codes[mask].tolist()
 
 
 def _coordinate_factors(P: TernaryCubic):
@@ -554,12 +483,20 @@ def _coordinate_factors(P: TernaryCubic):
 def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     """All projective lines over F_{q^k}, k <= max_ext, dividing the cubic.
 
-    Coordinate-line factors are divided out first.  For the residual form the
-    search walks slopes only: per slope a, the intercepts b killing every
-    coefficient of P(X, aX + bT, T) are found by intersecting the root sets of
-    the coefficient polynomials, evaluated over all b at once; vertical lines
-    X = cT are handled the same way.  Linear components of a form over F_q are
-    defined over F_{q^2} or F_{q^3} at worst, so max_ext = 3 is complete.
+    Coordinate-line factors are divided out first.  The residual R, of degree
+    d <= 3, is then divisible by none of X, Y, T, so R(1, a, 0), R(0, b, 1)
+    and R(c, 0, 1) are nonzero polynomials of degree <= d, whose roots are
+    found by evaluating them on every code of F_{q^k}.  A line Y = aX + bT
+    passes through (1:a:0) and (0:b:1), so a and b are roots of the first two:
+    at most d^2 candidates.  A line X = cT passes through (0:1:0) and (c:0:1),
+    so it needs R(0, 1, 0) = 0 and c a root of the third.
+
+    Each candidate is confirmed by evaluating the cubic at the points
+    (x:t) = (1:0), (0:1), (1:1), (1:-1) of its line, pairwise distinct because
+    p is odd.  The cubic restricted to the line is a binary form of degree
+    <= 3, and one with four projective zeros is zero, so the check is exact.
+    A line defined over F_{q^k} and no smaller field comes with k distinct
+    conjugate lines dividing R, so k <= d, and max_ext = 3 is complete.
     """
     if P.is_zero():
         raise ValueError("the zero cubic is divisible by every line")
@@ -568,31 +505,37 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     fq = P.field
     terms, coord_lines = _coordinate_factors(P)
     found: list[LineFactor] = [LineFactor(line, 1) for line in coord_lines]
-    degree = max((sum(m) for m in terms), default=0)
-    if degree == 1:
-        line = tuple(terms.get(tuple(1 if t == axis else 0 for t in range(3)), 0)
-                     for axis in range(3))
-        found.append(LineFactor(_normalize_line(fq, line), 1))
-    elif degree in (2, 3):
-        for ext in range(1, max_ext + 1):
-            f = _ext_of(fq, ext)
-            if f.order > fq.enum_bound():
-                raise SizeLimit(f"line search over F_{f.order} exceeds the bound")
-            for a, b in _slope_line_roots(f, terms, degree):
-                found.append(LineFactor(
-                    _normalize_line(f, (f.neg(a), 1, f.neg(b))), ext))
-            for c in _vertical_line_roots(f, terms, degree):
-                found.append(LineFactor(_normalize_line(f, (1, 0, f.neg(c))), ext))
+    d = max((sum(m) for m in terms), default=0)
+    # R(1, Y, 0), R(0, Y, 1), R(X, 0, 1): coefficient lists, lowest power first
+    on_t0 = [terms.get((d - j, j, 0), 0) for j in range(d + 1)]
+    on_x0 = [terms.get((0, j, d - j), 0) for j in range(d + 1)]
+    on_y0 = [terms.get((j, 0, d - j), 0) for j in range(d + 1)]
+    for ext in range(1, min(max_ext, d) + 1):
+        if fq.order ** ext > fq.enum_bound():
+            raise SizeLimit(f"line search over F_{fq.order ** ext} exceeds the bound")
+        f = standard_extension(fq, ext)
+        codes = np.arange(f.order, dtype=np.int64)
+
+        def roots(poly):
+            return codes[_horner_vec(f, poly, codes) == 0].tolist()
+
+        # (line, two of its points) per candidate
+        b_roots = roots(on_x0)
+        cands = [((f.neg(a), 1, f.neg(b)), (1, a, 0), (0, b, 1))
+                 for a in roots(on_t0) for b in b_roots]
+        if not terms.get((0, d, 0)):
+            cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1)) for c in roots(on_y0)]
+        if not cands:
+            continue
+        p0 = np.array([c[1] for c in cands], dtype=np.int64)
+        p1 = np.array([c[2] for c in cands], dtype=np.int64)
+        # (x:t) = (1:0), (0:1), (1:1), (1:-1) on every candidate line
+        pts = np.stack([p0, p1, f.add_vec(p0, p1), f.sub_vec(p0, p1)], axis=1)
+        vals = P.in_field(f).evaluate_codes(pts[..., 0], pts[..., 1], pts[..., 2])
+        for (line, _, _), zero in zip(cands, ~vals.any(axis=1)):
+            if zero:
+                found.append(LineFactor(_normalize_line(f, line), ext))
     return _dedupe_lines(found, fq.order)
-
-
-def _ext_of(fq: Field, ext: int) -> Field:
-    if ext == 1:
-        return fq
-    cache = fq._cache.setdefault("ext_of", {})
-    if ext not in cache:
-        cache[ext] = ExtensionField(fq, find_irreducible(fq, ext))
-    return cache[ext]
 
 
 def _dedupe_lines(found, q: int) -> list[LineFactor]:

@@ -20,7 +20,9 @@ back through the base field.
 
 Moduli are chosen deterministically (lexicographically smallest monic
 irreducible, see :func:`find_irreducible`) unless explicit moduli are passed
-for cross-checking against external tables.
+for cross-checking against external tables.  :func:`standard_extension`
+builds each deterministic extension once per base field, so the tower's
+F_{q^3} is the same object the line oracle searches in.
 
 Each operation is one kernel written with ``divmod``, ``+``, ``*`` and ``%``
 only, so the same body runs on plain Python ints (the scalar methods, which
@@ -426,14 +428,26 @@ def ExtensionField(base: Field, modulus) -> Field:
     return Field(base.char, base, modulus)
 
 
+def standard_extension(base: Field, degree: int) -> Field:
+    """The degree-d extension of base by :func:`find_irreducible`, built once per base.
+
+    Degree 1 is the base itself.  The field is cached on ``base``, so every
+    caller asking for the same extension of the same field gets one object.
+    """
+    if degree == 1:
+        return base
+    key = ("ext", degree)
+    if key not in base._cache:
+        base._cache[key] = ExtensionField(base, find_irreducible(base, degree))
+    return base._cache[key]
+
+
 def prime_ext_field(p: int, n: int) -> Field:
     """F_{p^n} over the prime field, with the deterministic modulus."""
     fp = PrimeField(p)
-    if n == 1:
-        return fp
-    if p ** n > 2 ** 48:
+    if n > 1 and p ** n > 2 ** 48:
         raise SizeLimit(f"field order {p}^{n} too large to construct")
-    return ExtensionField(fp, find_irreducible(fp, n))
+    return standard_extension(fp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +578,24 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None,
         mid_modulus = tuple(int(c) % p for c in mid_modulus)
         if len(mid_modulus) != 2 or mid_modulus[1] != 1:
             raise ValueError("mid modulus must be monic of degree 1 when m = 1")
+    elif mid_modulus is None:
+        fq = standard_extension(fp, m)
+        mid_modulus = fq.modulus
     else:
-        if mid_modulus is None:
-            mid_modulus = find_irreducible(fp, m)
         mid_modulus = tuple(int(c) for c in mid_modulus)
         if len(mid_modulus) != m + 1:
             raise ValueError(f"mid modulus must have degree {m}")
         fq = ExtensionField(fp, mid_modulus)
     if top_modulus is None:
-        top_modulus = find_irreducible(fq, 3)
-    top_modulus = tuple(int(c) for c in top_modulus)
-    if len(top_modulus) != 4:
-        raise ValueError("top modulus must have degree 3")
-    fq3 = ExtensionField(fq, top_modulus)
+        fq3 = standard_extension(fq, 3)
+    else:
+        top_modulus = tuple(int(c) for c in top_modulus)
+        if len(top_modulus) != 4:
+            raise ValueError("top modulus must have degree 3")
+        fq3 = ExtensionField(fq, top_modulus)
     for field in (fp, fq, fq3):
         field._max_override = max_q3
-    return FieldTower(p, m, fp, fq, fq3, mid_modulus, top_modulus, max_q3)
+    return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus, max_q3)
 
 
 def frobenius_q(tower: FieldTower, x: Elt, k: int = 1) -> Elt:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower, max_enumeration_order
+from .gf import Elt, Field, FieldTower
+from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
 BRANCH_SQUARE = "BranchSquare"
@@ -120,7 +121,7 @@ def f_poly(tower: FieldTower, A: Elt, B: Elt) -> SparsePoly:
 # deciders
 # ---------------------------------------------------------------------------
 
-def brute_is_planar(poly: SparsePoly, max_order: int | None = None) -> bool:
+def brute_is_planar(poly: SparsePoly) -> bool:
     """Definition-level planarity test by exhaustive difference-map checks.
 
     For each nonzero shift a, tabulates f(x+a) - f(x) over all x and demands
@@ -128,8 +129,7 @@ def brute_is_planar(poly: SparsePoly, max_order: int | None = None) -> bool:
     """
     f = poly.field
     n = f.order
-    bound = f.enum_bound() if max_order is None else max_enumeration_order(max_order)
-    if n > bound:
+    if n > f.enum_bound():
         raise SizeLimit(f"brute planarity needs |F| <= bound, got {n}")
     ftab = poly.value_table()
     addtab = f.add_index_table()
@@ -235,11 +235,7 @@ def prop1_necessary(tower: FieldTower, A: Elt, B: Elt) -> bool:
 
     Equivalent to 1 + A^3 + B^3 - 3AB != 0 by the nonzero-kernel criterion.
     """
-    fq = tower.fq
-    a, b = A.code, B.code
-    val = fq.add(fq.add(1, fq.pow(a, 3)), fq.pow(b, 3))
-    val = fq.sub(val, fq.mul(fq.from_int(3), fq.mul(a, b)))
-    return val != 0
+    return not has_nonzero_root_subfield_coeffs(tower.eq(1), A, B)
 
 
 def count_formula(q) -> int:

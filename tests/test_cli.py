@@ -149,6 +149,13 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("families", "check", "--id", "nope") == 1
     assert run_cli("scan", "--p", "5", "--workers", "0") == 1
     assert run_cli("scan", "--p", "5", "--workers", "-3") == 1
+    assert run_cli("scan", "--p", "3", "--m", "0") == 1
+    assert run_cli("scan", "--p", "3", "--m", "-1") == 1
+    assert run_cli("verify", "--p", "3", "--m", "0", "--A", "0", "--B", "0") == 1
+    assert run_cli("identities", "--p", "3", "--m", "0") == 1
+    assert run_cli("scan", "--p", "3", "--methods", ",") == 1
+    assert run_cli("identities", "--p", "3", "--m", "2", "--samples", "0") == 1
+    assert run_cli("identities", "--p", "3", "--samples", "-5") == 1
 
 
 def test_size_limit_is_config_error():

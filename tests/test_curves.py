@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from planarq import NotOnLocus, find_normal_element
+from planarq import NotOnLocus, find_normal_element, standard_extension
 from planarq.curves import (
     LineFactor,
     TernaryCubic,
@@ -218,10 +218,7 @@ def test_find_linear_factors_quadratic_extension(towers):
     assert len(by_ext.get(2, [])) == 2
     # conjugate pair: applying the q-power Frobenius permutes the two lines
     f2 = by_ext[2][0].coeffs, by_ext[2][1].coeffs
-    ext_field = None
-    from planarq.curves import _ext_of
-
-    ext_field = _ext_of(t.fq, 2)
+    ext_field = standard_extension(t.fq, 2)
     conj = tuple(ext_field.frob(c, 1) for c in f2[0])
     # normalize the conjugate before comparing
     from planarq.curves import _normalize_line
@@ -242,9 +239,7 @@ def test_find_linear_factors_cubic_extension(towers):
     lines = find_linear_factors(P)
     assert len(lines) == 3 and all(lf.ext == 3 for lf in lines)
     # each reported line really divides over the big field
-    from planarq.curves import _ext_of
-
-    big = _ext_of(t.fq, 3)
+    big = standard_extension(t.fq, 3)
     for lf in lines:
         assert divides(TernaryCubic(big, P.coeffs), lf.coeffs)
 
@@ -260,6 +255,60 @@ def test_oracle_matches_factorization_reports(towers):
     expected = {_normalize_line(t.fq, l) for l in split.lines}
     got = {lf.coeffs for lf in find_linear_factors(build_F_det(t, t.eq(4), t.eq(2)))}
     assert expected == got
+
+
+def _all_lines(f):
+    """Every projective line uX + vY + wT over f, leading coefficient 1."""
+    yield (0, 0, 1)
+    for w in range(f.order):
+        yield (0, 1, w)
+    for v in range(f.order):
+        for w in range(f.order):
+            yield (1, v, w)
+
+
+def _lines_by_enumeration(P, max_ext):
+    """Lines that ``divides`` accepts over F_{q^k}, k <= max_ext, each at its least k."""
+    q = P.field.order
+    found = []
+    for ext in range(1, max_ext + 1):
+        f = standard_extension(P.field, ext)
+        Pk = P.in_field(f)
+        found += [LineFactor(line, ext) for line in _all_lines(f)
+                  if (ext == 1 or any(c >= q for c in line)) and divides(Pk, line)]
+    return sorted(found, key=lambda lf: (lf.ext, lf.coeffs))
+
+
+def test_find_linear_factors_complete(towers):
+    # the oracle returns exactly the lines found by trying every projective
+    # line with the symbolic divisibility check
+    cases = []
+    for q, max_ext in ((3, 2), (5, 1), (7, 1)):
+        t = towers[q]
+        for a in range(q):
+            for b in range(q):
+                F = build_F_det(t, t.eq(a), t.eq(b))
+                if not F.is_zero():
+                    cases.append((F, max_ext))
+    # products of three lines at q = 3: random F_3 lines, a vertical line
+    # X = cT with random partners, and an F_3 line times an F_9-conjugate pair
+    t = towers[3]
+    f9 = standard_extension(t.fq, 2)
+    rng = random.Random(3)
+    base_lines = list(_all_lines(t.fq))
+    ext_lines = [l for l in _all_lines(f9) if any(c >= 3 for c in l)]
+    for _ in range(4):
+        cases.append((triple_product(t.fq, *rng.choices(base_lines, k=3)), 2))
+    for c in (1, 2):
+        cases.append((triple_product(t.fq, (1, 0, c), *rng.choices(base_lines, k=2)), 2))
+    for _ in range(3):
+        line = rng.choice(ext_lines)
+        conj = tuple(f9.frob(c, 1) for c in line)
+        P = triple_product(f9, line, conj, rng.choice(base_lines))
+        assert all(c < 3 for c in P.coeffs)
+        cases.append((TernaryCubic(t.fq, P.coeffs), 2))
+    for P, max_ext in cases:
+        assert find_linear_factors(P, max_ext) == _lines_by_enumeration(P, max_ext)
 
 
 def test_transform_H_properties(towers):
