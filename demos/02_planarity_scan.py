@@ -30,7 +30,7 @@ print(f"  det sweep:   {'Planar' if det_ok else 'NotPlanar'}")
 print(f"  brute force: {'Planar' if brute_ok else 'NotPlanar'}")
 
 # A failing pair comes with a witness shift whose difference map is singular.
-ok, witness = is_planar_det(tower, tower.eq(1), tower.eq(1), want_witness=True)
+ok, witness = is_planar_det(tower, tower.eq(1), tower.eq(1))
 print(f"\n(1, 1) is planar: {ok}; witness shift C = {witness.code}, "
       f"coordinates {witness.coeffs}")
 

@@ -69,7 +69,6 @@ def _add_tower_args(p):
 def _add_output_args(p):
     p.add_argument("--output", type=str, default=None,
                    help="report file path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
 
@@ -81,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="classify every (A, B) pair")
     _add_tower_args(p_scan)
     _add_output_args(p_scan)
+    p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--methods", type=str, default="theorem,det",
                         help="comma list from theorem,det,brute")
     p_scan.add_argument("--workers", type=_positive_int, default=1)
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
         return USAGE_EXIT
     A, B = tower.eq(args.A), tower.eq(args.B)
     cls = classify_pair(tower, A, B)
-    det_ok, witness = is_planar_det(tower, A, B, want_witness=True)
+    det_ok, witness = is_planar_det(tower, A, B)
     run_brute = args.brute == "on" or (args.brute == "auto"
                                        and tower.order_top <= _AUTO_BRUTE_MAX)
     brute_ok = brute_is_planar(f_poly(tower, A, B)) if run_brute else None
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
             return cmd_identities(args)
         if args.command == "families":
             return cmd_families(args)
-    except PlanarqError as exc:
+    except (PlanarqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     raise AssertionError("unreachable")

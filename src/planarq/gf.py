@@ -64,8 +64,11 @@ def max_enumeration_order(override: int | None = None) -> int:
 
 
 def _is_prime(n: int) -> bool:
+    """Trial division; n >= 2^48 (beyond any field this package builds) is refused."""
     if n < 2:
         return False
+    if n >= 2 ** 48:
+        raise SizeLimit(f"{n} is too large to test for primality (limit 2^48)")
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -359,13 +362,6 @@ class Field:
     def inv_vec(self, a):
         return self._inv(self._arr(a))
 
-    def decode_vec(self, codes):
-        """Coordinates over the immediate base, stacked on a new leading axis."""
-        return np.array(_decode(self._arr(codes), self._radix, self.degree))
-
-    def encode_vec(self, coords):
-        return _encode(self._arr(coords), self._radix)
-
     # -- cached tables ---------------------------------------------------------
     def frob_table(self, k: int = 1):
         """Permutation array code -> code^(s^k) over the whole field."""
@@ -379,15 +375,9 @@ class Field:
 
     def sqrt_code(self, a: int) -> int | None:
         """Smaller square root by code, or None when a is a non-square."""
-        tab = self._cache.get("sqrt")
-        if tab is None:
-            if self.order > self.enum_bound():
-                raise SizeLimit(f"square-root table needs |F| <= bound, got {self.order}")
-            tab = {}
-            for c in range(self.order):
-                tab.setdefault(self._mul(c, c), c)
-            self._cache["sqrt"] = tab
-        return tab.get(a)
+        if self.order > self.enum_bound():
+            raise SizeLimit(f"square-root search needs |F| <= bound, got {self.order}")
+        return next((c for c in range(self.order) if self._mul(c, c) == a), None)
 
     def add_index_table(self):
         """Dense table T[a, b] = code(a + b), or None if the field is too big."""
@@ -396,12 +386,9 @@ class Field:
         tab = self._cache.get("addtab")
         if tab is None:
             codes = np.arange(self.order, dtype=np.int64)
-            rows = []
-            step = max(1, (1 << 22) // max(self.order, 1))
-            for lo in range(0, self.order, step):
-                block = self.add_vec(codes[lo:lo + step, None], codes[None, :])
-                rows.append(block.astype(np.int32))
-            tab = np.concatenate(rows, axis=0)
+            tab = np.empty((self.order, self.order), dtype=np.int32)
+            for a in range(self.order):
+                tab[a] = self.add_vec(codes, a)
             self._cache["addtab"] = tab
         return tab
 
@@ -567,10 +554,12 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None,
     p, m = int(p), int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    fp = PrimeField(p)  # rejects p = 2 and composites
     limit = max_enumeration_order(max_q3)
-    if p ** (3 * m) > limit:
+    # size first, so a huge p or m fails at once: no primality test, and no
+    # power p^(3m) once 2^(3m) alone passes the bound
+    if p > 1 and (3 * m >= limit.bit_length() or p ** (3 * m) > limit):
         raise SizeLimit(f"q^3 = {p}^{3 * m} exceeds the enumeration bound {limit}")
+    fp = PrimeField(p)  # rejects p = 2 and composites
     if m == 1:
         fq = fp
         if mid_modulus is None:

@@ -129,9 +129,7 @@ def brute_is_planar(poly: SparsePoly) -> bool:
     """
     f = poly.field
     n = f.order
-    if n > f.enum_bound():
-        raise SizeLimit(f"brute planarity needs |F| <= bound, got {n}")
-    ftab = poly.value_table()
+    ftab = poly.value_table()  # raises SizeLimit beyond the enumeration bound
     addtab = f.add_index_table()
     codes = np.arange(n, dtype=np.int64)
     for a in range(1, n):
@@ -167,20 +165,15 @@ def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     return f.add_vec(det, f.mul_vec(c2, m3))
 
 
-def _det_sweep(tower: FieldTower, a_code: int, b_code: int,
-               shifts: np.ndarray | None = None) -> np.ndarray:
-    """Determinants for one pair over shifts C (all C != 0 by default)."""
-    if shifts is None:
-        shifts = np.arange(1, tower.fq3.order, dtype=np.int64)
-    return _dets_at(tower, a_code, b_code, shifts)
+def _det_sweep(tower: FieldTower, a_code: int, b_code: int) -> np.ndarray:
+    """Determinants for one pair over every shift C != 0, in code order."""
+    return _dets_at(tower, a_code, b_code, np.arange(1, tower.fq3.order, dtype=np.int64))
 
 
-def is_planar_det(tower: FieldTower, A: Elt, B: Elt,
-                  want_witness: bool = False) -> tuple[bool, Elt | None]:
+def is_planar_det(tower: FieldTower, A: Elt, B: Elt) -> tuple[bool, Elt | None]:
     """Planarity via the shift sweep: no nonzero C may kill the determinant.
 
-    When not planar and a witness is requested, returns the first root C in
-    code order.
+    When not planar, also returns the witness: the first root C in code order.
     """
     if A.field != tower.fq or B.field != tower.fq:
         raise LevelMismatch("A and B must live in F_q")
@@ -188,8 +181,7 @@ def is_planar_det(tower: FieldTower, A: Elt, B: Elt,
     roots = np.flatnonzero(dets == 0)
     if roots.size == 0:
         return True, None
-    witness = Elt(tower.fq3, int(roots[0]) + 1) if want_witness else None
-    return False, witness
+    return False, Elt(tower.fq3, int(roots[0]) + 1)
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,6 @@ class PairClass:
 
     planar: bool
     branch: str | None = None
-    witness: Elt | None = None
 
     @property
     def verdict(self) -> str:
@@ -321,7 +312,7 @@ def _scan_chunk(args):
             verdicts[METHOD_THEOREM] = cls.planar
             branch = cls.branch
         if METHOD_DET in methods:
-            ok, wit = is_planar_det(tower, A, B, want_witness=True)
+            ok, wit = is_planar_det(tower, A, B)
             verdicts[METHOD_DET] = ok
             witness = None if wit is None else wit.code
         if METHOD_BRUTE in methods:

@@ -1,9 +1,16 @@
 """CLI surface: flags, report files, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+import planarq.cli as cli
+import planarq.curves as curves
+import planarq.planarity as planarity
 from planarq.cli import main
 
 
@@ -156,6 +163,20 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("scan", "--p", "3", "--methods", ",") == 1
     assert run_cli("identities", "--p", "3", "--m", "2", "--samples", "0") == 1
     assert run_cli("identities", "--p", "3", "--samples", "-5") == 1
+    assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1", "--format", "csv") == 1
+    huge = "1000000000000000000000007"  # far past every size bound: refused at once
+    assert run_cli("scan", "--p", huge) == 1
+    assert run_cli("verify", "--p", huge, "--A", "0", "--B", "0") == 1
+    assert run_cli("families", "check", "--id", "T2.1", "--p", huge, "--n", "1") == 1
+    assert run_cli("scan", "--p", "3", "--m", "1000000000000") == 1
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    assert run_cli("scan", "--p", "3", "--output", out) == 1
+    assert "error:" in capsys.readouterr().err
+    assert run_cli("verify", "--p", "3", "--A", "0", "--B", "0", "--output", out) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_size_limit_is_config_error():
@@ -175,3 +196,91 @@ def test_env_var_override(tmp_path, monkeypatch):
     assert run_cli("scan", "--p", "5") == 1
     out = tmp_path / "s.json"
     assert run_cli("scan", "--p", "5", "--max-q3", "200", "--output", str(out)) == 0
+
+
+# -- the exit-2 tripwire: a wrong decider must fail the run ----------------
+
+def _closed_form_overridden(monkeypatch, module, verdicts):
+    """Make ``module.classify_pair`` answer ``verdicts[(A, B)]`` for the listed pairs."""
+    original = planarity.classify_pair
+
+    def patched(tower, A, B):
+        cls = original(tower, A, B)
+        planar = verdicts.get((A.code, B.code), cls.planar)
+        return cls if planar == cls.planar else planarity.PairClass(planar)
+
+    monkeypatch.setattr(module, "classify_pair", patched)
+
+
+def _scan_summary(tmp_path, p, methods, expect_exit):
+    out = tmp_path / "scan.json"
+    assert run_cli("scan", "--p", str(p), "--methods", methods, "--workers", "1",
+                   "--output", str(out)) == expect_exit
+    return json.loads(out.read_text())["summary"]
+
+
+def test_scan_flipped_closed_form_exits_two(tmp_path, monkeypatch):
+    _closed_form_overridden(monkeypatch, planarity, {(2, 1): False})
+    summary = _scan_summary(tmp_path, 5, "theorem,det", 2)
+    assert summary["disagreements"] == [[2, 1]]
+
+
+def test_scan_q3_missed_pair_is_beyond_theorem(tmp_path, monkeypatch):
+    _closed_form_overridden(monkeypatch, planarity, {(0, 0): False})
+    summary = _scan_summary(tmp_path, 3, "theorem,brute", 0)  # lower-bound policy
+    assert summary["beyond_theorem"] == [[0, 0]]
+    assert summary["disagreements"] == []
+
+
+def test_scan_q3_false_planar_claim_exits_two(tmp_path, monkeypatch):
+    _closed_form_overridden(monkeypatch, planarity, {(1, 1): True})
+    summary = _scan_summary(tmp_path, 3, "theorem,brute", 2)
+    assert summary["disagreements"] == [[1, 1]]
+    assert summary["beyond_theorem"] == []
+
+
+def _fail_factorizations(monkeypatch):
+    original = curves.verify_branch_factorization
+
+    def patched(tower, A, B):
+        rep = original(tower, A, B)
+        rep.checks = [dataclasses.replace(c, verified=False) for c in rep.checks]
+        return rep
+
+    monkeypatch.setattr(curves, "verify_branch_factorization", patched)
+
+
+def _non_root_witness(monkeypatch):
+    def patched(tower, A, B):
+        dets = planarity._det_sweep(tower, A.code, B.code)
+        return False, tower.eq3(int(np.flatnonzero(dets != 0)[0]) + 1)
+
+    monkeypatch.setattr(cli, "is_planar_det", patched)
+
+
+# (A, B) over q = 5, a way to break one check, and the one message it must raise
+_VERIFY_TRIPS = [
+    pytest.param((2, 1), lambda mp: _closed_form_overridden(mp, cli, {(2, 1): False}),
+                 "closed form disagrees with determinant sweep", id="closed-form"),
+    pytest.param((2, 1), lambda mp: mp.setattr(cli, "brute_is_planar", lambda poly: False),
+                 "brute force disagrees with determinant sweep", id="brute"),
+    pytest.param((2, 1), lambda mp: mp.setattr(cli, "prop1_necessary", lambda t, A, B: False),
+                 "planar pair fails the necessary bijectivity condition", id="prop1"),
+    pytest.param((2, 1), lambda mp: mp.setattr(curves, "count_nonzero_fq_zeros", lambda H: 4),
+                 "point count contradicts the determinant sweep", id="point-count"),
+    pytest.param((2, 1), _fail_factorizations,
+                 "a claimed factorization failed to verify", id="factorization"),
+    pytest.param((1, 1), _non_root_witness,
+                 "witness does not kill the determinant", id="witness"),
+]
+
+
+@pytest.mark.parametrize("pair, tamper, message", _VERIFY_TRIPS)
+def test_verify_inconsistency_exits_two(tmp_path, monkeypatch, pair, tamper, message):
+    tamper(monkeypatch)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--p", "5", "--A", str(pair[0]), "--B", str(pair[1]),
+                   "--output", str(out)) == 2
+    d = json.loads(out.read_text())
+    assert not d["consistent"]
+    assert d["inconsistencies"] == [message]

@@ -81,9 +81,9 @@ def test_brute_size_limit(monkeypatch):
 
 def test_det_decider_examples(towers):
     t = towers[5]
-    ok, wit = is_planar_det(t, t.eq(2), t.eq(1), want_witness=True)
+    ok, wit = is_planar_det(t, t.eq(2), t.eq(1))
     assert ok and wit is None
-    ok, wit = is_planar_det(t, t.eq(1), t.eq(1), want_witness=True)
+    ok, wit = is_planar_det(t, t.eq(1), t.eq(1))
     assert not ok and wit is not None
     # the (1,1) curve is the trace-line cube, so every witness is trace-zero
     f = t.fq3
@@ -99,7 +99,7 @@ def test_det_decider_examples(towers):
 def test_det_decider_degenerate_q3(towers):
     # q=3, A=2: A^3 = -1, the determinant vanishes identically
     t = towers[3]
-    ok, wit = is_planar_det(t, t.eq(2), t.eq(0), want_witness=True)
+    ok, wit = is_planar_det(t, t.eq(2), t.eq(0))
     assert not ok
     assert wit.code == 1
 
