@@ -432,7 +432,8 @@ def standard_extension(base: Field, degree: int) -> Field:
 def prime_ext_field(p: int, n: int) -> Field:
     """F_{p^n} over the prime field, with the deterministic modulus."""
     fp = PrimeField(p)
-    if n > 1 and p ** n > 2 ** 48:
+    # p >= 3, so n >= 48 is too large without forming p^n
+    if n > 1 and (n >= 48 or p ** n > 2 ** 48):
         raise SizeLimit(f"field order {p}^{n} too large to construct")
     return standard_extension(fp, n)
 

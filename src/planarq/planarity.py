@@ -17,6 +17,7 @@ reports verdicts, disagreements, and the planar count against the expected
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -326,7 +327,8 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     """Run the requested deciders on every (A, B) in F_q x F_q.
 
     Pairs are processed in code order (results are merged back into that
-    order whatever the worker count, so reports are bit-stable).  Hard
+    order whatever the worker count, so reports are bit-stable); at most
+    min(workers, q^2, CPU count) processes run.  Hard
     disagreements are mismatches between exact deciders anywhere, or between
     the closed form and an exact decider for q > 3; at q = 3 the closed form
     is only required to be a lower bound, and exact-planar pairs it misses
@@ -343,6 +345,8 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     pairs = [(a, b) for a in range(q) for b in range(q)]
     timings: dict[str, float] = {}
     start = time.perf_counter()
+    # more processes than pairs or CPUs would only wait
+    workers = min(workers, len(pairs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing as mp
 

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import planarq.cli as cli
 import planarq.curves as curves
 import planarq.planarity as planarity
+from planarq import build_tower
 from planarq.cli import main
 
 
@@ -148,6 +152,64 @@ def test_families_check_flagged(capsys):
                    "--p", "3", "--k", "1", "--s", "2") == 2
 
 
+# huge parameters form no huge integer: structural-only instances, and
+# desk-verifiable ones whose p-power exponents are reduced modulo p^n - 1
+_HUGE_FAMILY_PARAMS = [
+    ("--id T2.1 --p 3 --n 100000000", None),
+    ("--id T2.3 --n 100000001", None),
+    ("--id T3.4 --p 3 --e 1 --k 30000000", None),
+    ("--id T2.6 --n 7 --k 100000001", "SparsePoly(x^14)"),          # as k = 3
+    ("--id T3.1 --p 3 --k 1 --s 100000001", "SparsePoly(4*x^10)"),  # as s = 2
+    ("--id T2.5 --p 3 --k 1 --s 100000000 --no-brute", "SparsePoly(19*x^4)"),  # as s = 4
+    ("--id T3.3 --p 3 --m 1 --s 100000002", "SparsePoly(4*x^6 + x^4 + 5*x^2)"),  # as s = 2
+    ("--id T3.2 --p 5 --k 1 --s 100000002 --no-brute",
+     "SparsePoly(120*x^250 + x^26)"),                               # as s = 2
+]
+
+
+@pytest.mark.parametrize("args, polynomial", _HUGE_FAMILY_PARAMS,
+                         ids=[a for a, _ in _HUGE_FAMILY_PARAMS])
+def test_families_check_huge_parameters(capsys, args, polynomial):
+    start = time.perf_counter()
+    assert run_cli("families", "check", *args.split()) == 0
+    assert time.perf_counter() - start < 5.0
+    d = json.loads(capsys.readouterr().out)
+    assert d["violations"] == []
+    assert d["desk_verifiable"] is (polynomial is not None)
+    assert d.get("polynomial") == polynomial
+
+
+def test_scan_workers_capped(monkeypatch):
+    # a fake pool records its size and maps serially: no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    tower = build_tower(3)
+    serial = planarity.scan(tower, workers=1)
+    for cpus, want in ((4, 4), (64, 9)):  # q^2 = 9 pairs
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = planarity.scan(tower, workers=10 ** 9)
+        assert sizes[-1] == want
+        assert report.pairs == serial.pairs
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert planarity.scan(tower, workers=10 ** 9).pairs == serial.pairs
+    assert sizes == []  # one CPU: the serial path
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli("scan") == 1                      # missing --p
     assert run_cli("scan", "--p", "4") == 1          # not an odd prime
@@ -169,6 +231,9 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("verify", "--p", huge, "--A", "0", "--B", "0") == 1
     assert run_cli("families", "check", "--id", "T2.1", "--p", huge, "--n", "1") == 1
     assert run_cli("scan", "--p", "3", "--m", "1000000000000") == 1
+    # a supplied element needs the field, and F_{3^300000003} is past 2^48
+    assert run_cli("families", "check", "--id", "T2.5", "--p", "3", "--k", "100000001",
+                   "--s", "100000004", "--u", "2") == 1
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
