@@ -3,7 +3,7 @@
 Run:  python demos/01_field_tower.py
 """
 
-from planarq import build_tower, find_normal_element, frobenius_q, sqrt_in_fq
+from planarq import build_tower, find_normal_element
 
 # Towers are built from (p, m) with deterministic moduli, so element codes
 # mean the same thing on every machine.
@@ -25,8 +25,8 @@ print(f"a^(|F|-1) = {(a ** (729 - 1)).code}  (unit group order)")
 
 # The q-power Frobenius acts as a precomputed 3x3 matrix over F_9; its fixed
 # field is exactly the embedded F_9.
-y = frobenius_q(tower, x, 1)
-print(f"\nx^q = {y.code}; x^(q^3) = {frobenius_q(tower, x, 3).code} (back to x)")
+y = tower.fq3.frob(x.code, 1)
+print(f"\nx^q = {y}; x^(q^3) = {tower.fq3.frob(x.code, 3)} (back to x)")
 fixed = [c for c in range(729) if tower.fq3.frob(c, 1) == c]
 print(f"Frobenius fixes {len(fixed)} elements: codes {fixed[:5]}... (= F_9)")
 
@@ -36,7 +36,7 @@ print(f"\nfirst normal element: code {xi.code}")
 
 # Square roots in F_q (needed for the sqrt(-3) branch loci downstream).
 t7 = build_tower(7, 1)
-minus3 = t7.eq(4)  # -3 = 4 mod 7
-print(f"\nsqrt(-3) in F_7: {sqrt_in_fq(t7, minus3).code}")
+minus3 = 4  # -3 = 4 mod 7
+print(f"\nsqrt(-3) in F_7: {t7.fq.sqrt_code(minus3)}")
 t5 = build_tower(5, 1)
-print(f"sqrt(-3) in F_5: {sqrt_in_fq(t5, t5.eq(2))}  (non-square)")
+print(f"sqrt(-3) in F_5: {t5.fq.sqrt_code(2)}  (non-square)")

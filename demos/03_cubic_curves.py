@@ -8,17 +8,20 @@ after a normal-basis change of variables.
 Run:  python demos/03_cubic_curves.py
 """
 
+import numpy as np
+
 from planarq import build_tower, find_normal_element
 from planarq.curves import (
     build_F_det,
     build_F_paper,
-    check_det_identity,
     count_nonzero_fq_zeros,
-    det_roots_count,
     find_linear_factors,
     transform_H,
     verify_branch_factorization,
 )
+from planarq.gf import det3
+from planarq.linearized import dickson_matrix, difference_triple
+from planarq.planarity import _det_sweep
 
 tower = build_tower(5, 1)
 A, B = tower.eq(2), tower.eq(1)
@@ -27,7 +30,10 @@ A, B = tower.eq(2), tower.eq(1)
 # transcribed; evaluating it at (C, C^q, C^(q^2)) reproduces the determinant.
 F = build_F_det(tower, A, B)
 print(f"determinant cubic for (2, 1): {F}")
-print(f"identity holds at C = 1: {check_det_identity(tower, A, B, tower.eq3(1))}")
+f3 = tower.fq3
+det = det3(f3, dickson_matrix(difference_triple(tower, A, B, tower.eq3(1))))
+value = F.in_field(f3).evaluate(1, f3.frob(1, 1), f3.frob(1, 2))
+print(f"identity holds at C = 1: {bool(det == value and det < tower.q)}")
 
 # The published bivariate form differs from the determinant expansion by an
 # X <-> Y swap; both are kept and the relation is pinned.
@@ -51,5 +57,5 @@ xi = find_normal_element(tower)
 for (a, b) in ((2, 1), (2, 2), (1, 1)):
     H = transform_H(tower, tower.eq(a), tower.eq(b), xi)
     pts = count_nonzero_fq_zeros(H)
-    roots = det_roots_count(tower, tower.eq(a), tower.eq(b))
+    roots = np.count_nonzero(_det_sweep(tower, a, b) == 0)
     print(f"pair ({a}, {b}): determinant roots {roots}, points of H {pts}")

@@ -24,10 +24,8 @@ from .gf import (
     build_tower,
     find_irreducible,
     find_normal_element,
-    frobenius_q,
     max_enumeration_order,
     prime_ext_field,
-    sqrt_in_fq,
     standard_extension,
 )
 

@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .errors import NotOnLocus, PlanarqError
 from .families import FAMILIES, FamilySpec, family_report
-from .gf import build_tower, find_normal_element
+from .gf import build_tower, det3, find_normal_element
 from .identities import run_identities
 from .planarity import (
     ALL_METHODS,
@@ -204,18 +204,17 @@ def cmd_verify(args) -> int:
         inconsistencies.append("closed form disagrees with determinant sweep")
     if brute_ok is not None and brute_ok != det_ok:
         inconsistencies.append("brute force disagrees with determinant sweep")
-    if cls.planar and not prop1_necessary(tower, A, B):
+    prop_ok = prop1_necessary(tower, A, B)
+    if cls.planar and not prop_ok:
         inconsistencies.append("planar pair fails the necessary bijectivity condition")
     if (point_count == 0) != det_ok:
         inconsistencies.append("point count contradicts the determinant sweep")
     if branch_report is not None and not branch_report.ok:
         inconsistencies.append("a claimed factorization failed to verify")
     if witness is not None:
-        from .linearized import det3, dickson_matrix, difference_triple
+        from .linearized import dickson_matrix, difference_triple
 
-        det_at_witness = det3(dickson_matrix(difference_triple(tower, A, B,
-                                                               witness)))
-        if det_at_witness.code != 0:
+        if det3(tower.fq3, dickson_matrix(difference_triple(tower, A, B, witness))) != 0:
             inconsistencies.append("witness does not kill the determinant")
 
     dossier = {
@@ -223,7 +222,7 @@ def cmd_verify(args) -> int:
                  "version": __version__},
         "pair": {"A": args.A, "B": args.B},
         "classification": {"planar": cls.planar, "branch": cls.branch},
-        "prop_necessary": prop1_necessary(tower, A, B),
+        "prop_necessary": prop_ok,
         "det": {"planar": det_ok,
                 "witness": None if witness is None else witness.code,
                 "witness_coeffs": None if witness is None else list(witness.coeffs)},

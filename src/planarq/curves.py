@@ -13,6 +13,9 @@ such line meets the coordinate lines at roots of three one-variable
 restrictions of the cubic, and each candidate is confirmed at four points of
 the line.  It also carries the normal-basis change of variables H plus F_q
 point counting that replaces the curve-theoretic existence argument for roots.
+
+Coefficients are codes, and ``TernaryCubic.evaluate`` takes codes: ints or
+int64 arrays that broadcast together.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
     SquareRootUnavailable,
 )
 from .gf import Elt, Field, FieldTower, standard_extension
-from .linearized import det3, dickson_matrix, difference_triple
 
 # degree-3 monomials (i, j, k) with X^i * Y^j * T^k, fixed order
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -69,9 +71,6 @@ class TernaryCubic:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def coefficient(self, i: int, j: int, k: int) -> int:
-        return self.coeffs[_MIDX[(i, j, k)]]
-
     def scale(self, c: int) -> "TernaryCubic":
         f = self.field
         return TernaryCubic(f, [f.mul(c, x) for x in self.coeffs])
@@ -87,35 +86,12 @@ class TernaryCubic:
             out[_MIDX[(j, i, k)]] = c
         return TernaryCubic(self.field, out)
 
-    def cyclic_shift(self) -> "TernaryCubic":
-        """Substitute (X, Y, T) -> (Y, T, X)."""
-        out = [0] * 10
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            out[_MIDX[(k, i, j)]] = c
-        return TernaryCubic(self.field, out)
-
     def in_field(self, field: Field) -> "TernaryCubic":
         """Reinterpret the coefficients in an extension (codes embed as-is)."""
         return TernaryCubic(field, self.coeffs)
 
-    def evaluate(self, x: Elt, y: Elt, t: Elt) -> Elt:
-        f = self.field
-        for v in (x, y, t):
-            if v.field != f:
-                raise LevelMismatch("evaluation point in the wrong field")
-        pw = {}
-        for name, c in (("X", x.code), ("Y", y.code), ("T", t.code)):
-            sq = f.mul(c, c)
-            pw[name] = (1, c, sq, f.mul(sq, c))
-        acc = 0
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            if c:
-                term = f.mul(f.mul(pw["X"][i], pw["Y"][j]), pw["T"][k])
-                acc = f.add(acc, f.mul(c, term))
-        return Elt(f, acc)
-
-    def evaluate_codes(self, X, Y, T):
-        """Vectorized evaluation on arrays of codes."""
+    def evaluate(self, X, Y, T):
+        """The cubic at codes X, Y, T (ints or arrays, broadcast together)."""
         f = self.field
         pw = {}
         for name, base in (("X", X), ("Y", Y), ("T", T)):
@@ -246,17 +222,6 @@ def _check_pair(tower: FieldTower, A: Elt, B: Elt) -> Field:
     if A.field != tower.fq or B.field != tower.fq:
         raise LevelMismatch("A and B must live in F_q")
     return tower.fq
-
-
-def check_det_identity(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> bool:
-    """det(difference matrix) == F_det(C, C^q, C^(q^2)), and the value is in F_q."""
-    if C.field != tower.fq3:
-        raise LevelMismatch("C must live in F_{q^3}")
-    lhs = det3(dickson_matrix(difference_triple(tower, A, B, C)))
-    f3 = tower.fq3
-    rhs = build_F_det(tower, A, B).in_field(f3).evaluate(
-        C, Elt(f3, f3.frob(C.code, 1)), Elt(f3, f3.frob(C.code, 2)))
-    return lhs == rhs and lhs.code < tower.fq.order
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +496,7 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
         p1 = np.array([c[2] for c in cands], dtype=np.int64)
         # (x:t) = (1:0), (0:1), (1:1), (1:-1) on every candidate line
         pts = np.stack([p0, p1, f.add_vec(p0, p1), f.sub_vec(p0, p1)], axis=1)
-        vals = P.in_field(f).evaluate_codes(pts[..., 0], pts[..., 1], pts[..., 2])
+        vals = P.in_field(f).evaluate(pts[..., 0], pts[..., 1], pts[..., 2])
         for (line, _, _), zero in zip(cands, ~vals.any(axis=1)):
             if zero:
                 found.append(LineFactor(_normalize_line(f, line), ext))
@@ -587,14 +552,7 @@ def count_nonzero_fq_zeros(P: TernaryCubic) -> int:
     X = codes[:, None, None]
     Y = codes[None, :, None]
     T = codes[None, None, :]
-    vals = P.evaluate_codes(X, Y, T)
+    vals = P.evaluate(X, Y, T)
     zeros = int(np.count_nonzero(vals == 0))
     return zeros - 1  # the origin is always a zero of a homogeneous cubic
 
-
-def det_roots_count(tower: FieldTower, A: Elt, B: Elt) -> int:
-    """|{C != 0 : det of the difference matrix vanishes}| by direct sweep."""
-    from .planarity import _det_sweep
-
-    dets = _det_sweep(tower, A.code, B.code)
-    return int(np.count_nonzero(dets == 0))

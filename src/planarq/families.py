@@ -253,7 +253,8 @@ FAMILIES: dict[str, Family] = {fam.id: fam for fam in (
         "T2.6", "x^((3^k+1)/2) in F_{3^n}, k >= 3 odd, gcd(k, n) = 1",
         int_params=(("n", "extension degree"), ("k", "odd exponent parameter")),
         shape=lambda x: (3, x.n),
-        conditions=(Cond(lambda x: x.k >= 3, "k must be >= 3"),
+        conditions=(Cond(lambda x: x.n >= 1, "n must be >= 1", guard=True),
+                    Cond(lambda x: x.k >= 3, "k must be >= 3"),
                     Cond(lambda x: _odd(x.k), "k must be odd"),
                     Cond(lambda x: math.gcd(x.k, x.n) == 1, "gcd(k, n) = 1 fails")),
         # (3^k+1)/2 modulo 3^n - 1, from 3^k modulo twice that
@@ -313,10 +314,6 @@ FAMILIES: dict[str, Family] = {fam.id: fam for fam in (
         terms=lambda x: [(2, 1), (90, 1)],
     ),
 )}
-
-
-def family_ids() -> list[str]:
-    return list(FAMILIES)
 
 
 # -- the stages ---------------------------------------------------------------

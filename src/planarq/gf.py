@@ -29,6 +29,9 @@ only, so the same body runs on plain Python ints (the scalar methods, which
 return ints) and on int64 numpy arrays (the ``*_vec`` methods, which accept
 anything ``np.asarray`` handles and broadcast like ordinary numpy ufuncs).
 Array entry points refuse a field whose digit products could pass 2^63.
+:func:`det3` and the evaluations built on this module (linearized maps,
+ternary cubics) take codes the same way, an int or an array, and go through
+the ``*_vec`` entry points, so that guard covers them too.
 
 Fields are immutable after construction apart from monotone internal caches,
 so a tower can be shared freely across worker processes or threads.
@@ -89,11 +92,10 @@ def _poly_trim(c):
 
 
 def _poly_divmod(field, a, b):
-    a = list(a)
+    """Quotient and remainder of a by the monic polynomial b."""
     b = _poly_trim(list(b))
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    inv_lead = field.inv(b[-1])
+    if not b or b[-1] != 1:
+        raise ValueError(f"polynomial division needs a monic divisor, got {b}")
     db = len(b) - 1
     quo = [0] * max(len(a) - db, 0)
     rem = list(a)
@@ -101,10 +103,9 @@ def _poly_divmod(field, a, b):
         coeff = rem[i]
         if coeff == 0:
             continue
-        factor = field.mul(coeff, inv_lead)
-        quo[i - db] = factor
+        quo[i - db] = coeff
         for j in range(db + 1):
-            rem[i - db + j] = field.sub(rem[i - db + j], field.mul(factor, b[j]))
+            rem[i - db + j] = field.sub(rem[i - db + j], field.mul(coeff, b[j]))
     return _poly_trim(quo), _poly_trim(rem)
 
 
@@ -118,13 +119,7 @@ def is_irreducible(base, poly) -> bool:
         return True
     for e in range(1, d // 2 + 1):
         for k in range(base.order ** e):
-            cand = [0] * (e + 1)
-            kk = k
-            for i in range(e):
-                cand[i] = kk % base.order
-                kk //= base.order
-            cand[e] = 1
-            _, rem = _poly_divmod(base, poly, cand)
+            _, rem = _poly_divmod(base, poly, _decode(k, base.order, e) + [1])
             if not rem:
                 return False
     return True
@@ -141,12 +136,7 @@ def find_irreducible(base, degree: int) -> tuple[int, ...]:
     if degree < 1:
         raise ValueError("degree must be positive")
     for k in range(base.order ** degree):
-        coeffs = [0] * (degree + 1)
-        kk = k
-        for i in range(degree):
-            coeffs[i] = kk % base.order
-            kk //= base.order
-        coeffs[degree] = 1
+        coeffs = _decode(k, base.order, degree) + [1]
         if is_irreducible(base, coeffs):
             return tuple(coeffs)
     raise AssertionError("unreachable: irreducibles of every degree exist")
@@ -337,10 +327,6 @@ class Field:
         """Code of the constant k * 1 (an F_p multiple of the identity)."""
         return int(k) % self.char
 
-    def elements(self):
-        """All field elements in canonical code order."""
-        return (Elt(self, c) for c in range(self.order))
-
     # -- array entry points ----------------------------------------------------
     def _arr(self, a):
         if self._wraps:
@@ -358,9 +344,6 @@ class Field:
 
     def pow_vec(self, a, e):
         return self._pow(self._arr(a), e)
-
-    def inv_vec(self, a):
-        return self._inv(self._arr(a))
 
     # -- cached tables ---------------------------------------------------------
     def frob_table(self, k: int = 1):
@@ -588,36 +571,21 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None,
     return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus, max_q3)
 
 
-def frobenius_q(tower: FieldTower, x: Elt, k: int = 1) -> Elt:
-    """x^(q^k) for x in F_{q^3}, via the precomputed linear action."""
-    if x.field != tower.fq3:
-        raise LevelMismatch("frobenius_q expects an F_{q^3} element")
-    return Elt(tower.fq3, tower.fq3.frob(x.code, k))
-
-
 def find_normal_element(tower: FieldTower) -> Elt:
-    """First xi in code order whose conjugates {xi, xi^q, xi^(q^2)} form a basis."""
-    f, fq = tower.fq3, tower.fq
-    for code in range(f.order):
-        vecs = [f.coords(code), f.coords(f.frob(code, 1)), f.coords(f.frob(code, 2))]
-        if _det3_base(fq, vecs) != 0:
-            return Elt(f, code)
-    raise AssertionError("unreachable: normal bases always exist")
+    """First xi in code order whose conjugates {xi, xi^q, xi^(q^2)} form a basis.
+
+    One ``det3`` over every code; normal elements always exist.
+    """
+    f = tower.fq3
+    vecs = [f.coords(np.arange(f.order)), f.coords(f.frob_table(1)), f.coords(f.frob_table(2))]
+    return Elt(f, int(np.flatnonzero(det3(tower.fq, vecs))[0]))
 
 
-def _det3_base(field, rows):
-    a, b, c = rows[0]
-    d, e, g = rows[1]
-    h, i, j = rows[2]
-    t1 = field.mul(a, field.sub(field.mul(e, j), field.mul(g, i)))
-    t2 = field.mul(b, field.sub(field.mul(d, j), field.mul(g, h)))
-    t3 = field.mul(c, field.sub(field.mul(d, i), field.mul(e, h)))
-    return field.add(field.sub(t1, t2), t3)
-
-
-def sqrt_in_fq(tower: FieldTower, a: Elt) -> Elt | None:
-    """Smaller square root of a in F_q by code order; None for non-squares."""
-    if a.field != tower.fq:
-        raise LevelMismatch("sqrt_in_fq expects an F_q element")
-    root = tower.fq.sqrt_code(a.code)
-    return None if root is None else Elt(tower.fq, root)
+def det3(field: Field, rows):
+    """Determinant of a 3x3 matrix of codes (ints or arrays), by cofactor expansion."""
+    (a, b, c), (d, e, g), (h, i, j) = rows
+    mul, sub = field.mul_vec, field.sub_vec
+    t1 = mul(a, sub(mul(e, j), mul(g, i)))
+    t2 = mul(b, sub(mul(d, j), mul(g, h)))
+    t3 = mul(c, sub(mul(d, i), mul(e, h)))
+    return field.add_vec(sub(t1, t2), t3)

@@ -2,8 +2,11 @@
 
 A map of this shape is F_q-linear, so bijectivity is decided by a 3x3
 coefficient matrix built from Frobenius twists of (c0, c1, c2); the map is a
-permutation of F_{q^3} exactly when that matrix is nonsingular.  The brute
-kernel enumeration is kept alongside as the independent oracle.
+permutation of F_{q^3} exactly when that matrix is nonsingular
+(``gf.det3`` of ``dickson_matrix``).  The brute kernel enumeration is kept
+alongside as the independent oracle.  Maps are evaluated and matrices are
+written on codes: ``LinTriple.apply`` takes an int or an array of codes, and
+the matrices are 3x3 nested tuples of codes.
 """
 
 from __future__ import annotations
@@ -35,39 +38,23 @@ class LinTriple:
     def field(self) -> Field:
         return self.c0.field
 
-    def apply(self, x: Elt) -> Elt:
+    def apply(self, x):
+        """L(x) for codes x (an int or an array), Frobenius read from ``frob_table``."""
         f = self.field
-        if x.field != f:
-            raise LevelMismatch("argument must live in the same field")
-        acc = f.mul(self.c0.code, x.code)
-        acc = f.add(acc, f.mul(self.c1.code, f.frob(x.code, 1)))
-        acc = f.add(acc, f.mul(self.c2.code, f.frob(x.code, 2)))
-        return Elt(f, acc)
+        x = np.asarray(x, dtype=np.int64)
+        acc = f.mul_vec(self.c0.code, x)
+        acc = f.add_vec(acc, f.mul_vec(self.c1.code, f.frob_table(1)[x]))
+        return f.add_vec(acc, f.mul_vec(self.c2.code, f.frob_table(2)[x]))
 
 
-Matrix3 = tuple  # 3x3 nested tuples of Elt
+Matrix3 = tuple  # 3x3 nested tuples of codes
 
 
 def dickson_matrix(L: LinTriple) -> Matrix3:
     """entry(i, j) = c_((j - i) mod 3) ^ (q^i)."""
     f = L.field
     cs = (L.c0.code, L.c1.code, L.c2.code)
-    rows = []
-    for i in range(3):
-        row = tuple(Elt(f, f.frob(cs[(j - i) % 3], i)) for j in range(3))
-        rows.append(row)
-    return tuple(rows)
-
-
-def det3(M: Matrix3) -> Elt:
-    """Determinant of a 3x3 matrix of field elements, by cofactor expansion."""
-    (a, b, c), (d, e, g), (h, i, j) = M
-    return (a * (e * j - g * i)) - (b * (d * j - g * h)) + (c * (d * i - e * h))
-
-
-def is_permutation(L: LinTriple) -> bool:
-    """Whether the map is a bijection of F_{q^3} (nonsingular matrix test)."""
-    return bool(det3(dickson_matrix(L)))
+    return tuple(tuple(f.frob(cs[(j - i) % 3], i) for j in range(3)) for i in range(3))
 
 
 def has_nonzero_root_subfield_coeffs(alpha: Elt, beta: Elt, gamma: Elt) -> bool:
@@ -90,11 +77,7 @@ def brute_kernel(L: LinTriple) -> list[Elt]:
     f = L.field
     if f.order > f.enum_bound():
         raise SizeLimit(f"kernel enumeration needs |F| <= bound, got {f.order}")
-    codes = np.arange(f.order, dtype=np.int64)
-    vals = f.mul_vec(L.c0.code, codes)
-    vals = f.add_vec(vals, f.mul_vec(L.c1.code, f.frob_table(1)))
-    vals = f.add_vec(vals, f.mul_vec(L.c2.code, f.frob_table(2)))
-    return [Elt(f, int(c)) for c in np.flatnonzero(vals == 0)]
+    return [Elt(f, int(c)) for c in np.flatnonzero(L.apply(np.arange(f.order)) == 0)]
 
 
 def difference_triple(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> LinTriple:
@@ -132,7 +115,7 @@ def difference_matrix_direct(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> Matri
         acc = 0
         for t in terms:
             acc = f.add(acc, t)
-        return Elt(f, acc)
+        return acc
 
     return (
         (cell(f.mul(a, cq), f.mul(twob, c), cq2), cell(f.mul(a, c)), cell(c)),

@@ -82,15 +82,6 @@ class SparsePoly:
             bits.append(f"{head}x^{e}" if e else f"{c}")
         return "SparsePoly(" + " + ".join(bits) + ")"
 
-    def evaluate(self, x: Elt) -> Elt:
-        if x.field != self.field:
-            raise LevelMismatch("evaluation point in the wrong field")
-        f = self.field
-        acc = 0
-        for e, c in self.terms.items():
-            acc = f.add(acc, f.mul(c, f.pow(x.code, e)))
-        return Elt(f, acc)
-
     def value_table(self) -> np.ndarray:
         """f(x) for every field element x, indexed by code."""
         f = self.field
@@ -263,10 +254,6 @@ class ScanReport:
     disagreements: list
     beyond_theorem: list
     timings: dict = dc_field(default_factory=dict)
-
-    @property
-    def all_agree(self) -> bool:
-        return not self.disagreements
 
     def planar_pairs(self) -> list[tuple[int, int]]:
         method = _authority(self.methods)

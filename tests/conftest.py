@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from planarq import build_tower
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports planarq from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,15 @@ def test_families_check_violations(capsys):
     assert d["violations"] == ["n/gcd(k, n) must be odd"]
 
 
+@pytest.mark.parametrize("n, k", [(-1, 3), (-5, 7)])
+def test_families_check_t26_nonpositive_n(capsys, n, k):
+    # gcd(k, n) = 1 holds for these, so only the n guard keeps the field unbuilt
+    assert run_cli("families", "check", "--id", "T2.6", "--n", str(n), "--k", str(k)) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert json.loads(out)["violations"] == ["n must be >= 1"]
+
+
 def test_families_check_flagged(capsys):
     assert run_cli("families", "check", "--id", "T3.2",
                    "--p", "3", "--k", "1", "--s", "2") == 2
@@ -248,9 +257,9 @@ def test_size_limit_is_config_error():
     assert run_cli("scan", "--p", "3", "--m", "7") == 1
 
 
-def test_console_entrypoint_runs():
+def test_console_entrypoint_runs(src_env):
     proc = subprocess.run([sys.executable, "-m", "planarq.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
 
 

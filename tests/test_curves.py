@@ -2,24 +2,26 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from planarq import NotOnLocus, find_normal_element, standard_extension
 from planarq.curves import (
+    MONOMIALS,
     LineFactor,
     TernaryCubic,
     build_F_det,
     build_F_paper,
-    check_det_identity,
     count_nonzero_fq_zeros,
-    det_roots_count,
     divides,
     find_linear_factors,
     transform_H,
     triple_product,
     verify_branch_factorization,
 )
-from planarq.planarity import scan
+from planarq.gf import det3
+from planarq.linearized import dickson_matrix, difference_triple
+from planarq.planarity import _det_sweep, scan
 
 
 def closed_form_F_det(tower, A, B):
@@ -59,8 +61,7 @@ def test_leibniz_matches_closed_form(towers):
 def test_F_det_examples(towers):
     t = towers[5]
     F = build_F_det(t, t.eq(2), t.eq(1))
-    one = t.eq3(1)
-    assert F.in_field(t.fq3).evaluate(one, one, one).code == 4
+    assert F.in_field(t.fq3).evaluate(1, 1, 1) == 4
     # B = 0 collapses to 2(A^3+1) XYT
     F0 = build_F_det(t, t.eq(3), t.eq(0))
     fq = t.fq
@@ -69,7 +70,9 @@ def test_F_det_examples(towers):
     # cyclic substitution invariance (ground for det lying in F_q)
     for (a, b) in ((2, 1), (1, 3), (0, 2), (4, 4)):
         F = build_F_det(t, t.eq(a), t.eq(b))
-        assert F == F.cyclic_shift()
+        # (X, Y, T) -> (Y, T, X) moves the coefficient of X^i Y^j T^k to X^k Y^i T^j
+        shifted = {(k, i, j): c for (i, j, k), c in zip(MONOMIALS, F.coeffs)}
+        assert F == TernaryCubic(fq, shifted)
 
 
 def test_published_form_swap_relation(towers):
@@ -88,24 +91,31 @@ def test_published_vs_det_disagree_off_diagonal(towers):
     A, B = t.eq(2), t.eq(1)
     Fp = build_F_paper(t, A, B).in_field(f3)
     Fd = build_F_det(t, A, B).in_field(f3)
-    one = t.eq3(1)
-    assert Fp.evaluate(one, one, one).code == 4
-    assert Fp.evaluate(t.eq3(2), t.eq3(0), one).code == 0
-    assert Fd.evaluate(t.eq3(2), t.eq3(0), one).code == 4
+    assert Fp.evaluate(1, 1, 1) == 4
+    assert Fp.evaluate(2, 0, 1) == 0
+    assert Fd.evaluate(2, 0, 1) == 4
 
 
 def test_det_identity_exhaustive_q3_and_random(towers):
+    # det of the difference matrix == F_det(C, C^q, C^(q^2)), a value in F_q
+    def holds(t, A, B, C):
+        f3 = t.fq3
+        lhs = det3(f3, dickson_matrix(difference_triple(t, A, B, C)))
+        c = C.code
+        rhs = build_F_det(t, A, B).in_field(f3).evaluate(c, f3.frob(c, 1), f3.frob(c, 2))
+        return lhs == rhs and lhs < t.q
+
     t = towers[3]
     for a in range(3):
         for b in range(3):
             for c in range(27):
-                assert check_det_identity(t, t.eq(a), t.eq(b), t.eq3(c))
+                assert holds(t, t.eq(a), t.eq(b), t.eq3(c))
     t = towers[7]
     rng = random.Random(4)
     for _ in range(300):
         A, B = t.eq(rng.randrange(7)), t.eq(rng.randrange(7))
         C = t.eq3(rng.randrange(343))
-        assert check_det_identity(t, A, B, C)
+        assert holds(t, A, B, C)
 
 
 def test_branch_factorization_cubic_branch(towers):
@@ -320,7 +330,8 @@ def test_transform_H_properties(towers):
             A, B = t.eq(rng.randrange(q)), t.eq(rng.randrange(q))
             H = transform_H(t, A, B, xi)
             assert H.field == t.fq
-            assert count_nonzero_fq_zeros(H) == det_roots_count(t, A, B)
+            roots = np.count_nonzero(_det_sweep(t, A.code, B.code) == 0)
+            assert count_nonzero_fq_zeros(H) == roots
 
 
 def test_point_count_examples(towers):

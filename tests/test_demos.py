@@ -1,6 +1,5 @@
 """Every demo runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def test_demo_runs(demo, src_env):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -9,11 +9,11 @@ import pytest
 from planarq import FieldMismatch, ValidationFailed, prime_ext_field
 from planarq.cli import main
 from planarq.families import (
+    FAMILIES,
     FamilySpec,
     ambient_field,
     brute_check_family,
     desk_verifiable,
-    family_ids,
     family_report,
     instantiate_family,
     resolve_params,
@@ -22,7 +22,7 @@ from planarq.families import (
 
 
 def test_catalog_has_eleven_entries():
-    ids = family_ids()
+    ids = list(FAMILIES)
     assert len(ids) == 11
     assert ids == ["T2.1", "T2.2", "T2.3", "T2.4", "T2.5", "T2.6",
                    "T3.1", "T3.2", "T3.3", "T3.4", "T3.5"]

@@ -17,11 +17,9 @@ from planarq import (
     build_tower,
     find_irreducible,
     find_normal_element,
-    frobenius_q,
     prime_ext_field,
-    sqrt_in_fq,
 )
-from planarq.gf import is_irreducible
+from planarq.gf import _poly_divmod, det3, is_irreducible
 
 
 def test_build_tower_orders():
@@ -98,8 +96,8 @@ def test_encode_decode_roundtrip():
 
 def test_enumeration_sizes():
     t = build_tower(3, 2)
-    assert len({e.code for e in t.fq.elements()}) == 9
-    assert len({e.code for e in t.fq3.elements()}) == 729
+    assert len({t.eq(c).code for c in range(t.fq.order)}) == 9
+    assert len({t.eq3(c).code for c in range(t.fq3.order)}) == 729
 
 
 def test_find_irreducible_examples():
@@ -109,6 +107,32 @@ def test_find_irreducible_examples():
     assert find_irreducible(f3, 3) == (1, 2, 0, 1)     # x^3 + 2x + 1
     # determinism
     assert find_irreducible(f3, 5) == find_irreducible(f3, 5)
+
+
+# The moduli fix every code, so these pin every report byte downstream.
+_PINNED_IRREDUCIBLES = {
+    (3, 1): {2: (1, 0, 1), 3: (1, 2, 0, 1), 4: (2, 1, 0, 0, 1), 5: (1, 2, 0, 0, 0, 1),
+             6: (2, 1, 0, 0, 0, 0, 1), 7: (2, 0, 1, 0, 0, 0, 0, 1)},
+    (5, 1): {2: (2, 0, 1), 3: (1, 1, 0, 1), 4: (2, 0, 0, 0, 1), 5: (1, 4, 0, 0, 0, 1)},
+    (23, 1): {2: (1, 0, 1), 3: (3, 1, 0, 1)},
+    (3, 2): {3: (3, 1, 0, 1)},
+    (5, 2): {3: (6, 0, 0, 1)},
+}
+
+
+def test_find_irreducible_pinned():
+    for (p, m), by_degree in _PINNED_IRREDUCIBLES.items():
+        base = build_tower(p, m).fq
+        for degree, modulus in by_degree.items():
+            assert find_irreducible(base, degree) == modulus
+
+
+def test_poly_divmod_needs_monic_divisor():
+    f5 = PrimeField(5)
+    assert _poly_divmod(f5, [1, 0, 1], [4, 1]) == ([1, 1], [2])  # x^2 + 1 = (x+1)(x-1) + 2
+    for divisor in ([1, 2], [0, 0], []):
+        with pytest.raises(ValueError):
+            _poly_divmod(f5, [1, 0, 1], divisor)
 
 
 def test_is_irreducible_matches_root_existence_on_cubics():
@@ -158,7 +182,7 @@ def test_field_axioms_random_large():
     assert np.array_equal(f.mul_vec(a, f.add_vec(b, c)),
                           f.add_vec(f.mul_vec(a, b), f.mul_vec(a, c)))
     nz = a[a != 0]
-    assert np.all(f.mul_vec(nz, f.inv_vec(nz)) == 1)
+    assert np.all(f.mul_vec(nz, f.pow_vec(nz, -1)) == 1)
 
 
 def test_inverses_exhaustive():
@@ -188,10 +212,8 @@ def test_frobenius_properties(towers):
 def test_frobenius_elt_wrapper(towers):
     t = towers[9]
     x = t.eq3(500)
-    assert frobenius_q(t, x, 1) == x ** t.q
-    assert frobenius_q(t, x, 3) == x
-    with pytest.raises(LevelMismatch):
-        frobenius_q(t, t.eq(2), 1)
+    assert t.fq3.frob(x.code, 1) == (x ** t.q).code
+    assert t.fq3.frob(x.code, 3) == x.code
 
 
 def test_fixed_field_size(towers):
@@ -231,17 +253,15 @@ def test_normal_element(towers):
         for code in range(xi.code):
             cj = [code, f.pow(code, t.q), f.pow(code, t.q ** 2)]
             vecs = [f.coords(c) for c in cj]
-            from planarq.gf import _det3_base
-            assert _det3_base(t.fq, vecs) == 0
+            assert det3(t.fq, vecs) == 0
 
 
 def test_sqrt_examples():
     t7 = build_tower(7, 1)
-    r = sqrt_in_fq(t7, t7.eq(4))  # 4 = -3 mod 7
-    assert r is not None and r.code == 2
+    assert t7.fq.sqrt_code(4) == 2  # 4 = -3 mod 7
     t5 = build_tower(5, 1)
-    assert sqrt_in_fq(t5, t5.eq(2)) is None  # squares mod 5 are {0, 1, 4}
-    assert sqrt_in_fq(t5, t5.eq(0)).code == 0
+    assert t5.fq.sqrt_code(2) is None  # squares mod 5 are {0, 1, 4}
+    assert t5.fq.sqrt_code(0) == 0
 
 
 def test_sqrt_full_properties(towers):
@@ -250,13 +270,13 @@ def test_sqrt_full_properties(towers):
         fq = t.fq
         squares = 0
         for a in range(q):
-            r = sqrt_in_fq(t, t.eq(a))
+            r = fq.sqrt_code(a)
             if r is not None:
                 squares += 1
-                assert fq.mul(r.code, r.code) == a
+                assert fq.mul(r, r) == a
                 if a != 0:
-                    other = fq.neg(r.code)
-                    assert r.code <= other  # smaller root by canonical code
+                    other = fq.neg(r)
+                    assert r <= other  # smaller root by canonical code
         assert squares == (q - 1) // 2 + 1
 
 
