@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import NotOnLocus, PlanarqError
+from .errors import Disagreement, NotOnLocus, PlanarqError
 from .families import FAMILIES, FamilySpec, family_report
 from .gf import build_tower, det3, find_normal_element
 from .identities import run_identities
@@ -150,7 +150,8 @@ def cmd_scan(args) -> int:
     _emit(_json_text(rd) if args.format == "json" else _scan_csv(rd), args.output)
     print(f"scan q={report.q}: planar={report.planar_count} "
           f"expected={report.expected_count} disagreements={len(report.disagreements)} "
-          f"({report.timings.get('scan', 0):.2f}s)", file=sys.stderr)
+          f"(det {report.timings['det']:.2f}s, pairs {report.timings['pairs']:.2f}s, "
+          f"scan {report.timings['scan']:.2f}s)", file=sys.stderr)
     if report.disagreements:
         return DISAGREE_EXIT
     if report.q > 3 and report.planar_count != report.expected_count:
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
             return cmd_identities(args)
         if args.command == "families":
             return cmd_families(args)
+    except Disagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DISAGREE_EXIT
     except (PlanarqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

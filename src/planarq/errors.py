@@ -29,6 +29,10 @@ class SquareRootUnavailable(PlanarqError):
     """A branch needs a square root of -3 but -3 is a non-square in F_q."""
 
 
+class Disagreement(PlanarqError):
+    """Two computations that must agree did not: a mathematical disagreement."""
+
+
 class CoefficientNotInSubfield(PlanarqError):
     """A coefficient expected to land in F_q did not; indicates a bug."""
 

@@ -109,19 +109,53 @@ def _poly_divmod(field, a, b):
     return _poly_trim(quo), _poly_trim(rem)
 
 
+def _poly_mulmod(field, a, b, f):
+    """a * b modulo the monic polynomial f."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = field.add(prod[i + j], field.mul(x, y))
+    return _poly_divmod(field, prod, f)[1]
+
+
+def _poly_gcd(field, a, b):
+    """Greatest common divisor of a and b; monic unless b is zero."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        lead = field.inv(b[-1])
+        b = [field.mul(c, lead) for c in b]
+        a, b = b, _poly_divmod(field, a, b)[1]
+    return a
+
+
 def is_irreducible(base, poly) -> bool:
-    """Exhaustive factor check: no monic divisor of degree <= deg/2."""
+    """Ben-Or's test: f of degree d over F_s is irreducible iff
+    gcd(f, x^(s^i) - x) = 1 for 1 <= i <= d/2.
+
+    x^(s^i) - x is the product of the monic irreducibles of degree dividing
+    i, so a factor of f of degree i <= d/2 shows up at step i.
+    """
     poly = _poly_trim(list(poly))
     d = len(poly) - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for k in range(base.order ** e):
-            _, rem = _poly_divmod(base, poly, _decode(k, base.order, e) + [1])
-            if not rem:
-                return False
+    lead = base.inv(poly[-1])
+    f = [base.mul(c, lead) for c in poly]
+    power = [0, 1]  # x^(s^i) mod f
+    for _ in range(d // 2):
+        acc, sq, e = [1], power, base.order
+        while e:
+            if e & 1:
+                acc = _poly_mulmod(base, acc, sq, f)
+            e >>= 1
+            if e:
+                sq = _poly_mulmod(base, sq, sq, f)
+        power = acc
+        x_term = power + [0] * (2 - len(power))
+        x_term[1] = base.sub(x_term[1], 1)
+        if len(_poly_gcd(base, f, x_term)) > 1:
+            return False
     return True
 
 
@@ -345,6 +379,9 @@ class Field:
     def pow_vec(self, a, e):
         return self._pow(self._arr(a), e)
 
+    def frob_vec(self, a, k: int = 1):
+        return self._frob(self._arr(a), k)
+
     # -- cached tables ---------------------------------------------------------
     def frob_table(self, k: int = 1):
         """Permutation array code -> code^(s^k) over the whole field."""
@@ -403,12 +440,13 @@ def standard_extension(base: Field, degree: int) -> Field:
 
     Degree 1 is the base itself.  The field is cached on ``base``, so every
     caller asking for the same extension of the same field gets one object.
+    The modulus is irreducible by construction, so it is not tested again.
     """
     if degree == 1:
         return base
     key = ("ext", degree)
     if key not in base._cache:
-        base._cache[key] = ExtensionField(base, find_irreducible(base, degree))
+        base._cache[key] = Field(base.char, base, find_irreducible(base, degree))
     return base._cache[key]
 
 

@@ -11,11 +11,16 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
 
 ``scan`` runs any subset of the deciders over all q^2 pairs (A, B) and
 reports verdicts, disagreements, and the planar count against the expected
-3q - 2 - 4*gcd(3, q-1).
+3q - 2 - 4*gcd(3, q-1).  Its determinant verdicts come from one incidence
+pass over all pairs (``det_witnesses``), which evaluates the determinant at
+the q^2 + q + 1 projective shifts only and reads each pair's killing shifts
+off F_q root tables; only ``is_planar_det`` (used by ``verify``) still sweeps
+every shift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import LevelMismatch, SizeLimit
+from .errors import Disagreement, LevelMismatch, SizeLimit
 from .gf import Elt, Field, FieldTower
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
@@ -133,22 +138,23 @@ def brute_is_planar(poly: SparsePoly) -> bool:
 
 
 def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
-    """Difference-matrix determinants, fully vectorized over (A, B, C) triples."""
+    """Difference-matrix determinants, fully vectorized over (A, B, C) triples.
+
+    Frobenius is applied to the arrays in hand, so no whole-field table is built.
+    """
     f = tower.fq3
     if f.order > f.enum_bound():
         raise SizeLimit(f"determinant sweep needs q^3 <= bound, got {f.order}")
-    F1 = f.frob_table(1)
-    F2 = f.frob_table(2)
     X = np.asarray(c_codes, dtype=np.int64)
-    Y = F1[X]
-    T = F2[X]
+    Y = f.frob_vec(X, 1)
+    T = f.frob_vec(X, 2)
     a = np.asarray(a_codes, dtype=np.int64)
     twob = tower.fq.add_vec(b_codes, b_codes)
     c0 = f.add_vec(T, f.add_vec(f.mul_vec(a, Y), f.mul_vec(twob, X)))
     c1 = f.mul_vec(a, X)
     c2 = X
-    c0q, c1q, c2q = F1[c0], F1[c1], F1[c2]
-    c0q2, c1q2, c2q2 = F2[c0], F2[c1], F2[c2]
+    c0q, c1q, c2q = f.frob_vec(c0, 1), f.frob_vec(c1, 1), Y
+    c0q2, c1q2, c2q2 = f.frob_vec(c0, 2), f.frob_vec(c1, 2), T
     # rows: (c0, c1, c2), (c2q, c0q, c1q), (c1q2, c2q2, c0q2)
     m1 = f.sub_vec(f.mul_vec(c0q, c0q2), f.mul_vec(c1q, c2q2))
     m2 = f.sub_vec(f.mul_vec(c2q, c0q2), f.mul_vec(c1q, c1q2))
@@ -228,6 +234,167 @@ def count_formula(q) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the incidence pass: every pair's determinant witness at once
+# ---------------------------------------------------------------------------
+
+# (A, R) cells per chunk of the incidence pass; bounds its peak memory
+_INCIDENCE_CHUNK = 1 << 20
+
+
+def _checked_dets(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
+    """``_dets_at``, insisting that every determinant lies in F_q."""
+    dets = _dets_at(tower, a_codes, b_codes, c_codes)
+    if (dets >= tower.q).any():
+        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
+                           f"is not in F_q (code {int(dets.max())})")
+    return dets
+
+
+def _lagrange_matrix(fq: Field, nodes) -> list[list[int]]:
+    """The inverse Vandermonde matrix: W[i][a] is the x^i coefficient of the
+    Lagrange basis polynomial that is 1 at nodes[a] and 0 at the others."""
+    W = [[0] * len(nodes) for _ in nodes]
+    for a, na in enumerate(nodes):
+        poly, denom = [1], 1
+        for b, nb in enumerate(nodes):
+            if b != a:  # poly *= (x - nb)
+                poly = [fq.sub(lo, fq.mul(nb, hi)) for lo, hi in zip([0] + poly, poly + [0])]
+                denom = fq.mul(denom, fq.sub(na, nb))
+        scale = fq.inv(denom)
+        for i, c in enumerate(poly):
+            W[i][a] = fq.mul(c, scale)
+    return W
+
+
+def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
+    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R.
+
+    Every entry of the difference matrix is affine in (A, B), so the
+    determinant has total degree <= 3 in (A, B); interpolating it on the 4 x 4
+    grid of F_q nodes 0..3 recovers it exactly, and the terms of degree > 3
+    must come out zero.
+    """
+    fq = tower.fq
+    nodes = range(4)
+    D = np.stack([_checked_dets(tower, a, np.array(nodes)[:, None], reps) for a in nodes])
+    W = np.array(_lagrange_matrix(fq, nodes), dtype=np.int64)
+    # E[i, b] = sum_a W[i, a] D[a, b], then m[i, j] = sum_b W[j, b] E[i, b]
+    E = functools.reduce(fq.add_vec, (fq.mul_vec(W[:, a, None, None], D[None, a])
+                                      for a in nodes))
+    m = functools.reduce(fq.add_vec, (fq.mul_vec(W[None, :, b, None], E[:, None, b])
+                                      for b in nodes))
+    high = [(i, j) for i in range(4) for j in range(4) if i + j > 3 and m[i, j].any()]
+    if high:
+        raise Disagreement(f"the determinant over q = {tower.q} has nonzero "
+                           f"A^i B^j coefficients with i + j > 3: {high}")
+    return m
+
+
+def _root_tables(fq: Field) -> tuple[np.ndarray, np.ndarray]:
+    """F_q roots of every monic cubic and quadratic, one row per polynomial.
+
+    The cubic x^3 + e2 x^2 + e1 x + e0 is row (e2 q + e1) q + e0, the
+    quadratic x^2 + e1 x + e0 row e1 q + e0 (coefficients as F_q codes).  Rows
+    list distinct roots; unused slots hold q.  Built by iterating over the
+    root r: each monic polynomial with root r is (x - r) times exactly one
+    monic polynomial of one degree less.
+    """
+    q = fq.order
+    codes = np.arange(q, dtype=np.int64)
+    u, v = codes[:, None], codes[None, :]
+    dtype = np.min_scalar_type(q)
+    cubic = np.full((q ** 3, 3), q, dtype=dtype)
+    quad = np.full((q * q, 2), q, dtype=dtype)
+    n_cubic = np.zeros(q ** 3, dtype=np.int8)
+    n_quad = np.zeros(q * q, dtype=np.int8)
+    for r in range(q):
+        # (x - r)(x^2 + u x + v) = x^3 + (u - r) x^2 + (v - r u) x - r v
+        e2, e1 = fq.sub_vec(u, r), fq.sub_vec(v, fq.mul_vec(r, u))
+        row = ((e2 * q + e1) * q + fq.sub_vec(0, fq.mul_vec(r, v))).ravel()
+        cubic[row, n_cubic[row]] = r
+        n_cubic[row] += 1
+        # (x - r)(x + v) = x^2 + (v - r) x - r v
+        row = fq.sub_vec(codes, r) * q + fq.sub_vec(0, fq.mul_vec(r, codes))
+        quad[row, n_quad[row]] = r
+        n_quad[row] += 1
+    return cubic, quad
+
+
+def _roots_in_b(fq: Field, tables, inv: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
+    """F_q roots of c[3] B^3 + c[2] B^2 + c[1] B + c[0], for arrays of F_q codes.
+
+    Returns ``roots``, with a trailing axis of 3 slots (unused slots hold q),
+    and ``every``, true where the polynomial is zero so that every B is a root.
+    ``inv`` maps each code to its inverse (0 to 0).
+    """
+    q = fq.order
+    cubic, quad = tables
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in c))
+    lead = inv[c3]
+    e0, e1, e2 = (fq.mul_vec(x, lead) for x in (c0, c1, c2))
+    roots = cubic[(e2 * q + e1) * q + e0]
+    # the cells of lower degree, which the cubic lookup read wrongly
+    low = c3 == 0
+    roots[low] = q
+    deg2 = low & (c2 != 0)
+    e0, e1 = (fq.mul_vec(x[deg2], inv[c2[deg2]]) for x in (c0, c1))
+    roots[deg2, :2] = quad[e1 * q + e0]
+    deg1 = low & (c2 == 0) & (c1 != 0)
+    roots[deg1, 0] = fq.sub_vec(0, fq.mul_vec(c0[deg1], inv[c1[deg1]]))
+    every = low & (c2 == 0) & (c1 == 0) & (c0 == 0)
+    return roots, every
+
+
+def det_witnesses(tower: FieldTower) -> np.ndarray:
+    """The determinant decider on every pair at once: entry A q + B is the
+    least C != 0 in code order with det(A, B, C) = 0, or 0 if there is none
+    (the pair is planar).  Agrees with ``is_planar_det`` on every pair.
+
+    The determinant is homogeneous of degree 3 over F_q in C, so its roots
+    form whole F_q^* orbits and only one representative R per orbit needs
+    checking: the q^2 + q + 1 codes whose top nonzero F_q coordinate is 1.
+    Scaling by lambda in F_q^* scales every coordinate, so any other member
+    of R's orbit has a top coordinate of code >= 2 at the same position, and
+    a larger code: R is the least code in its orbit.  So the least root of a
+    pair is the least representative that kills it.
+
+    With m[i, j](R) from ``_det_coefficients``, the B that R kills for a
+    given A are the F_q roots of the cubic sum_j (sum_i m[i, j] A^i) B^j, read
+    from the root tables in chunks of A.  F_3 has too few interpolation
+    nodes, so at q = 3 the determinants of all 9 pairs at the 13
+    representatives are evaluated directly.  The same minimum over the
+    incidences (R, A, B) picks the witnesses either way.
+    """
+    fq, q = tower.fq, tower.q
+    reps = np.concatenate(([1], np.arange(q, 2 * q), np.arange(q * q, 2 * q * q)))
+    none = tower.fq3.order
+    wit = np.full(q * q, none, dtype=np.int64)
+    if q < 4:
+        ab = np.arange(q * q)
+        pair, r = np.nonzero(_checked_dets(tower, ab[:, None] // q, ab[:, None] % q, reps) == 0)
+        np.minimum.at(wit, pair, reps[r])
+    else:
+        m = _det_coefficients(tower, reps)
+        tables = _root_tables(fq)
+        inv = fq.pow_vec(np.arange(q), q - 2)
+        step = max(1, _INCIDENCE_CHUNK // len(reps))
+        for start in range(0, q, step):
+            a = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
+            powers = [1, a, fq.mul_vec(a, a)]
+            powers.append(fq.mul_vec(powers[2], a))
+            c = [functools.reduce(fq.add_vec, (fq.mul_vec(m[i, j], powers[i])
+                                               for i in range(4 - j)))
+                 for j in range(4)]
+            roots, every = _roots_in_b(fq, tables, inv, c)
+            ai, ri, slot = np.nonzero(roots < q)
+            np.minimum.at(wit, a[ai, 0] * q + roots[ai, ri, slot], reps[ri])
+            ai, ri = np.nonzero(every)
+            np.minimum.at(wit, (a[ai] * q + np.arange(q)).ravel(), np.repeat(reps[ri], q))
+    wit[wit == none] = 0
+    return wit
+
+
+# ---------------------------------------------------------------------------
 # the scanner
 # ---------------------------------------------------------------------------
 
@@ -290,19 +457,16 @@ def _authority(methods) -> str:
 def _scan_chunk(args):
     tower, pairs, methods = args
     out = []
-    for a_code, b_code in pairs:
+    for a_code, b_code, witness in pairs:
         A, B = tower.eq(a_code), tower.eq(b_code)
         verdicts = {}
         branch = None
-        witness = None
         if METHOD_THEOREM in methods:
             cls = classify_pair(tower, A, B)
             verdicts[METHOD_THEOREM] = cls.planar
             branch = cls.branch
         if METHOD_DET in methods:
-            ok, wit = is_planar_det(tower, A, B)
-            verdicts[METHOD_DET] = ok
-            witness = None if wit is None else wit.code
+            verdicts[METHOD_DET] = witness is None
         if METHOD_BRUTE in methods:
             verdicts[METHOD_BRUTE] = brute_is_planar(f_poly(tower, A, B))
         out.append(PairRecord(a_code, b_code, verdicts, branch, witness))
@@ -313,13 +477,17 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
          workers: int = 1) -> ScanReport:
     """Run the requested deciders on every (A, B) in F_q x F_q.
 
-    Pairs are processed in code order (results are merged back into that
-    order whatever the worker count, so reports are bit-stable); at most
+    The determinant verdicts and witnesses come from one ``det_witnesses``
+    pass in this process; the closed form and brute run per pair.  Pairs are
+    processed in code order (results are merged back into that order
+    whatever the worker count, so reports are bit-stable); at most
     min(workers, q^2, CPU count) processes run.  Hard
     disagreements are mismatches between exact deciders anywhere, or between
     the closed form and an exact decider for q > 3; at q = 3 the closed form
     is only required to be a lower bound, and exact-planar pairs it misses
-    are reported separately in ``beyond_theorem``.
+    are reported separately in ``beyond_theorem``.  ``timings`` holds the
+    seconds of the incidence pass (``det``), of the per-pair loop
+    (``pairs``) and of the whole scan (``scan``).
     """
     requested = tuple(methods)
     unknown = [m for m in requested if m not in ALL_METHODS]
@@ -329,9 +497,10 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     if not methods:
         raise ValueError("at least one method required")
     q = tower.q
-    pairs = [(a, b) for a in range(q) for b in range(q)]
-    timings: dict[str, float] = {}
     start = time.perf_counter()
+    witnesses = det_witnesses(tower).tolist() if METHOD_DET in methods else [0] * (q * q)
+    timings = {"det": time.perf_counter() - start}
+    pairs = [(a, b, witnesses[a * q + b] or None) for a in range(q) for b in range(q)]
     # more processes than pairs or CPUs would only wait
     workers = min(workers, len(pairs), os.cpu_count() or 1)
     if workers > 1:
@@ -345,6 +514,7 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     else:
         records = _scan_chunk((tower, pairs, methods))
     timings["scan"] = time.perf_counter() - start
+    timings["pairs"] = timings["scan"] - timings["det"]
 
     exact = [m for m in (METHOD_DET, METHOD_BRUTE) if m in methods]
     disagreements = []

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -286,10 +287,10 @@ def _closed_form_overridden(monkeypatch, module, verdicts):
     monkeypatch.setattr(module, "classify_pair", patched)
 
 
-def _scan_summary(tmp_path, p, methods, expect_exit):
+def _scan_summary(tmp_path, p, methods, expect_exit, *extra):
     out = tmp_path / "scan.json"
     assert run_cli("scan", "--p", str(p), "--methods", methods, "--workers", "1",
-                   "--output", str(out)) == expect_exit
+                   "--output", str(out), *extra) == expect_exit
     return json.loads(out.read_text())["summary"]
 
 
@@ -311,6 +312,41 @@ def test_scan_q3_false_planar_claim_exits_two(tmp_path, monkeypatch):
     summary = _scan_summary(tmp_path, 3, "theorem,brute", 2)
     assert summary["disagreements"] == [[1, 1]]
     assert summary["beyond_theorem"] == []
+
+
+@pytest.mark.parametrize("p, m, planar", [(7, 2, 133), (101, 1, 297)], ids=["q49", "q101"])
+def test_scan_reach(tmp_path, p, m, planar):
+    summary = _scan_summary(tmp_path, p, "theorem,det", 0, "--m", str(m))
+    assert summary["planar_count"] == summary["expected_count"] == planar
+    assert summary["disagreements"] == []
+
+
+def _dets_outside_fq(tower, a, b, c):
+    return np.full(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)), tower.q)
+
+
+def _dets_times_a(original):
+    # values stay in F_q, but A * det has an A^1 B^3 term
+    return lambda tower, a, b, c: tower.fq.mul_vec(original(tower, a, b, c), a)
+
+
+@pytest.mark.parametrize("p, patch, message", [
+    (5, lambda original: _dets_outside_fq, "is not in F_q"),
+    (3, lambda original: _dets_outside_fq, "is not in F_q"),
+    (5, _dets_times_a, "i + j > 3"),
+], ids=["outside-fq", "outside-fq-q3", "degree"])
+def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, patch, message):
+    monkeypatch.setattr(planarity, "_dets_at", patch(planarity._dets_at))
+    assert run_cli("scan", "--p", str(p), "--workers", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_scan_stderr_reports_phase_times(capsys):
+    assert run_cli("scan", "--p", "5") == 0
+    assert re.search(r"\(det \d+\.\d\ds, pairs \d+\.\d\ds, scan \d+\.\d\ds\)",
+                     capsys.readouterr().err)
 
 
 def _fail_factorizations(monkeypatch):

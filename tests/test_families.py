@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import time
 
 import pytest
 
@@ -268,6 +269,19 @@ def test_report_bytes_are_pinned(args, code, digest):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(["families"] + args.split()) == code
     assert hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest() == digest
+
+
+def test_large_field_supplied_element_is_fast():
+    # F_{3^21} is built to check u; its degree-21 modulus comes from Ben-Or's
+    # test, and the field is not tested for irreducibility a second time
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main("families check --id T2.5 --p 3 --k 7 --s 1 --u 2".split())
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest() == \
+        "9a0bbfe536920fdea5e68b9b9d74a10bd8f08d4a36e544bfb20e0049f8c8f910"
 
 
 @pytest.mark.parametrize("spec", [

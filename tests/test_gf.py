@@ -146,6 +146,28 @@ def test_is_irreducible_matches_root_existence_on_cubics():
         assert is_irreducible(f5, coeffs) == (not has_root)
 
 
+def _trial_division_irreducible(base, poly):
+    """Oracle: no monic divisor of degree 1..deg/2, by exhaustive division."""
+    d = len(poly) - 1
+    for e in range(1, d // 2 + 1):
+        for k in range(base.order ** e):
+            divisor = [(k // base.order ** i) % base.order for i in range(e)] + [1]
+            if not _poly_divmod(base, poly, divisor)[1]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, m, degrees", [(3, 1, (1, 2, 3, 4)), (5, 1, (1, 2, 3, 4)),
+                                           (3, 2, (2, 3))], ids=["F3", "F5", "F9"])
+def test_is_irreducible_matches_trial_division(p, m, degrees):
+    base = build_tower(p, m).fq
+    s = base.order
+    for d in degrees:
+        for k in range(s ** d):
+            poly = [(k // s ** i) % s for i in range(d)] + [1]
+            assert is_irreducible(base, poly) == _trial_division_irreducible(base, poly), poly
+
+
 def test_explicit_moduli_override():
     t = build_tower(3, 2, mid_modulus=(2, 2, 1))  # t^2 + 2t + 2, irreducible
     assert t.mid_modulus == (2, 2, 1)

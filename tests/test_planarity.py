@@ -9,6 +9,9 @@ import pytest
 from planarq import SizeLimit, build_tower
 from planarq.linearized import difference_triple
 from planarq.planarity import (
+    _dets_at,
+    _root_tables,
+    _roots_in_b,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
     BRANCH_SQUARE,
@@ -16,6 +19,7 @@ from planarq.planarity import (
     brute_is_planar,
     classify_pair,
     count_formula,
+    det_witnesses,
     f_poly,
     is_planar_det,
     prop1_necessary,
@@ -213,3 +217,61 @@ def test_planar_f_is_never_a_bijection(towers):
 def test_scan_rejects_unknown_methods(towers):
     with pytest.raises(ValueError):
         scan(towers[5], methods=())
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1)],
+                         ids=lambda v: str(v))
+def test_scan_det_equals_the_shift_sweep_on_every_pair(p, m, monkeypatch):
+    t = build_tower(p, m)
+    sweep = {(a, b): is_planar_det(t, t.eq(a), t.eq(b))
+             for a in range(t.q) for b in range(t.q)}
+    # the scan reads the incidence pass only: it makes no per-pair sweep
+    monkeypatch.setattr("planarq.planarity.is_planar_det", None)
+    for r in scan(t, methods=("det",)).pairs:
+        ok, wit = sweep[(r.A, r.B)]
+        assert (r.verdicts["det"], r.witness) == (ok, None if wit is None else wit.code)
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])
+def test_incidence_scan_on_larger_towers(p, m):
+    t = build_tower(p, m)
+    q = t.q
+    wit = det_witnesses(t)
+    planar = wit == 0
+    assert int(planar.sum()) == count_formula(q)
+    # every witness kills the determinant
+    killed = np.flatnonzero(~planar)
+    assert not _dets_at(t, killed // q, killed % q, wit[killed]).any()
+    assert scan(t).disagreements == []
+    rng = random.Random(f"incidence:{q}")
+    sample = (rng.sample(sorted(np.flatnonzero(planar)), 10)
+              + rng.sample(sorted(killed), 10))
+    for pair in sample:
+        ok, w = is_planar_det(t, t.eq(pair // q), t.eq(pair % q))
+        assert (ok, 0 if w is None else w.code) == (bool(planar[pair]), int(wit[pair]))
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)], ids=["q5", "q9"])
+def test_roots_in_b_every_degree(p, m):
+    fq = build_tower(p, m).fq
+    q = fq.order
+    rng = np.random.default_rng(q)
+    # coefficients of every degree, the zero polynomial included
+    c = rng.integers(0, q, size=(4, 400))
+    for j, cut in enumerate((0, 50, 100, 150)):
+        c[j:, cut:cut + 50] = 0
+    inv = fq.pow_vec(np.arange(q), q - 2)
+    roots, every = _roots_in_b(fq, _root_tables(fq), inv, c)
+    for cell in range(c.shape[1]):
+        want = {x for x in range(q)
+                if fq.add(fq.add(fq.mul(c[3, cell], fq.pow(x, 3)), fq.mul(c[2, cell], fq.mul(x, x))),
+                          fq.add(fq.mul(c[1, cell], x), c[0, cell])) == 0}
+        listed = [int(x) for x in roots[cell] if x < q]
+        assert len(set(listed)) == len(listed)
+        assert (set(range(q)) if every[cell] else set(listed)) == want
+
+
+def test_scan_timings_stay_out_of_the_report(towers):
+    rep = scan(towers[5])
+    assert set(rep.timings) == {"det", "pairs", "scan"}
+    assert "timings" not in json.dumps(rep.to_report_dict())
