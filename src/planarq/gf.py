@@ -49,7 +49,7 @@ from .errors import DivisionByZero, LevelMismatch, NotOddPrime, PlanarqError, Si
 DEFAULT_MAX_Q3 = 2 ** 24
 MAX_Q3_ENV = "PLANARQ_MAX_Q3"
 
-# Largest field order that gets a dense order x order addition-index table.
+# Largest field order whose orbit representatives get a dense addition table.
 _PAIR_TABLE_MAX = 2500
 
 
@@ -399,18 +399,38 @@ class Field:
             raise SizeLimit(f"square-root search needs |F| <= bound, got {self.order}")
         return next((c for c in range(self.order) if self._mul(c, c) == a), None)
 
-    def add_index_table(self):
-        """Dense table T[a, b] = code(a + b), or None if the field is too big."""
+    def orbit_add_table(self):
+        """T[i, x] = code(r_i + x), r_i the i-th of ``orbit_reps(p, |F|)``;
+        None if the field is too big."""
         if self.order > _PAIR_TABLE_MAX:
             return None
-        tab = self._cache.get("addtab")
+        tab = self._cache.get("orbit_addtab")
         if tab is None:
             codes = np.arange(self.order, dtype=np.int64)
-            tab = np.empty((self.order, self.order), dtype=np.int32)
-            for a in range(self.order):
-                tab[a] = self.add_vec(codes, a)
-            self._cache["addtab"] = tab
+            reps = orbit_reps(self.char, self.order)
+            tab = np.empty((len(reps), self.order), dtype=np.int32)
+            for i, a in enumerate(reps):
+                tab[i] = self.add_vec(codes, a)
+            self._cache["orbit_addtab"] = tab
         return tab
+
+
+def orbit_reps(s: int, order: int) -> np.ndarray:
+    """One code per orbit of F^* under scaling by F_s^*, for a field F of the
+    given order whose codes are base-s packings of coordinates over its
+    subfield F_s (s = p, or the order of the immediate base).
+
+    These are the codes whose top nonzero base-s digit is 1, in increasing
+    order: scaling by lambda in F_s^* scales every coordinate, so each orbit
+    holds exactly one of them, (order - 1)/(s - 1) in all.  The other members
+    have a top digit >= 2 at the same position, so each is the least code of
+    its orbit.
+    """
+    blocks, k = [], 1
+    while k < order:
+        blocks.append(np.arange(k, 2 * k))
+        k *= s
+    return np.concatenate(blocks)
 
 
 def PrimeField(p: int) -> Field:

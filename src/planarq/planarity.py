@@ -4,7 +4,10 @@ A polynomial f on a finite field is planar when every difference map
 x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
 
   * ``brute_is_planar`` -- the definition, checked with hit counts; works for
-    any sparse polynomial over any field within the enumeration budget.
+    any sparse polynomial over any field within the enumeration budget.  A
+    polynomial with f(lambda x) = lambda^2 f(x) for lambda in F_p^*, checked
+    on its value table, needs one shift per F_p^* orbit; any other is swept
+    over every shift.
   * ``is_planar_det``   -- for the quadratic family only: sweeps the
     determinant of the difference map's coefficient matrix over all shifts.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement, LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower
+from .gf import Elt, Field, FieldTower, orbit_reps
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -118,19 +121,45 @@ def f_poly(tower: FieldTower, A: Elt, B: Elt) -> SparsePoly:
 # deciders
 # ---------------------------------------------------------------------------
 
+def _primitive_root(p: int) -> int:
+    """The least generator of F_p^*: no g^((p-1)/r) is 1 for a prime r | p - 1."""
+    primes, m, d = [], p - 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+
+
 def brute_is_planar(poly: SparsePoly) -> bool:
     """Definition-level planarity test by exhaustive difference-map checks.
 
-    For each nonzero shift a, tabulates f(x+a) - f(x) over all x and demands
+    For each swept shift a, tabulates f(x+a) - f(x) over all x and demands
     all |F| values be distinct; stops at the first failing shift.
+
+    When f(lambda x) = lambda^2 f(x) for every lambda in F_p^* (every
+    Dembowski-Ostrom polynomial, so every f_{A,B}), the difference map at
+    lambda a is lambda^2 times the one at a composed with x -> x/lambda, so
+    one shift per F_p^* orbit decides: the (|F| - 1)/(p - 1) codes of
+    ``orbit_reps``.  That homogeneity is checked on the value table first,
+    as f(g x) = g^2 f(x) for a generator g of F_p^*, which gives every power
+    of g; a polynomial that fails it is swept over every shift a != 0.
     """
     f = poly.field
-    n = f.order
+    n, p = f.order, f.char
     ftab = poly.value_table()  # raises SizeLimit beyond the enumeration bound
-    addtab = f.add_index_table()
     codes = np.arange(n, dtype=np.int64)
-    for a in range(1, n):
-        shifted = ftab[addtab[a]] if addtab is not None else ftab[f.add_vec(codes, a)]
+    g = _primitive_root(p)
+    if np.array_equal(ftab[f.mul_vec(g, codes)], f.mul_vec(g * g % p, ftab)):
+        shifts, addtab = orbit_reps(p, n), f.orbit_add_table()
+    else:
+        shifts, addtab = range(1, n), None
+    for i, a in enumerate(shifts):
+        shifted = ftab[addtab[i]] if addtab is not None else ftab[f.add_vec(codes, a)]
         diffs = f.sub_vec(shifted, ftab)
         if np.bincount(diffs, minlength=n).max() != 1:
             return False
@@ -352,11 +381,9 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
 
     The determinant is homogeneous of degree 3 over F_q in C, so its roots
     form whole F_q^* orbits and only one representative R per orbit needs
-    checking: the q^2 + q + 1 codes whose top nonzero F_q coordinate is 1.
-    Scaling by lambda in F_q^* scales every coordinate, so any other member
-    of R's orbit has a top coordinate of code >= 2 at the same position, and
-    a larger code: R is the least code in its orbit.  So the least root of a
-    pair is the least representative that kills it.
+    checking: the q^2 + q + 1 codes of ``orbit_reps(q, q^3)``.  Each R is the
+    least code in its orbit, so the least root of a pair is the least
+    representative that kills it.
 
     With m[i, j](R) from ``_det_coefficients``, the B that R kills for a
     given A are the F_q roots of the cubic sum_j (sum_i m[i, j] A^i) B^j, read
@@ -366,7 +393,7 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     incidences (R, A, B) picks the witnesses either way.
     """
     fq, q = tower.fq, tower.q
-    reps = np.concatenate(([1], np.arange(q, 2 * q), np.arange(q * q, 2 * q * q)))
+    reps = orbit_reps(q, tower.order_top)
     none = tower.fq3.order
     wit = np.full(q * q, none, dtype=np.int64)
     if q < 4:

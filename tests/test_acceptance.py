@@ -50,14 +50,14 @@ def test_criterion_1_counting_formula(towers):
 def test_criterion_2_triple_decider_agreement(towers):
     start = time.perf_counter()
     ok = True
-    for q in (5, 7, 11):
+    for q in (5, 7, 9, 11, 13):
         workers = 2 if q == 11 else 1
         rep = scan(towers[q], methods=("theorem", "det", "brute"), workers=workers)
         ok &= rep.disagreements == []
         ok &= len(rep.pairs) == q * q
     elapsed = time.perf_counter() - start
     ok &= elapsed < 600.0
-    _report(2, f"theorem/det/brute agree on all pairs for q in (5, 7, 11) "
+    _report(2, f"theorem/det/brute agree on all pairs for q in (5, 7, 9, 11, 13) "
                f"({elapsed:.1f}s)", ok)
 
 

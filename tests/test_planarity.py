@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from planarq import SizeLimit, build_tower
+from planarq.gf import orbit_reps, prime_ext_field
 from planarq.linearized import difference_triple
 from planarq.planarity import (
     _dets_at,
+    _primitive_root,
     _root_tables,
     _roots_in_b,
     BRANCH_B_ZERO,
@@ -72,6 +74,67 @@ def test_brute_examples(towers):
     assert not brute_is_planar(SparsePoly(t27.fq3, {3: 1}))   # x^3: constant diffs
     t = towers[5]
     assert brute_is_planar(f_poly(t, t.eq(2), t.eq(1)))
+
+
+def _count_shifts(monkeypatch, f):
+    """Record one entry per ``sub_vec`` call on f: one per shift brute sweeps."""
+    calls, real = [], f.sub_vec
+    monkeypatch.setattr(f, "sub_vec", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 5, 9], ids=["F27", "F125", "F729"])
+def test_orbit_reps_cover_every_nonzero_code_once(towers, q):
+    f = towers[q].fq3
+    p = f.char
+    reps = orbit_reps(p, f.order)
+    assert len(reps) == (f.order - 1) // (p - 1)
+    multiples = np.concatenate([f.mul_vec(lam, reps) for lam in range(1, p)])
+    assert np.array_equal(np.sort(multiples), np.arange(1, f.order))
+    codes = np.arange(f.order)
+    assert np.array_equal(f.orbit_add_table(), f.add_vec(reps[:, None], codes))
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_brute_equals_the_full_sweep_on_every_pair(towers, q):
+    t = towers[q]
+    f = t.fq3
+    # every shift a != 0, with x + a and u - v read from whole-field tables
+    codes = np.arange(f.order)
+    addtab = f.add_vec(codes[:, None], codes)
+    subtab = f.sub_vec(codes[:, None], codes)
+
+    def full_sweep(poly):
+        ftab = poly.value_table()
+        return all(np.bincount(subtab[ftab[addtab[a]], ftab]).max() == 1
+                   for a in range(1, f.order))
+
+    for a in range(q):
+        for b in range(q):
+            poly = f_poly(t, t.eq(a), t.eq(b))
+            assert brute_is_planar(poly) == full_sweep(poly)
+
+
+def test_primitive_root_generates_every_unit():
+    for p in (3, 5, 7, 11, 13, 17, 31, 101, 251):
+        g = _primitive_root(p)
+        assert {pow(g, k, p) for k in range(p - 1)} == set(range(1, p))
+        assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(2, g))
+
+
+def test_brute_sweeps_one_shift_per_orbit_when_homogeneous(monkeypatch):
+    f = prime_ext_field(3, 7)
+    calls = _count_shifts(monkeypatch, f)
+    assert brute_is_planar(SparsePoly(f, {14: 1}))   # T2.6: x^((3^3 + 1)/2)
+    assert len(calls) == (f.order - 1) // 2
+
+
+def test_brute_sweeps_every_shift_when_not_homogeneous(towers, monkeypatch):
+    f = towers[3].fq3
+    calls = _count_shifts(monkeypatch, f)
+    # x^2 + x is planar, but f(2x) = x^2 + 2x is not 2^2 f(x)
+    assert brute_is_planar(SparsePoly(f, {2: 1, 1: 1}))
+    assert len(calls) == f.order - 1
 
 
 def test_brute_size_limit(monkeypatch):
@@ -159,18 +222,6 @@ def test_scan_q3_subset_policy(towers):
     assert set(rep.beyond_theorem) == brute - theorem
 
 
-def test_brute_agrees_on_extension_tower_sample(towers):
-    # the q = 9 tower routes brute evaluation through the nested mid field;
-    # check a stratified pair sample against the determinant sweep
-    t = towers[9]
-    pairs = [(a, b) for a in range(9) for b in range(9)]
-    sample = [p for p in pairs if classify_pair(t, t.eq(p[0]), t.eq(p[1])).planar]
-    sample += pairs[::13]
-    for a, b in sorted(set(sample))[:30]:
-        det_ok, _ = is_planar_det(t, t.eq(a), t.eq(b))
-        assert brute_is_planar(f_poly(t, t.eq(a), t.eq(b))) == det_ok
-
-
 def test_scan_q3_exact_deciders_agree(towers):
     # both exact deciders are definitional, so they agree even at q = 3
     rep = scan(towers[3], methods=("det", "brute"))
@@ -208,9 +259,8 @@ def test_planar_f_is_never_a_bijection(towers):
         tab = f_poly(t, t.eq(a), t.eq(b)).value_table()
         assert len(np.unique(tab)) < f.order
         # every nonzero shift's difference map vanishes exactly once
-        addtab = f.add_index_table()
         for shift in (1, 7, 42):
-            diffs = f.sub_vec(tab[addtab[shift]], tab)
+            diffs = f.sub_vec(tab[f.add_vec(np.arange(f.order), shift)], tab)
             assert int(np.count_nonzero(diffs == 0)) == 1
 
 
