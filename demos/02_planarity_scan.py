@@ -2,7 +2,9 @@
 
 A map f is planar when every difference x -> f(x+a) - f(x), a != 0, permutes
 the field.  For f(x) = x*(x^(q^2) + A*x^q + B*x) the closed-form classifier,
-the determinant sweep, and the brute-force definition must always agree.
+the determinant test (no shift may make the difference map's matrix singular;
+checking one shift per F_q^* orbit suffices), and the brute-force definition
+must always agree.
 
 Run:  python demos/02_planarity_scan.py
 """
@@ -29,7 +31,8 @@ print(f"  closed form: {cls.verdict} via {cls.branch}")
 print(f"  det sweep:   {'Planar' if det_ok else 'NotPlanar'}")
 print(f"  brute force: {'Planar' if brute_ok else 'NotPlanar'}")
 
-# A failing pair comes with a witness shift whose difference map is singular.
+# A failing pair comes with a witness shift whose difference map is singular:
+# the first such shift in code order.
 ok, witness = is_planar_det(tower, tower.eq(1), tower.eq(1))
 print(f"\n(1, 1) is planar: {ok}; witness shift C = {witness.code}, "
       f"coordinates {witness.coeffs}")

@@ -21,7 +21,7 @@ from planarq.curves import (
 )
 from planarq.gf import det3
 from planarq.linearized import dickson_matrix, difference_triple
-from planarq.planarity import _det_sweep
+from planarq.planarity import _dets_at
 
 tower = build_tower(5, 1)
 A, B = tower.eq(2), tower.eq(1)
@@ -52,10 +52,12 @@ print(f"lines of the (1,2) cubic: {find_linear_factors(F12)}")
 print("(the conjugate pair over F_25 appears because -3 is a non-square in F_5)")
 
 # Changing variables by a normal basis turns nonzero determinant roots into
-# F_q-rational points of a cubic with F_q coefficients.
+# F_q-rational points of a cubic with F_q coefficients; the roots are counted
+# over every shift C != 0.
 xi = find_normal_element(tower)
+shifts = np.arange(1, f3.order)
 for (a, b) in ((2, 1), (2, 2), (1, 1)):
     H = transform_H(tower, tower.eq(a), tower.eq(b), xi)
     pts = count_nonzero_fq_zeros(H)
-    roots = np.count_nonzero(_det_sweep(tower, a, b) == 0)
+    roots = np.count_nonzero(_dets_at(tower, a, b, shifts) == 0)
     print(f"pair ({a}, {b}): determinant roots {roots}, points of H {pts}")

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import FieldMismatch, SizeLimit, ValidationFailed
-from .gf import Field, _is_prime, max_enumeration_order, prime_ext_field
+from .gf import Field, _is_prime, _prime_factors, max_enumeration_order, prime_ext_field
 from .planarity import SparsePoly, brute_is_planar
 
 
@@ -47,26 +47,12 @@ class FamilySpec:
     params: dict = dc_field(default_factory=dict)
 
 
-def _factorize(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _mult_order(field: Field, code: int) -> int:
     if code == 0:
         return 0
     n = field.order - 1
     order = n
-    for ell in _factorize(n):
+    for ell in _prime_factors(n):
         while order % ell == 0 and field.pow(code, order // ell) == 1:
             order //= ell
     return order
@@ -348,11 +334,15 @@ def _supplied(fam: Family, params: dict) -> bool:
 
 def _elem_violations(fam: Family, params: dict, field: Field) -> list[str]:
     """Supplied elements failing their rule, then the set condition when the
-    field is small enough to enumerate."""
+    field is small enough to enumerate.  A supplied code outside [0, |F|)
+    names no element, so it raises instead of being read modulo |F|."""
     x = _instance(fam, params, field)
     out = []
     for elem in fam.elem_params:
         if elem.name in params:
+            if not 0 <= params[elem.name] < field.order:
+                raise ValidationFailed(f"{elem.name} must be a code in [0, {field.order}), "
+                                       f"got {params[elem.name]}")
             test, violation, _ = elem.rule(x)
             if not test(params[elem.name]):
                 out.append(violation)

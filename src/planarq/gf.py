@@ -80,6 +80,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over an arbitrary coefficient field (little-endian lists)
 # ---------------------------------------------------------------------------

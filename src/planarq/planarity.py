@@ -8,17 +8,19 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
     polynomial with f(lambda x) = lambda^2 f(x) for lambda in F_p^*, checked
     on its value table, needs one shift per F_p^* orbit; any other is swept
     over every shift.
-  * ``is_planar_det``   -- for the quadratic family only: sweeps the
-    determinant of the difference map's coefficient matrix over all shifts.
+  * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
+    may kill the determinant of the difference map's coefficient matrix.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
 
 ``scan`` runs any subset of the deciders over all q^2 pairs (A, B) and
 reports verdicts, disagreements, and the planar count against the expected
-3q - 2 - 4*gcd(3, q-1).  Its determinant verdicts come from one incidence
-pass over all pairs (``det_witnesses``), which evaluates the determinant at
-the q^2 + q + 1 projective shifts only and reads each pair's killing shifts
-off F_q root tables; only ``is_planar_det`` (used by ``verify``) still sweeps
-every shift.
+3q - 2 - 4*gcd(3, q-1).  The determinant is homogeneous of degree 3 over F_q
+in the shift, so both determinant paths look only at the q^2 + q + 1
+projective shifts and name the least killing one as the witness:
+``is_planar_det`` (used by ``verify``) evaluates the determinant there for
+its one pair, and ``scan`` takes every pair's verdict from one incidence pass
+(``det_witnesses``), which reads each pair's killing shifts off a table of
+the F_q roots of monic cubics.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement, LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower, orbit_reps
+from .gf import Elt, Field, FieldTower, _prime_factors, orbit_reps
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -123,15 +125,7 @@ def f_poly(tower: FieldTower, A: Elt, B: Elt) -> SparsePoly:
 
 def _primitive_root(p: int) -> int:
     """The least generator of F_p^*: no g^((p-1)/r) is 1 for a prime r | p - 1."""
-    primes, m, d = [], p - 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
+    primes = _prime_factors(p - 1)
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
 
 
@@ -192,23 +186,41 @@ def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     return f.add_vec(det, f.mul_vec(c2, m3))
 
 
-def _det_sweep(tower: FieldTower, a_code: int, b_code: int) -> np.ndarray:
-    """Determinants for one pair over every shift C != 0, in code order."""
-    return _dets_at(tower, a_code, b_code, np.arange(1, tower.fq3.order, dtype=np.int64))
+def _checked_dets(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
+    """``_dets_at``, insisting that every determinant lies in F_q."""
+    dets = _dets_at(tower, a_codes, b_codes, c_codes)
+    if (dets >= tower.q).any():
+        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
+                           f"is not in F_q (code {int(dets.max())})")
+    return dets
+
+
+def _direct_witnesses(tower: FieldTower, a_codes, b_codes) -> np.ndarray:
+    """For each pair of the equal-length code arrays, the least projective
+    representative R with det(A, B, R) = 0, or 0 if there is none; the
+    determinant is evaluated at every representative.
+
+    det(A, B, lambda C) = lambda^3 det(A, B, C) for lambda in F_q^*, so the
+    roots C != 0 form whole F_q^* orbits, and the q^2 + q + 1 codes of
+    ``orbit_reps(q, q^3)`` (increasing, each the least of its orbit) meet
+    every orbit once: the least killing representative is the least root.
+    """
+    reps = orbit_reps(tower.q, tower.order_top)
+    killed = _checked_dets(tower, np.asarray(a_codes)[:, None],
+                           np.asarray(b_codes)[:, None], reps) == 0
+    return np.where(killed.any(axis=1), reps[killed.argmax(axis=1)], 0)
 
 
 def is_planar_det(tower: FieldTower, A: Elt, B: Elt) -> tuple[bool, Elt | None]:
-    """Planarity via the shift sweep: no nonzero C may kill the determinant.
+    """Planarity via the determinant: no nonzero C may kill it.
 
-    When not planar, also returns the witness: the first root C in code order.
+    Evaluates the determinant at the q^2 + q + 1 projective shifts.  When not
+    planar, also returns the witness: the first root C in code order.
     """
     if A.field != tower.fq or B.field != tower.fq:
         raise LevelMismatch("A and B must live in F_q")
-    dets = _det_sweep(tower, A.code, B.code)
-    roots = np.flatnonzero(dets == 0)
-    if roots.size == 0:
-        return True, None
-    return False, Elt(tower.fq3, int(roots[0]) + 1)
+    witness = int(_direct_witnesses(tower, [A.code], [B.code])[0])
+    return (True, None) if witness == 0 else (False, Elt(tower.fq3, witness))
 
 
 @dataclass(frozen=True)
@@ -270,15 +282,6 @@ def count_formula(q) -> int:
 _INCIDENCE_CHUNK = 1 << 20
 
 
-def _checked_dets(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
-    """``_dets_at``, insisting that every determinant lies in F_q."""
-    dets = _dets_at(tower, a_codes, b_codes, c_codes)
-    if (dets >= tower.q).any():
-        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
-                           f"is not in F_q (code {int(dets.max())})")
-    return dets
-
-
 def _lagrange_matrix(fq: Field, nodes) -> list[list[int]]:
     """The inverse Vandermonde matrix: W[i][a] is the x^i coefficient of the
     Lagrange basis polynomial that is 1 at nodes[a] and 0 at the others."""
@@ -319,59 +322,24 @@ def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
     return m
 
 
-def _root_tables(fq: Field) -> tuple[np.ndarray, np.ndarray]:
-    """F_q roots of every monic cubic and quadratic, one row per polynomial.
-
-    The cubic x^3 + e2 x^2 + e1 x + e0 is row (e2 q + e1) q + e0, the
-    quadratic x^2 + e1 x + e0 row e1 q + e0 (coefficients as F_q codes).  Rows
-    list distinct roots; unused slots hold q.  Built by iterating over the
-    root r: each monic polynomial with root r is (x - r) times exactly one
-    monic polynomial of one degree less.
+def _cubic_root_table(fq: Field) -> np.ndarray:
+    """F_q roots of every monic cubic x^3 + e2 x^2 + e1 x + e0, in row
+    (e2 q + e1) q + e0 (coefficients as F_q codes).  Rows list distinct roots;
+    unused slots hold q.  Built by iterating over the root r: each monic cubic
+    with root r is (x - r) times exactly one monic quadratic.
     """
     q = fq.order
     codes = np.arange(q, dtype=np.int64)
     u, v = codes[:, None], codes[None, :]
-    dtype = np.min_scalar_type(q)
-    cubic = np.full((q ** 3, 3), q, dtype=dtype)
-    quad = np.full((q * q, 2), q, dtype=dtype)
-    n_cubic = np.zeros(q ** 3, dtype=np.int8)
-    n_quad = np.zeros(q * q, dtype=np.int8)
+    table = np.full((q ** 3, 3), q, dtype=np.min_scalar_type(q))
+    count = np.zeros(q ** 3, dtype=np.int8)
     for r in range(q):
         # (x - r)(x^2 + u x + v) = x^3 + (u - r) x^2 + (v - r u) x - r v
         e2, e1 = fq.sub_vec(u, r), fq.sub_vec(v, fq.mul_vec(r, u))
         row = ((e2 * q + e1) * q + fq.sub_vec(0, fq.mul_vec(r, v))).ravel()
-        cubic[row, n_cubic[row]] = r
-        n_cubic[row] += 1
-        # (x - r)(x + v) = x^2 + (v - r) x - r v
-        row = fq.sub_vec(codes, r) * q + fq.sub_vec(0, fq.mul_vec(r, codes))
-        quad[row, n_quad[row]] = r
-        n_quad[row] += 1
-    return cubic, quad
-
-
-def _roots_in_b(fq: Field, tables, inv: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
-    """F_q roots of c[3] B^3 + c[2] B^2 + c[1] B + c[0], for arrays of F_q codes.
-
-    Returns ``roots``, with a trailing axis of 3 slots (unused slots hold q),
-    and ``every``, true where the polynomial is zero so that every B is a root.
-    ``inv`` maps each code to its inverse (0 to 0).
-    """
-    q = fq.order
-    cubic, quad = tables
-    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in c))
-    lead = inv[c3]
-    e0, e1, e2 = (fq.mul_vec(x, lead) for x in (c0, c1, c2))
-    roots = cubic[(e2 * q + e1) * q + e0]
-    # the cells of lower degree, which the cubic lookup read wrongly
-    low = c3 == 0
-    roots[low] = q
-    deg2 = low & (c2 != 0)
-    e0, e1 = (fq.mul_vec(x[deg2], inv[c2[deg2]]) for x in (c0, c1))
-    roots[deg2, :2] = quad[e1 * q + e0]
-    deg1 = low & (c2 == 0) & (c1 != 0)
-    roots[deg1, 0] = fq.sub_vec(0, fq.mul_vec(c0[deg1], inv[c1[deg1]]))
-    every = low & (c2 == 0) & (c1 == 0) & (c0 == 0)
-    return roots, every
+        table[row, count[row]] = r
+        count[row] += 1
+    return table
 
 
 def det_witnesses(tower: FieldTower) -> np.ndarray:
@@ -379,44 +347,41 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     least C != 0 in code order with det(A, B, C) = 0, or 0 if there is none
     (the pair is planar).  Agrees with ``is_planar_det`` on every pair.
 
-    The determinant is homogeneous of degree 3 over F_q in C, so its roots
-    form whole F_q^* orbits and only one representative R per orbit needs
-    checking: the q^2 + q + 1 codes of ``orbit_reps(q, q^3)``.  Each R is the
-    least code in its orbit, so the least root of a pair is the least
-    representative that kills it.
-
-    With m[i, j](R) from ``_det_coefficients``, the B that R kills for a
-    given A are the F_q roots of the cubic sum_j (sum_i m[i, j] A^i) B^j, read
-    from the root tables in chunks of A.  F_3 has too few interpolation
-    nodes, so at q = 3 the determinants of all 9 pairs at the 13
-    representatives are evaluated directly.  The same minimum over the
-    incidences (R, A, B) picks the witnesses either way.
+    As there, only the q^2 + q + 1 projective representatives R are checked,
+    and the least killing one is the witness.  F_3 has too few interpolation
+    nodes, so at q = 3 the 9 pairs go through the same direct evaluation as
+    ``is_planar_det``.  Otherwise, with m[i, j](R) from ``_det_coefficients``,
+    the B that R kills for a given A are the F_q roots of the cubic
+    sum_j (sum_i m[i, j] A^i) B^j.  B enters only c0 = T + A Y + 2 B X, and c0
+    and its twists fill the diagonal, so m[0, 3](R) = 8 N(R) != 0: every
+    cubic is made monic by one division and its roots are read, in chunks of
+    A, from ``_cubic_root_table``; one minimum over the incidences (R, A, B)
+    picks the witnesses.
     """
     fq, q = tower.fq, tower.q
-    reps = orbit_reps(q, tower.order_top)
-    none = tower.fq3.order
-    wit = np.full(q * q, none, dtype=np.int64)
     if q < 4:
         ab = np.arange(q * q)
-        pair, r = np.nonzero(_checked_dets(tower, ab[:, None] // q, ab[:, None] % q, reps) == 0)
-        np.minimum.at(wit, pair, reps[r])
-    else:
-        m = _det_coefficients(tower, reps)
-        tables = _root_tables(fq)
-        inv = fq.pow_vec(np.arange(q), q - 2)
-        step = max(1, _INCIDENCE_CHUNK // len(reps))
-        for start in range(0, q, step):
-            a = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
-            powers = [1, a, fq.mul_vec(a, a)]
-            powers.append(fq.mul_vec(powers[2], a))
-            c = [functools.reduce(fq.add_vec, (fq.mul_vec(m[i, j], powers[i])
-                                               for i in range(4 - j)))
-                 for j in range(4)]
-            roots, every = _roots_in_b(fq, tables, inv, c)
-            ai, ri, slot = np.nonzero(roots < q)
-            np.minimum.at(wit, a[ai, 0] * q + roots[ai, ri, slot], reps[ri])
-            ai, ri = np.nonzero(every)
-            np.minimum.at(wit, (a[ai] * q + np.arange(q)).ravel(), np.repeat(reps[ri], q))
+        return _direct_witnesses(tower, ab // q, ab % q)
+    reps = orbit_reps(q, tower.order_top)
+    m = _det_coefficients(tower, reps)
+    if not m[0, 3].all():
+        raise Disagreement(f"the B^3 coefficient of the determinant over q = {q} "
+                           f"vanishes at a nonzero shift")
+    m = fq.mul_vec(m, fq.pow_vec(m[0, 3], q - 2))  # every cubic in B monic
+    roots = _cubic_root_table(fq)
+    none = tower.fq3.order
+    wit = np.full(q * q, none, dtype=np.int64)
+    step = max(1, _INCIDENCE_CHUNK // len(reps))
+    for start in range(0, q, step):
+        a = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
+        powers = [1, a, fq.mul_vec(a, a)]
+        powers.append(fq.mul_vec(powers[2], a))
+        e0, e1, e2 = (functools.reduce(fq.add_vec, (fq.mul_vec(m[i, j], powers[i])
+                                                    for i in range(4 - j)))
+                      for j in range(3))
+        killed = roots[(e2 * q + e1) * q + e0]
+        ai, ri, slot = np.nonzero(killed < q)
+        np.minimum.at(wit, a[ai, 0] * q + killed[ai, ri, slot], reps[ri])
     wit[wit == none] = 0
     return wit
 

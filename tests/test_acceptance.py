@@ -9,6 +9,7 @@ import random
 import time
 
 import numpy as np
+from conftest import det_sweep
 
 from planarq import find_normal_element
 from planarq.curves import (
@@ -22,7 +23,7 @@ from planarq.curves import (
 from planarq.errors import NotOnLocus
 from planarq.families import FamilySpec, ambient_field, brute_check_family
 from planarq.identities import battery_det_identity, battery_root_criterion
-from planarq.planarity import _det_sweep, count_formula, scan
+from planarq.planarity import count_formula, scan
 
 # planar-count values derived from the counting formula (3q - 2 - 4*gcd(3, q-1))
 # and confirmed by the determinant sweep and, for q <= 11, the brute decider
@@ -135,7 +136,7 @@ def test_criterion_8_curve_root_correspondence(towers):
         xi = find_normal_element(t)
         for _ in range(50):
             A, B = t.eq(rng.randrange(q)), t.eq(rng.randrange(q))
-            roots = int(np.count_nonzero(_det_sweep(t, A.code, B.code) == 0))
+            roots = int(np.count_nonzero(det_sweep(t, A.code, B.code) == 0))
             points = count_nonzero_fq_zeros(transform_H(t, A, B, xi))
             ok &= roots == points
             from planarq.planarity import classify_pair

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import det_sweep
 
 import planarq.cli as cli
 import planarq.curves as curves
@@ -155,6 +156,21 @@ def test_families_check_t26_nonpositive_n(capsys, n, k):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert json.loads(out)["violations"] == ["n must be >= 1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ("--id T2.5 --p 3 --k 1 --s 4 --u 100000", "u must be a code in [0, 27), got 100000"),
+    ("--id T3.1 --p 3 --k 1 --s 2 --v 27", "v must be a code in [0, 27), got 27"),
+    ("--id T3.3 --p 3 --m 1 --s 2 --omega -1", "omega must be a code in [0, 9), got -1"),
+    ("--id T3.3 --p 3 --m 1 --s 2 --beta 9", "beta must be a code in [0, 9), got 9"),
+    # not desk-verifiable, but the field is built to check the supplied code
+    ("--id T2.5 --p 257 --k 1 --s 4 --u -5", "u must be a code in [0, 16974593), got -5"),
+])
+def test_families_check_code_out_of_range_exits_one(capsys, args, message):
+    assert run_cli("families", "check", *args.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_families_check_flagged(capsys):
@@ -330,16 +346,35 @@ def _dets_times_a(original):
     return lambda tower, a, b, c: tower.fq.mul_vec(original(tower, a, b, c), a)
 
 
-@pytest.mark.parametrize("p, patch, message", [
-    (5, lambda original: _dets_outside_fq, "is not in F_q"),
-    (3, lambda original: _dets_outside_fq, "is not in F_q"),
-    (5, _dets_times_a, "i + j > 3"),
-], ids=["outside-fq", "outside-fq-q3", "degree"])
-def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, patch, message):
-    monkeypatch.setattr(planarity, "_dets_at", patch(planarity._dets_at))
+def _b_cubed_zeroed(original):
+    # the B^3 coefficient m[0, 3] is 8 N(R), never 0 at a shift R != 0
+    def patched(tower, reps):
+        m = original(tower, reps)
+        m[0, 3, -1] = 0
+        return m
+    return patched
+
+
+@pytest.mark.parametrize("p, name, patch, message", [
+    (5, "_dets_at", lambda original: _dets_outside_fq, "is not in F_q"),
+    (3, "_dets_at", lambda original: _dets_outside_fq, "is not in F_q"),
+    (5, "_dets_at", _dets_times_a, "i + j > 3"),
+    (5, "_det_coefficients", _b_cubed_zeroed, "B^3 coefficient"),
+], ids=["outside-fq", "outside-fq-q3", "degree", "b-cubed"])
+def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, name, patch, message):
+    monkeypatch.setattr(planarity, name, patch(getattr(planarity, name)))
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_verify_determinant_outside_fq_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(planarity, "_dets_at", _dets_outside_fq)
+    assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "is not in F_q" in err
     assert "Traceback" not in err
 
 
@@ -362,7 +397,7 @@ def _fail_factorizations(monkeypatch):
 
 def _non_root_witness(monkeypatch):
     def patched(tower, A, B):
-        dets = planarity._det_sweep(tower, A.code, B.code)
+        dets = det_sweep(tower, A.code, B.code)
         return False, tower.eq3(int(np.flatnonzero(dets != 0)[0]) + 1)
 
     monkeypatch.setattr(cli, "is_planar_det", patched)

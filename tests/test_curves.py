@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import det_sweep
 
 from planarq import NotOnLocus, find_normal_element, standard_extension
 from planarq.curves import (
@@ -21,7 +22,7 @@ from planarq.curves import (
 )
 from planarq.gf import det3
 from planarq.linearized import dickson_matrix, difference_triple
-from planarq.planarity import _det_sweep, scan
+from planarq.planarity import scan
 
 
 def closed_form_F_det(tower, A, B):
@@ -330,7 +331,7 @@ def test_transform_H_properties(towers):
             A, B = t.eq(rng.randrange(q)), t.eq(rng.randrange(q))
             H = transform_H(t, A, B, xi)
             assert H.field == t.fq
-            roots = np.count_nonzero(_det_sweep(t, A.code, B.code) == 0)
+            roots = np.count_nonzero(det_sweep(t, A.code, B.code) == 0)
             assert count_nonzero_fq_zeros(H) == roots
 
 

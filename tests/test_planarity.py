@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
 from planarq.gf import orbit_reps, prime_ext_field
@@ -12,8 +13,6 @@ from planarq.linearized import difference_triple
 from planarq.planarity import (
     _dets_at,
     _primitive_root,
-    _root_tables,
-    _roots_in_b,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
     BRANCH_SQUARE,
@@ -155,9 +154,7 @@ def test_det_decider_examples(towers):
     tr = f.add(wit.code, f.add(f.frob(wit.code, 1), f.frob(wit.code, 2)))
     assert tr == 0
     # first root in code order
-    from planarq.planarity import _det_sweep
-
-    dets = _det_sweep(t, 1, 1)
+    dets = det_sweep(t, 1, 1)
     assert wit.code == int(np.flatnonzero(dets == 0)[0]) + 1
 
 
@@ -273,13 +270,17 @@ def test_scan_rejects_unknown_methods(towers):
                          ids=lambda v: str(v))
 def test_scan_det_equals_the_shift_sweep_on_every_pair(p, m, monkeypatch):
     t = build_tower(p, m)
-    sweep = {(a, b): is_planar_det(t, t.eq(a), t.eq(b))
-             for a in range(t.q) for b in range(t.q)}
-    # the scan reads the incidence pass only: it makes no per-pair sweep
+    sweep = {}
+    for a in range(t.q):
+        for b in range(t.q):
+            roots = np.flatnonzero(det_sweep(t, a, b) == 0)
+            sweep[(a, b)] = (True, None) if roots.size == 0 else (False, int(roots[0]) + 1)
+            ok, wit = is_planar_det(t, t.eq(a), t.eq(b))
+            assert (ok, None if wit is None else wit.code) == sweep[(a, b)]
+    # the scan reads the incidence pass only: it makes no per-pair call
     monkeypatch.setattr("planarq.planarity.is_planar_det", None)
     for r in scan(t, methods=("det",)).pairs:
-        ok, wit = sweep[(r.A, r.B)]
-        assert (r.verdicts["det"], r.witness) == (ok, None if wit is None else wit.code)
+        assert (r.verdicts["det"], r.witness) == sweep[(r.A, r.B)]
 
 
 @pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])
@@ -299,26 +300,6 @@ def test_incidence_scan_on_larger_towers(p, m):
     for pair in sample:
         ok, w = is_planar_det(t, t.eq(pair // q), t.eq(pair % q))
         assert (ok, 0 if w is None else w.code) == (bool(planar[pair]), int(wit[pair]))
-
-
-@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)], ids=["q5", "q9"])
-def test_roots_in_b_every_degree(p, m):
-    fq = build_tower(p, m).fq
-    q = fq.order
-    rng = np.random.default_rng(q)
-    # coefficients of every degree, the zero polynomial included
-    c = rng.integers(0, q, size=(4, 400))
-    for j, cut in enumerate((0, 50, 100, 150)):
-        c[j:, cut:cut + 50] = 0
-    inv = fq.pow_vec(np.arange(q), q - 2)
-    roots, every = _roots_in_b(fq, _root_tables(fq), inv, c)
-    for cell in range(c.shape[1]):
-        want = {x for x in range(q)
-                if fq.add(fq.add(fq.mul(c[3, cell], fq.pow(x, 3)), fq.mul(c[2, cell], fq.mul(x, x))),
-                          fq.add(fq.mul(c[1, cell], x), c[0, cell])) == 0}
-        listed = [int(x) for x in roots[cell] if x < q]
-        assert len(set(listed)) == len(listed)
-        assert (set(range(q)) if every[cell] else set(listed)) == want
 
 
 def test_scan_timings_stay_out_of_the_report(towers):
