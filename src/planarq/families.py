@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import FieldMismatch, SizeLimit, ValidationFailed
-from .gf import Field, _is_prime, _prime_factors, max_enumeration_order, prime_ext_field
+from .gf import Field, _is_prime, _mult_order, max_enumeration_order, prime_ext_field
 from .planarity import SparsePoly, brute_is_planar
 
 
@@ -45,17 +45,6 @@ class FamilySpec:
 
     id: str
     params: dict = dc_field(default_factory=dict)
-
-
-def _mult_order(field: Field, code: int) -> int:
-    if code == 0:
-        return 0
-    n = field.order - 1
-    order = n
-    for ell in _prime_factors(n):
-        while order % ell == 0 and field.pow(code, order // ell) == 1:
-            order //= ell
-    return order
 
 
 def _odd(n: int) -> bool:

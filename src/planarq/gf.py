@@ -49,9 +49,6 @@ from .errors import DivisionByZero, LevelMismatch, NotOddPrime, PlanarqError, Si
 DEFAULT_MAX_Q3 = 2 ** 24
 MAX_Q3_ENV = "PLANARQ_MAX_Q3"
 
-# Largest field order whose orbit representatives get a dense addition table.
-_PAIR_TABLE_MAX = 2500
-
 
 def max_enumeration_order(override: int | None = None) -> int:
     """Effective bound for operations that enumerate a whole field."""
@@ -92,6 +89,18 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def _mult_order(field: Field, code: int) -> int:
+    """Multiplicative order of a code in ``field`` (0 for the zero code)."""
+    if code == 0:
+        return 0
+    n = field.order - 1
+    order = n
+    for ell in _prime_factors(n):
+        while order % ell == 0 and field.pow(code, order // ell) == 1:
+            order //= ell
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +421,6 @@ class Field:
         if self.order > self.enum_bound():
             raise SizeLimit(f"square-root search needs |F| <= bound, got {self.order}")
         return next((c for c in range(self.order) if self._mul(c, c) == a), None)
-
-    def orbit_add_table(self):
-        """T[i, x] = code(r_i + x), r_i the i-th of ``orbit_reps(p, |F|)``;
-        None if the field is too big."""
-        if self.order > _PAIR_TABLE_MAX:
-            return None
-        tab = self._cache.get("orbit_addtab")
-        if tab is None:
-            codes = np.arange(self.order, dtype=np.int64)
-            reps = orbit_reps(self.char, self.order)
-            tab = np.empty((len(reps), self.order), dtype=np.int32)
-            for i, a in enumerate(reps):
-                tab[i] = self.add_vec(codes, a)
-            self._cache["orbit_addtab"] = tab
-        return tab
 
 
 def orbit_reps(s: int, order: int) -> np.ndarray:

@@ -5,9 +5,10 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
 
   * ``brute_is_planar`` -- the definition, checked with hit counts; works for
     any sparse polynomial over any field within the enumeration budget.  A
-    polynomial with f(lambda x) = lambda^2 f(x) for lambda in F_p^*, checked
-    on its value table, needs one shift per F_p^* orbit; any other is swept
-    over every shift.
+    polynomial with f(lambda x) = lambda^2 f(x) for lambda in F_s^*, F_s the
+    field it was built over (F_q for the tower's F_{q^3}), checked on its
+    value table, needs one shift per F_s^* orbit; any other is swept over
+    every shift.
   * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
     may kill the determinant of the difference map's coefficient matrix.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement, LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower, _prime_factors, orbit_reps
+from .gf import Elt, Field, FieldTower, _decode, _encode, _mult_order, orbit_reps
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -123,38 +124,37 @@ def f_poly(tower: FieldTower, A: Elt, B: Elt) -> SparsePoly:
 # deciders
 # ---------------------------------------------------------------------------
 
-def _primitive_root(p: int) -> int:
-    """The least generator of F_p^*: no g^((p-1)/r) is 1 for a prime r | p - 1."""
-    primes = _prime_factors(p - 1)
-    return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
-
-
 def brute_is_planar(poly: SparsePoly) -> bool:
     """Definition-level planarity test by exhaustive difference-map checks.
 
     For each swept shift a, tabulates f(x+a) - f(x) over all x and demands
-    all |F| values be distinct; stops at the first failing shift.
+    all |F| values be distinct; stops at the first failing shift.  The codes
+    and the value table are split into their base-p digit planes once, so
+    each shift costs one digit-wise addition, one gather and one digit-wise
+    subtraction.
 
-    When f(lambda x) = lambda^2 f(x) for every lambda in F_p^* (every
-    Dembowski-Ostrom polynomial, so every f_{A,B}), the difference map at
-    lambda a is lambda^2 times the one at a composed with x -> x/lambda, so
-    one shift per F_p^* orbit decides: the (|F| - 1)/(p - 1) codes of
-    ``orbit_reps``.  That homogeneity is checked on the value table first,
-    as f(g x) = g^2 f(x) for a generator g of F_p^*, which gives every power
-    of g; a polynomial that fails it is swept over every shift a != 0.
+    Let F_s be the field F was built over (s = p for a prime field).  When
+    f(lambda x) = lambda^2 f(x) for every lambda in F_s^* (every
+    Dembowski-Ostrom polynomial with coefficients in F_s, so every f_{A,B}
+    with s = q), the difference map at lambda a is lambda^2 times the one at
+    a composed with x -> x/lambda, so one shift per F_s^* orbit decides: the
+    (|F| - 1)/(s - 1) codes of ``orbit_reps``.  That homogeneity is checked
+    on the value table first, as f(g x) = g^2 f(x) for the least generator g
+    of F_s^* (its code is the same in F), which gives every power of g; a
+    polynomial that fails it is swept over every shift a != 0.
     """
     f = poly.field
-    n, p = f.order, f.char
+    n, p, k = f.order, f.char, f._n
+    base = f.base or f
+    s = base.order
     ftab = poly.value_table()  # raises SizeLimit beyond the enumeration bound
     codes = np.arange(n, dtype=np.int64)
-    g = _primitive_root(p)
-    if np.array_equal(ftab[f.mul_vec(g, codes)], f.mul_vec(g * g % p, ftab)):
-        shifts, addtab = orbit_reps(p, n), f.orbit_add_table()
-    else:
-        shifts, addtab = range(1, n), None
-    for i, a in enumerate(shifts):
-        shifted = ftab[addtab[i]] if addtab is not None else ftab[f.add_vec(codes, a)]
-        diffs = f.sub_vec(shifted, ftab)
+    g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
+    homogeneous = np.array_equal(ftab[f.mul_vec(g, codes)], f.mul_vec(f.mul(g, g), ftab))
+    xs, ys = _decode(codes, p, k), _decode(ftab, p, k)
+    for a in orbit_reps(s, n) if homogeneous else range(1, n):
+        shifted = _encode([(x + d) % p for x, d in zip(xs, _decode(int(a), p, k))], p)
+        diffs = _encode([(y[shifted] - y) % p for y in ys], p)
         if np.bincount(diffs, minlength=n).max() != 1:
             return False
     return True

@@ -84,7 +84,7 @@ def test_element_search_is_deterministic():
     assert r1 == r2
     u = r1.params["u"]
     # u is the first primitive element in code order
-    from planarq.families import _mult_order
+    from planarq.gf import _mult_order
 
     assert _mult_order(field, u) == field.order - 1
     for code in range(1, u):

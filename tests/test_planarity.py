@@ -8,11 +8,10 @@ import pytest
 from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import orbit_reps, prime_ext_field
+from planarq.gf import _mult_order, orbit_reps, prime_ext_field
 from planarq.linearized import difference_triple
 from planarq.planarity import (
     _dets_at,
-    _primitive_root,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
     BRANCH_SQUARE,
@@ -75,23 +74,22 @@ def test_brute_examples(towers):
     assert brute_is_planar(f_poly(t, t.eq(2), t.eq(1)))
 
 
-def _count_shifts(monkeypatch, f):
-    """Record one entry per ``sub_vec`` call on f: one per shift brute sweeps."""
-    calls, real = [], f.sub_vec
-    monkeypatch.setattr(f, "sub_vec", lambda a, b: calls.append(1) or real(a, b))
+def _count_shifts(monkeypatch):
+    """Record one entry per ``np.bincount`` call: brute counts the hits of
+    each swept shift's difference map once, and makes no other call."""
+    calls, real = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
 
 
-@pytest.mark.parametrize("q", [3, 5, 9], ids=["F27", "F125", "F729"])
-def test_orbit_reps_cover_every_nonzero_code_once(towers, q):
+@pytest.mark.parametrize("q, s", [(3, 3), (5, 5), (9, 3), (9, 9), (25, 25)],
+                         ids=["F27", "F125", "F729", "F729-s9", "F15625-s25"])
+def test_orbit_reps_cover_every_nonzero_code_once(towers, q, s):
     f = towers[q].fq3
-    p = f.char
-    reps = orbit_reps(p, f.order)
-    assert len(reps) == (f.order - 1) // (p - 1)
-    multiples = np.concatenate([f.mul_vec(lam, reps) for lam in range(1, p)])
+    reps = orbit_reps(s, f.order)
+    assert len(reps) == (f.order - 1) // (s - 1)
+    multiples = np.concatenate([f.mul_vec(lam, reps) for lam in range(1, s)])
     assert np.array_equal(np.sort(multiples), np.arange(1, f.order))
-    codes = np.arange(f.order)
-    assert np.array_equal(f.orbit_add_table(), f.add_vec(reps[:, None], codes))
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -114,26 +112,43 @@ def test_brute_equals_the_full_sweep_on_every_pair(towers, q):
             assert brute_is_planar(poly) == full_sweep(poly)
 
 
-def test_primitive_root_generates_every_unit():
-    for p in (3, 5, 7, 11, 13, 17, 31, 101, 251):
-        g = _primitive_root(p)
-        assert {pow(g, k, p) for k in range(p - 1)} == set(range(1, p))
-        assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(2, g))
+def test_base_field_generator_is_the_least_generator():
+    # brute's generator of F_s^*: the least code whose order is s - 1
+    for p, n in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (31, 1), (101, 1),
+                 (251, 1), (3, 2), (5, 2), (3, 3)):
+        base = prime_ext_field(p, n)
+        s = base.order
+        g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
+        assert {base.pow(g, k) for k in range(s - 1)} == set(range(1, s))
+        assert all(len({base.pow(h, k) for k in range(s - 1)}) < s - 1 for h in range(1, g))
 
 
 def test_brute_sweeps_one_shift_per_orbit_when_homogeneous(monkeypatch):
     f = prime_ext_field(3, 7)
-    calls = _count_shifts(monkeypatch, f)
+    calls = _count_shifts(monkeypatch)
     assert brute_is_planar(SparsePoly(f, {14: 1}))   # T2.6: x^((3^3 + 1)/2)
     assert len(calls) == (f.order - 1) // 2
 
 
 def test_brute_sweeps_every_shift_when_not_homogeneous(towers, monkeypatch):
     f = towers[3].fq3
-    calls = _count_shifts(monkeypatch, f)
+    calls = _count_shifts(monkeypatch)
     # x^2 + x is planar, but f(2x) = x^2 + 2x is not 2^2 f(x)
     assert brute_is_planar(SparsePoly(f, {2: 1, 1: 1}))
     assert len(calls) == f.order - 1
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_brute_sweeps_one_shift_per_fq_orbit_on_the_tower(towers, q, monkeypatch):
+    # f_{A,B} has coefficients in F_q, so its F_q^* orbits decide: q^2 + q + 1 shifts
+    t = towers[q]
+    planar = np.flatnonzero(det_witnesses(t) == 0)
+    A, B = t.eq(planar[-1] // q), t.eq(planar[-1] % q)
+    assert A.code and B.code
+    assert is_planar_det(t, A, B) == (True, None)
+    calls = _count_shifts(monkeypatch)
+    assert brute_is_planar(f_poly(t, A, B))
+    assert len(calls) == q * q + q + 1
 
 
 def test_brute_size_limit(monkeypatch):
