@@ -18,10 +18,10 @@ x = tower.eq3(500)
 print(f"\ncode 500 in F_729 has F_9-coordinates {x.coeffs}")
 print(f"subfield element code 7 embeds as code {tower.embed(tower.eq(7)).code}")
 
-# Ordinary arithmetic through operators on Elt values.
-a, b = tower.eq3(500), tower.eq3(123)
-print(f"\na + b = {(a + b).code}, a * b = {(a * b).code}, a / b = {(a / b).code}")
-print(f"a^(|F|-1) = {(a ** (729 - 1)).code}  (unit group order)")
+# Arithmetic is done by the field on codes.
+f, a, b = tower.fq3, 500, 123
+print(f"\na + b = {f.add(a, b)}, a * b = {f.mul(a, b)}, a / b = {f.div(a, b)}")
+print(f"a^(|F|-1) = {f.pow(a, f.order - 1)}  (unit group order)")
 
 # The q-power Frobenius acts as a precomputed 3x3 matrix over F_9; its fixed
 # field is exactly the embedded F_9.

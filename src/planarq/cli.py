@@ -4,8 +4,10 @@ family checks, with machine-readable JSON/CSV reports.
 Exit codes: 0 all checks pass, 1 usage or configuration error, 2 mathematical
 disagreement (the CI tripwire).  Report files are byte-identical for
 identical (config, seed) whatever the worker count; wall-clock timings go to
-stderr only.  The environment variable PLANARQ_MAX_Q3 overrides the
-enumeration size limit.
+stderr only.  The environment variable PLANARQ_MAX_Q3 (default 2^24) is the
+one size setting, read by every command: no command enumerates more elements
+than it allows.  A tower past it exits 1; a family past it is reported with
+``desk_verifiable`` false.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ def _positive_int(text: str) -> int:
 def _add_tower_args(p):
     p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     p.add_argument("--m", type=_positive_int, default=1, help="q = p^m (default 1)")
-    p.add_argument("--max-q3", type=int, default=None,
-                   help="override the enumeration bound for this run")
 
 
 def _add_output_args(p):
@@ -144,7 +144,7 @@ def cmd_scan(args) -> int:
         print(f"--methods needs names from {','.join(ALL_METHODS)}, got {args.methods!r}",
               file=sys.stderr)
         return USAGE_EXIT
-    tower = build_tower(args.p, args.m, max_q3=args.max_q3)
+    tower = build_tower(args.p, args.m)
     report = scan(tower, methods=methods, workers=args.workers)
     rd = report.to_report_dict(seed=args.seed, version=__version__)
     _emit(_json_text(rd) if args.format == "json" else _scan_csv(rd), args.output)
@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
         verify_branch_factorization,
     )
 
-    tower = build_tower(args.p, args.m, max_q3=args.max_q3)
+    tower = build_tower(args.p, args.m)
     if not (0 <= args.A < tower.q and 0 <= args.B < tower.q):
         print(f"A and B must be codes in [0, {tower.q})", file=sys.stderr)
         return USAGE_EXIT
@@ -239,7 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    tower = build_tower(args.p, args.m, max_q3=args.max_q3)
+    tower = build_tower(args.p, args.m)
     results = run_identities(tower, samples=args.samples, seed=args.seed)
     for r in results:
         print(r.line())

@@ -28,10 +28,9 @@ from .errors import (
     CoefficientNotInSubfield,
     LevelMismatch,
     NotOnLocus,
-    SizeLimit,
     SquareRootUnavailable,
 )
-from .gf import Elt, Field, FieldTower, standard_extension
+from .gf import Elt, Field, FieldTower, _check_enumerable, standard_extension
 
 # degree-3 monomials (i, j, k) with X^i * Y^j * T^k, fixed order
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -476,8 +475,7 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     on_x0 = [terms.get((0, j, d - j), 0) for j in range(d + 1)]
     on_y0 = [terms.get((j, 0, d - j), 0) for j in range(d + 1)]
     for ext in range(1, min(max_ext, d) + 1):
-        if fq.order ** ext > fq.enum_bound():
-            raise SizeLimit(f"line search over F_{fq.order ** ext} exceeds the bound")
+        _check_enumerable(fq.order ** ext, "line search")
         f = standard_extension(fq, ext)
         codes = np.arange(f.order, dtype=np.int64)
 
@@ -546,8 +544,7 @@ def count_nonzero_fq_zeros(P: TernaryCubic) -> int:
     """Number of (x, y, t) in F_q^3 minus the origin with P(x, y, t) = 0."""
     f = P.field
     q = f.order
-    if q ** 3 > f.enum_bound():
-        raise SizeLimit(f"point count needs q^3 <= bound, got {q ** 3}")
+    _check_enumerable(q ** 3, "point count")
     codes = np.arange(q, dtype=np.int64)
     X = codes[:, None, None]
     Y = codes[None, :, None]

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import FieldMismatch, SizeLimit, ValidationFailed
-from .gf import Field, _is_prime, _mult_order, max_enumeration_order, prime_ext_field
+from .gf import Field, _fits, _is_prime, _mult_order, max_enumeration_order, prime_ext_field
 from .planarity import SparsePoly, brute_is_planar
 
 
@@ -336,7 +336,7 @@ def _elem_violations(fam: Family, params: dict, field: Field) -> list[str]:
             if not test(params[elem.name]):
                 out.append(violation)
     cond = fam.set_condition
-    if cond is not None and field.order <= max_enumeration_order() and not cond.holds(x):
+    if cond is not None and _fits(field.order, 1, max_enumeration_order()) and not cond.holds(x):
         out.append(cond.message)
     return out
 
@@ -401,11 +401,10 @@ def resolve_params(spec: FamilySpec, field: Field | None = None) -> FamilySpec:
 
 
 def desk_verifiable(spec: FamilySpec) -> bool:
-    """Whether p^n is within the enumeration budget; p^n >= 2^n, so a degree of
-    the budget's bit length or more fails without forming p^n."""
+    """Whether p^n is within the enumeration budget, decided without forming a
+    huge p^n."""
     p, n = FAMILIES[spec.id].field_shape(spec.params)
-    limit = max_enumeration_order()
-    return n < limit.bit_length() and p ** n <= limit
+    return _fits(p, n, max_enumeration_order())
 
 
 def instantiate_family(spec: FamilySpec, field: Field) -> SparsePoly:

@@ -34,7 +34,9 @@ ternary cubics) take codes the same way, an int or an array, and go through
 the ``*_vec`` entry points, so that guard covers them too.
 
 Fields are immutable after construction apart from monotone internal caches,
-so a tower can be shared freely across worker processes or threads.
+so a tower can be shared freely across worker processes or threads.  The one
+size policy, the enumeration bound of :func:`max_enumeration_order`, is read
+from the environment at each check and is never stored on a field.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ DEFAULT_MAX_Q3 = 2 ** 24
 MAX_Q3_ENV = "PLANARQ_MAX_Q3"
 
 
-def max_enumeration_order(override: int | None = None) -> int:
-    """Effective bound for operations that enumerate a whole field."""
-    if override is not None:
-        return int(override)
+def max_enumeration_order() -> int:
+    """Bound on the size of any set enumerated element by element: the
+    PLANARQ_MAX_Q3 environment variable, or 2^24."""
     raw = os.environ.get(MAX_Q3_ENV)
     if raw is None:
         return DEFAULT_MAX_Q3
@@ -61,6 +62,19 @@ def max_enumeration_order(override: int | None = None) -> int:
         return int(raw)
     except ValueError:
         raise PlanarqError(f"{MAX_Q3_ENV} must be an integer, got {raw!r}") from None
+
+
+def _fits(p: int, n: int, limit: int) -> bool:
+    """Whether p^n <= limit, for p >= 2.  Since p^n >= 2^n, an n of limit's
+    bit length or more fails without forming p^n."""
+    return n < limit.bit_length() and p ** n <= limit
+
+
+def _check_enumerable(order: int, what: str) -> None:
+    """Raise SizeLimit when ``what`` would enumerate more than the bound allows."""
+    limit = max_enumeration_order()
+    if order > limit:
+        raise SizeLimit(f"{what} over {order} elements exceeds the enumeration bound {limit}")
 
 
 def _is_prime(n: int) -> bool:
@@ -228,8 +242,6 @@ class Field:
     pickling; no operation uses the base after construction.
     """
 
-    _max_override: int | None = None
-
     def __init__(self, char: int, base: Field | None = None, modulus=None):
         self.char = p = char
         self.base = base
@@ -281,10 +293,6 @@ class Field:
         if self.base is None:
             return (PrimeField, (self.char,))
         return (ExtensionField, (self.base, self.modulus))
-
-    def enum_bound(self) -> int:
-        """Enumeration bound for this field (tower override, env, or default)."""
-        return max_enumeration_order(self._max_override)
 
     # -- kernels: one body for Python ints and int64 arrays ------------------
     def _add(self, a, b):
@@ -411,15 +419,13 @@ class Field:
         k %= self.degree
         tabs = self._cache.setdefault("frobtab", {})
         if k not in tabs:
-            if self.order > self.enum_bound():
-                raise SizeLimit(f"Frobenius table needs |F| <= bound, got {self.order}")
+            _check_enumerable(self.order, "Frobenius table")
             tabs[k] = self._frob(self._arr(np.arange(self.order)), k)
         return tabs[k]
 
     def sqrt_code(self, a: int) -> int | None:
         """Smaller square root by code, or None when a is a non-square."""
-        if self.order > self.enum_bound():
-            raise SizeLimit(f"square-root search needs |F| <= bound, got {self.order}")
+        _check_enumerable(self.order, "square-root search")
         return next((c for c in range(self.order) if self._mul(c, c) == a), None)
 
 
@@ -481,8 +487,7 @@ def standard_extension(base: Field, degree: int) -> Field:
 def prime_ext_field(p: int, n: int) -> Field:
     """F_{p^n} over the prime field, with the deterministic modulus."""
     fp = PrimeField(p)
-    # p >= 3, so n >= 48 is too large without forming p^n
-    if n > 1 and (n >= 48 or p ** n > 2 ** 48):
+    if n > 1 and not _fits(p, n, 2 ** 48):
         raise SizeLimit(f"field order {p}^{n} too large to construct")
     return standard_extension(fp, n)
 
@@ -507,31 +512,6 @@ class Elt:
         """Coordinate vector over the immediate base field."""
         return self.field.coords(self.code)
 
-    def _check(self, other) -> "Elt":
-        if not isinstance(other, Elt):
-            raise TypeError(f"expected Elt, got {type(other).__name__}")
-        if other.field != self.field:
-            raise LevelMismatch(f"{self.field!r} vs {other.field!r}")
-        return other
-
-    def __add__(self, other):
-        return Elt(self.field, self.field.add(self.code, self._check(other).code))
-
-    def __sub__(self, other):
-        return Elt(self.field, self.field.sub(self.code, self._check(other).code))
-
-    def __mul__(self, other):
-        return Elt(self.field, self.field.mul(self.code, self._check(other).code))
-
-    def __truediv__(self, other):
-        return Elt(self.field, self.field.div(self.code, self._check(other).code))
-
-    def __neg__(self):
-        return Elt(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return Elt(self.field, self.field.pow(self.code, e))
-
     def __bool__(self):
         return self.code != 0
 
@@ -555,7 +535,7 @@ class Elt:
 class FieldTower:
     """Immutable description of F_p < F_q = F_{p^m} < F_{q^3}."""
 
-    def __init__(self, p, m, fp, fq, fq3, mid_modulus, top_modulus, max_q3):
+    def __init__(self, p, m, fp, fq, fq3, mid_modulus, top_modulus):
         self.p = p
         self.m = m
         self.q = p ** m
@@ -565,7 +545,6 @@ class FieldTower:
         self.fq3 = fq3
         self.mid_modulus = mid_modulus
         self.top_modulus = top_modulus
-        self.max_q3 = max_q3
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q})"
@@ -579,8 +558,7 @@ class FieldTower:
         return hash((self.p, self.m, self.mid_modulus, self.top_modulus))
 
     def __reduce__(self):
-        return (build_tower, (self.p, self.m, self.mid_modulus, self.top_modulus,
-                              self.max_q3))
+        return (build_tower, (self.p, self.m, self.mid_modulus, self.top_modulus))
 
     # -- element constructors -------------------------------------------------
     def eq(self, code: int) -> Elt:
@@ -598,16 +576,14 @@ class FieldTower:
         return Elt(self.fq3, x.code)
 
 
-def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None,
-                max_q3: int | None = None) -> FieldTower:
+def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> FieldTower:
     """Construct the tower with deterministic (or explicitly supplied) moduli."""
     p, m = int(p), int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = max_enumeration_order(max_q3)
-    # size first, so a huge p or m fails at once: no primality test, and no
-    # power p^(3m) once 2^(3m) alone passes the bound
-    if p > 1 and (3 * m >= limit.bit_length() or p ** (3 * m) > limit):
+    limit = max_enumeration_order()
+    # size first, so a huge p or m fails at once, before the primality test
+    if p > 1 and not _fits(p, 3 * m, limit):
         raise SizeLimit(f"q^3 = {p}^{3 * m} exceeds the enumeration bound {limit}")
     fp = PrimeField(p)  # rejects p = 2 and composites
     if m == 1:
@@ -632,9 +608,7 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None,
         if len(top_modulus) != 4:
             raise ValueError("top modulus must have degree 3")
         fq3 = ExtensionField(fq, top_modulus)
-    for field in (fp, fq, fq3):
-        field._max_override = max_q3
-    return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus, max_q3)
+    return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus)
 
 
 def find_normal_element(tower: FieldTower) -> Elt:

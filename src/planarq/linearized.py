@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower
+from .errors import LevelMismatch
+from .gf import Elt, Field, FieldTower, _check_enumerable
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def has_nonzero_root_subfield_coeffs(alpha: Elt, beta: Elt, gamma: Elt) -> bool:
 def brute_kernel(L: LinTriple) -> list[Elt]:
     """All x with L(x) = 0, by exhaustive evaluation, in code order."""
     f = L.field
-    if f.order > f.enum_bound():
-        raise SizeLimit(f"kernel enumeration needs |F| <= bound, got {f.order}")
+    _check_enumerable(f.order, "kernel enumeration")
     return [Elt(f, int(c)) for c in np.flatnonzero(L.apply(np.arange(f.order)) == 0)]
 
 

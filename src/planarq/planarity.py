@@ -34,8 +34,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import Disagreement, LevelMismatch, SizeLimit
-from .gf import Elt, Field, FieldTower, _decode, _encode, _mult_order, orbit_reps
+from .errors import Disagreement, LevelMismatch
+from .gf import Elt, Field, FieldTower, _check_enumerable, _decode, _encode, _mult_order, orbit_reps
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -96,8 +96,7 @@ class SparsePoly:
     def value_table(self) -> np.ndarray:
         """f(x) for every field element x, indexed by code."""
         f = self.field
-        if f.order > f.enum_bound():
-            raise SizeLimit(f"value table needs |F| <= bound, got {f.order}")
+        _check_enumerable(f.order, "value table")
         codes = np.arange(f.order, dtype=np.int64)
         acc = np.zeros(f.order, dtype=np.int64)
         for e, c in self.terms.items():
@@ -166,8 +165,7 @@ def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     Frobenius is applied to the arrays in hand, so no whole-field table is built.
     """
     f = tower.fq3
-    if f.order > f.enum_bound():
-        raise SizeLimit(f"determinant sweep needs q^3 <= bound, got {f.order}")
+    _check_enumerable(f.order, "determinant sweep")
     X = np.asarray(c_codes, dtype=np.int64)
     Y = f.frob_vec(X, 1)
     T = f.frob_vec(X, 2)

@@ -285,8 +285,10 @@ def test_env_var_override(tmp_path, monkeypatch):
     assert run_cli("scan", "--p", "5") == 1  # not an integer: config error, no traceback
     monkeypatch.setenv("PLANARQ_MAX_Q3", "100")
     assert run_cli("scan", "--p", "5") == 1
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "200")
+    assert run_cli("scan", "--p", "5", "--max-q3", "200") == 1  # the variable is the one knob
     out = tmp_path / "s.json"
-    assert run_cli("scan", "--p", "5", "--max-q3", "200", "--output", str(out)) == 0
+    assert run_cli("scan", "--p", "5", "--output", str(out)) == 0
 
 
 # -- the exit-2 tripwire: a wrong decider must fail the run ----------------

@@ -151,6 +151,13 @@ def test_structural_only_validation_for_large_fields():
     assert rep["desk_verifiable"] is False and rep["planar"] is None
 
 
+def test_desk_verifiable_follows_the_bound(monkeypatch):
+    spec = FamilySpec("T3.2", {"p": 5, "k": 1, "s": 2})
+    assert desk_verifiable(spec)
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "4")
+    assert not desk_verifiable(spec)
+
+
 def test_b_zero_monomial_matches_family_shape(towers):
     # the B = 0 planar branch is the x^(q^2+1) monomial; the classifier and
     # the definition-level check must agree on it

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from planarq import (
     DivisionByZero,
-    Elt,
     LevelMismatch,
     NotOddPrime,
     PrimeField,
@@ -19,7 +18,8 @@ from planarq import (
     find_normal_element,
     prime_ext_field,
 )
-from planarq.gf import _poly_divmod, det3, is_irreducible
+from planarq.gf import _fits, _poly_divmod, det3, is_irreducible
+from planarq.planarity import classify_pair
 
 
 def test_build_tower_orders():
@@ -45,7 +45,15 @@ def test_size_limit_and_env_override(monkeypatch):
     monkeypatch.setenv("PLANARQ_MAX_Q3", "100")
     with pytest.raises(SizeLimit):
         build_tower(5, 1)
-    build_tower(5, 1, max_q3=200)  # explicit override beats the env var
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "200")
+    build_tower(5, 1)
+
+
+def test_fits_is_the_power_comparison():
+    for p in (3, 5, 7):
+        for n in range(61):
+            for limit in (4, 100, 2 ** 24, 2 ** 48):
+                assert _fits(p, n, limit) == (p ** n <= limit)
 
 
 def test_prime_field_arith():
@@ -69,22 +77,21 @@ def test_mid_field_generator_square():
     # F_9 = F_3[t]/(t^2 + 1): t * t = -1 = 2
     t9 = build_tower(3, 2)
     assert t9.mid_modulus == (1, 0, 1)
-    gen = Elt(t9.fq, 3)  # coords (0, 1)
-    assert (gen * gen).code == 2
+    assert t9.fq.mul(3, 3) == 2  # t has coords (0, 1), so code 3
 
 
-def test_elt_operators_and_level_mismatch():
+def test_field_ops_on_codes_and_level_mismatch():
     t = build_tower(5, 1)
-    a, b = t.eq3(7), t.eq3(9)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert -(-a) == a
-    assert a ** 0 == 1
+    f, a, b = t.fq3, 7, 9
+    assert f.sub(f.add(a, b), b) == a
+    assert f.div(f.mul(a, b), b) == a
+    assert f.neg(f.neg(a)) == a
+    assert f.pow(a, 0) == 1
     assert len({t.eq(3), 3}) == 1  # equal to its int code, so hashed alike
     with pytest.raises(LevelMismatch):
-        _ = a + t.eq(2)
+        classify_pair(t, t.eq3(a), t.eq(2))
     with pytest.raises(DivisionByZero):
-        _ = a / t.eq3(0)
+        f.inv(0)
 
 
 def test_encode_decode_roundtrip():
@@ -229,13 +236,6 @@ def test_frobenius_properties(towers):
     for code in range(t.q):
         assert f.frob(code, 1) == code
         assert f.frob(code, 2) == code
-
-
-def test_frobenius_elt_wrapper(towers):
-    t = towers[9]
-    x = t.eq3(500)
-    assert t.fq3.frob(x.code, 1) == (x ** t.q).code
-    assert t.fq3.frob(x.code, 3) == x.code
 
 
 def test_fixed_field_size(towers):
@@ -404,6 +404,7 @@ def test_frobenius_is_power_q(p, m):
     for x in [rng.randrange(f.order) for _ in range(300)]:
         for k in (1, 2):
             assert f.frob(x, k) == f.pow(x, t.q ** k)
+        assert f.frob(x, 3) == x
     if f.order <= 729:
         codes = np.arange(f.order, dtype=np.int64)
         for k in (1, 2):

@@ -9,7 +9,8 @@ from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
 from planarq.gf import _mult_order, orbit_reps, prime_ext_field
-from planarq.linearized import difference_triple
+from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
+from planarq.linearized import brute_kernel, difference_triple
 from planarq.planarity import (
     _dets_at,
     BRANCH_B_ZERO,
@@ -151,11 +152,28 @@ def test_brute_sweeps_one_shift_per_fq_orbit_on_the_tower(towers, q, monkeypatch
     assert len(calls) == q * q + q + 1
 
 
-def test_brute_size_limit(monkeypatch):
+# every enumeration of a whole field or point set, given a tower at q = 5
+_ENUMERATIONS = {
+    "brute": lambda t: brute_is_planar(f_poly(t, t.eq(2), t.eq(1))),
+    "is_planar_det": lambda t: is_planar_det(t, t.eq(2), t.eq(1)),
+    "frob_table": lambda t: t.fq3.frob_table(1),
+    "sqrt_code": lambda t: t.fq.sqrt_code(4),
+    "brute_kernel": lambda t: brute_kernel(difference_triple(t, t.eq(1), t.eq(1), t.eq3(1))),
+    "find_linear_factors": lambda t: find_linear_factors(build_F_det(t, t.eq(1), t.eq(1))),
+    "point_count": lambda t: count_nonzero_fq_zeros(build_F_det(t, t.eq(1), t.eq(1))),
+}
+
+
+@pytest.mark.parametrize("site", list(_ENUMERATIONS))
+def test_enumeration_size_limit(monkeypatch, site):
+    # the tower is built under the default bound; each enumeration reads the
+    # bound again when it runs, and under 4 no field of the tower fits
     t = build_tower(5, 1)
-    monkeypatch.setenv("PLANARQ_MAX_Q3", "100")
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "4")
     with pytest.raises(SizeLimit):
-        brute_is_planar(f_poly(t, t.eq(2), t.eq(1)))
+        _ENUMERATIONS[site](t)
+    monkeypatch.delenv("PLANARQ_MAX_Q3")
+    _ENUMERATIONS[site](t)
 
 
 def test_det_decider_examples(towers):
