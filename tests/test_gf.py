@@ -238,6 +238,13 @@ def test_frobenius_properties(towers):
         assert f.frob(code, 2) == code
 
 
+def test_frobenius_elt_wrapper(towers):
+    t = towers[9]
+    x = t.eq3(500)
+    assert t.fq3.frob(x.code, 1) == t.fq3.pow(x.code, t.q)
+    assert t.fq3.frob(x.code, 3) == x.code
+
+
 def test_fixed_field_size(towers):
     for q in (3, 5, 9):
         f = towers[q].fq3
