@@ -243,6 +243,9 @@ def cmd_identities(args) -> int:
     results = run_identities(tower, samples=args.samples, seed=args.seed)
     for r in results:
         print(r.line())
+    times = ", ".join(f"{r.name} {r.seconds:.3f}s" for r in results)
+    print(f"identities q={tower.q}: samples={args.samples} seed={args.seed} ({times})",
+          file=sys.stderr)
     return 0 if all(r.passed for r in results) else DISAGREE_EXIT
 
 

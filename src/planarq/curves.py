@@ -15,7 +15,10 @@ the line.  It also carries the normal-basis change of variables H plus F_q
 point counting that replaces the curve-theoretic existence argument for roots.
 
 Coefficients are codes, and ``TernaryCubic.evaluate`` takes codes: ints or
-int64 arrays that broadcast together.
+int64 arrays that broadcast together.  The cores under the single-pair
+objects take codes the same way: ``_det_coeffs`` and ``_paper_coeffs`` expand
+the cubics of whole arrays of pairs, and ``_evaluate`` accepts arrays of
+coefficients, which is how the identity batteries check every pair at once.
 """
 
 from __future__ import annotations
@@ -30,12 +33,17 @@ from .errors import (
     NotOnLocus,
     SquareRootUnavailable,
 )
-from .gf import Elt, Field, FieldTower, _check_enumerable, standard_extension
+from .gf import Elt, Field, FieldTower, _check_enumerable, _ops, standard_extension
 
 # degree-3 monomials (i, j, k) with X^i * Y^j * T^k, fixed order
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
              (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
 _MIDX = {mon: i for i, mon in enumerate(MONOMIALS)}
+# slot n of a cubic with X and Y exchanged holds the coefficient in slot _SWAP_XY[n]
+_SWAP_XY = tuple(_MIDX[(j, i, k)] for i, j, k in MONOMIALS)
+# _PRODUCT_SLOT[i1][i2][i3]: slot of the product of variables i1, i2, i3 (X, Y, T = 0, 1, 2)
+_PRODUCT_SLOT = tuple(tuple(tuple(_MIDX[tuple((i1, i2, i3).count(v) for v in range(3))]
+                                  for i3 in range(3)) for i2 in range(3)) for i1 in range(3))
 
 
 class TernaryCubic:
@@ -80,10 +88,7 @@ class TernaryCubic:
 
     def swap_xy(self) -> "TernaryCubic":
         """Relabel (X, Y, T) -> (Y, X, T)."""
-        out = [0] * 10
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            out[_MIDX[(j, i, k)]] = c
-        return TernaryCubic(self.field, out)
+        return TernaryCubic(self.field, [self.coeffs[n] for n in _SWAP_XY])
 
     def in_field(self, field: Field) -> "TernaryCubic":
         """Reinterpret the coefficients in an extension (codes embed as-is)."""
@@ -91,28 +96,7 @@ class TernaryCubic:
 
     def evaluate(self, X, Y, T):
         """The cubic at codes X, Y, T (ints or arrays, broadcast together)."""
-        f = self.field
-        pw = {}
-        for name, base in (("X", X), ("Y", Y), ("T", T)):
-            base = np.asarray(base, dtype=np.int64)
-            sq = f.mul_vec(base, base)
-            pw[name] = (None, base, sq, f.mul_vec(sq, base))
-        acc = None
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            if c == 0:
-                continue
-            term = None
-            for name, e in (("X", i), ("Y", j), ("T", k)):
-                if e:
-                    p = pw[name][e]
-                    term = p if term is None else f.mul_vec(term, p)
-            if c != 1:
-                term = f.mul_vec(c, term)
-            acc = term if acc is None else f.add_vec(acc, term)
-        if acc is None:
-            shape = np.broadcast(np.asarray(X), np.asarray(Y), np.asarray(T)).shape
-            return np.zeros(shape, dtype=np.int64)
-        return acc
+        return _evaluate(self.field, self.coeffs, X, Y, T)
 
     def substitute_linear(self, forms) -> "TernaryCubic":
         """Plug linear forms in for (X, Y, T): P(L0, L1, L2), expanded."""
@@ -127,28 +111,57 @@ class TernaryCubic:
         return acc
 
 
+def _evaluate(f: Field, coeffs, X, Y, T):
+    """The cubic with the ten coefficient codes ``coeffs`` (MONOMIALS order)
+    at codes X, Y, T; coefficients and points are ints or arrays, and all of
+    them broadcast together."""
+    pw = {}
+    for name, base in (("X", X), ("Y", Y), ("T", T)):
+        base = np.asarray(base, dtype=np.int64)
+        sq = f.mul_vec(base, base)
+        pw[name] = (None, base, sq, f.mul_vec(sq, base))
+    acc = None
+    for (i, j, k), c in zip(MONOMIALS, coeffs):
+        scalar = not isinstance(c, np.ndarray)
+        if scalar and c == 0:
+            continue
+        term = None
+        for name, e in (("X", i), ("Y", j), ("T", k)):
+            if e:
+                p = pw[name][e]
+                term = p if term is None else f.mul_vec(term, p)
+        if not (scalar and c == 1):
+            term = f.mul_vec(c, term)
+        acc = term if acc is None else f.add_vec(acc, term)
+    if acc is None:
+        shape = np.broadcast(np.asarray(X), np.asarray(Y), np.asarray(T)).shape
+        return np.zeros(shape, dtype=np.int64)
+    return acc
+
+
+def _expand_product(ops, f1, f2, f3, acc, sign: int = 1) -> None:
+    """Add (sign 1) or subtract (sign -1) the expansion of the product of three
+    linear forms (u, v, w) ~ uX + vY + wT into the ten coefficient codes acc.
+
+    ``ops`` is a field's (mul, add, sub) from ``gf._ops``; form entries that
+    are 0 (never an array) are skipped.
+    """
+    mul, add, sub = ops
+    put = add if sign > 0 else sub
+    n1, n2, n3 = ([(i, c) for i, c in enumerate(form)
+                   if isinstance(c, np.ndarray) or c != 0] for form in (f1, f2, f3))
+    for i1, a in n1:
+        for i2, b in n2:
+            ab = mul(a, b)
+            slots = _PRODUCT_SLOT[i1][i2]
+            for i3, c in n3:
+                acc[slots[i3]] = put(acc[slots[i3]], mul(ab, c))
+
+
 def triple_product(field: Field, f1, f2, f3) -> TernaryCubic:
     """Expand the product of three linear forms (u, v, w) ~ uX + vY + wT."""
     out = [0] * 10
-    for i1 in range(3):
-        a = f1[i1]
-        if a == 0:
-            continue
-        for i2 in range(3):
-            b = f2[i2]
-            if b == 0:
-                continue
-            ab = field.mul(a, b)
-            for i3 in range(3):
-                c = f3[i3]
-                if c == 0:
-                    continue
-                mon = [0, 0, 0]
-                mon[i1] += 1
-                mon[i2] += 1
-                mon[i3] += 1
-                idx = _MIDX[tuple(mon)]
-                out[idx] = field.add(out[idx], field.mul(ab, c))
+    _expand_product((field.mul, field.add, field.sub), f1, f2, f3, out)
     return TernaryCubic(field, out)
 
 
@@ -163,17 +176,28 @@ _PERMS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 def build_F_det(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
     """The determinant of the difference-map matrix as a cubic in (X, Y, T).
 
-    Built by Leibniz expansion of the 3x3 matrix of linear forms obtained by
-    writing (C, C^q, C^(q^2)) = (X, Y, T); raising a form to the q-th power
-    permutes the variables cyclically and fixes the F_q coefficients.  By
+    Built by Leibniz expansion (:func:`_det_coeffs`), once per pair.  By
     construction F(C, C^q, C^(q^2)) = det for every C.
     """
     fq = _check_pair(tower, A, B)
     a, b = A.code, B.code
     cache = fq._cache.setdefault("F_det", {})
-    if (a, b) in cache:
-        return cache[(a, b)]
-    twob = fq.add(b, b)
+    if (a, b) not in cache:
+        cache[(a, b)] = TernaryCubic(fq, _det_coeffs(fq, a, b))
+    return cache[(a, b)]
+
+
+def _det_coeffs(fq: Field, a, b) -> list:
+    """The ten coefficient codes of the determinant cubic of the pairs (a, b).
+
+    Leibniz expansion of the 3x3 matrix of linear forms obtained by writing
+    (C, C^q, C^(q^2)) = (X, Y, T); raising a form to the q-th power permutes
+    the variables cyclically and fixes the F_q coefficients.  a and b are
+    codes of F_q, ints or arrays that broadcast; each coefficient comes back
+    as an int or an array to match.
+    """
+    ops = _ops(fq, a, b)
+    twob = ops[1](b, b)  # ops = (mul, add, sub)
     # difference-map coefficient forms: c0 = 2B*X + A*Y + T, c1 = A*X, c2 = X
     base = ((twob, a, 1), (a, 0, 0), (1, 0, 0))
 
@@ -183,13 +207,9 @@ def build_F_det(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
         return form
 
     rows = [[twist(base[(j - i) % 3], i) for j in range(3)] for i in range(3)]
-    acc = TernaryCubic(fq, [0] * 10)
+    acc = [0] * 10
     for j0, j1, j2, sign in _PERMS:
-        term = triple_product(fq, rows[0][j0], rows[1][j1], rows[2][j2])
-        if sign < 0:
-            term = term.scale(fq.neg(1))
-        acc = acc.add(term)
-    cache[(a, b)] = acc
+        _expand_product(ops, rows[0][j0], rows[1][j1], rows[2][j2], acc, sign)
     return acc
 
 
@@ -201,20 +221,20 @@ def build_F_paper(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
     X and Y turns this into ``build_F_det`` (the pinned erratum relation).
     """
     fq = _check_pair(tower, A, B)
-    a, b = A.code, B.code
-    c_sym = fq.mul(fq.from_int(2), fq.mul(a, b))
-    c_g1 = fq.add(fq.mul(fq.from_int(2), fq.mul(fq.mul(a, a), b)),
-                  fq.mul(fq.from_int(4), fq.mul(b, b)))
-    c_g2 = fq.add(fq.mul(fq.from_int(4), fq.mul(a, fq.mul(b, b))),
-                  fq.mul(fq.from_int(2), b))
-    c_xyt = fq.add(fq.add(fq.mul(fq.from_int(2), fq.pow(a, 3)),
-                          fq.mul(fq.from_int(8), fq.pow(b, 3))), fq.from_int(2))
-    return TernaryCubic(fq, {
-        (3, 0, 0): c_sym, (0, 3, 0): c_sym, (0, 0, 3): c_sym,
-        (1, 0, 2): c_g1, (0, 2, 1): c_g1, (2, 1, 0): c_g1,
-        (2, 0, 1): c_g2, (0, 1, 2): c_g2, (1, 2, 0): c_g2,
-        (1, 1, 1): c_xyt,
-    })
+    return TernaryCubic(fq, _paper_coeffs(fq, A.code, B.code))
+
+
+def _paper_coeffs(fq: Field, a, b) -> list:
+    """The ten coefficient codes of the published cubic of the pairs (a, b),
+    codes as in :func:`_det_coeffs`."""
+    mul, add, _ = _ops(fq, a, b)
+    two, four, eight = fq.from_int(2), fq.from_int(4), fq.from_int(8)
+    ab, bb = mul(a, b), mul(b, b)
+    c_sym = mul(two, ab)                                      # X^3, Y^3, T^3
+    c_g1 = add(mul(two, mul(a, ab)), mul(four, bb))           # XT^2, Y^2T, X^2Y
+    c_g2 = add(mul(four, mul(a, bb)), mul(two, b))            # X^2T, YT^2, XY^2
+    c_xyt = add(add(mul(two, mul(a, mul(a, a))), mul(eight, mul(b, bb))), two)
+    return [c_sym, c_g1, c_g2, c_g2, c_xyt, c_g1, c_sym, c_g1, c_g2, c_sym]
 
 
 def _check_pair(tower: FieldTower, A: Elt, B: Elt) -> Field:

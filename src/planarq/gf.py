@@ -31,7 +31,9 @@ anything ``np.asarray`` handles and broadcast like ordinary numpy ufuncs).
 Array entry points refuse a field whose digit products could pass 2^63.
 :func:`det3` and the evaluations built on this module (linearized maps,
 ternary cubics) take codes the same way, an int or an array, and go through
-the ``*_vec`` entry points, so that guard covers them too.
+the ``*_vec`` entry points, so that guard covers them too; code that runs the
+scalar kernels on ints takes its operations from :func:`_ops`, which hands it
+the ``*_vec`` entry points as soon as an operand is an array.
 
 Fields are immutable after construction apart from monotone internal caches,
 so a tower can be shared freely across worker processes or threads.  The one
@@ -427,6 +429,14 @@ class Field:
         """Smaller square root by code, or None when a is a non-square."""
         _check_enumerable(self.order, "square-root search")
         return next((c for c in range(self.order) if self._mul(c, c) == a), None)
+
+
+def _ops(field: Field, *codes):
+    """The field's (mul, add, sub) for the given codes: the scalar kernels on
+    ints, the guarded ``*_vec`` entry points as soon as one code is an array."""
+    if any(isinstance(c, np.ndarray) for c in codes):
+        return field.mul_vec, field.add_vec, field.sub_vec
+    return field.mul, field.add, field.sub
 
 
 def orbit_reps(s: int, order: int) -> np.ndarray:

@@ -1,27 +1,39 @@
 """Randomized/exhaustive identity batteries wiring the modules together.
 
-Each battery checks one structural identity across many (A, B, C) choices:
-the determinant/cubic identity, the X <-> Y relation between the published
-and determinant-derived cubics, the nonzero-kernel criterion against brute
-kernel enumeration, and the matrix-convention agreement.  A single seeded
-stream drives all sampling, so runs are reproducible from (config, seed).
+Each battery checks one structural identity across many (A, B, C) choices,
+each in a few whole-array passes over all of its pairs or triples, against
+an oracle of its own:
+
+* the determinant identity: ``planarity._dets_at`` (the difference-matrix
+  determinant) equals the Leibniz-expanded determinant cubic at
+  (C, C^q, C^(q^2)), every sampled shift evaluated against its pair's
+  coefficient arrays at once;
+* the X <-> Y relation: the published cubic equals the Leibniz expansion
+  with X and Y exchanged, as coefficient arrays over all q^2 pairs;
+* the nonzero-kernel criterion against brute kernel enumeration
+  (``linearized.kernel_sizes``, every map evaluated at every x);
+* the matrix convention, pair by pair.
+
+A single seeded stream drives all sampling, so runs are reproducible from
+(config, seed).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Elt, FieldTower
+from .gf import FieldTower, _check_enumerable
 from .linearized import (
-    LinTriple,
-    brute_kernel,
+    _cubic_sum,
     dickson_matrix,
     difference_matrix_direct,
     difference_triple,
-    has_nonzero_root_subfield_coeffs,
+    kernel_sizes,
 )
 
 _EXHAUSTIVE_TRIPLES = 4096  # below this many (A, B, C) triples, just do them all
@@ -33,6 +45,7 @@ class BatteryResult:
     passed: bool
     checked: int
     failures: tuple = ()
+    seconds: float = dataclasses.field(default=0.0, compare=False)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -55,21 +68,16 @@ def _sample_triples(tower: FieldTower, samples: int, rng: random.Random):
 def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
     """det of the difference matrix == determinant cubic at (C, C^q, C^(q^2)),
     with the value landing in F_q, across sampled or exhaustive triples."""
-    from .curves import build_F_det
+    from .curves import _det_coeffs, _evaluate
     from .planarity import _dets_at
 
     f3 = tower.fq3
     triples = sorted(_sample_triples(tower, samples, rng))
     A, B, C = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     lhs = _dets_at(tower, A, B, C)
-    # each pair's cubic, evaluated once on the array of its shifts
-    rhs = np.empty_like(lhs)
-    F1, F2 = f3.frob_table(1), f3.frob_table(2)
-    for a, b in dict.fromkeys(zip(A.tolist(), B.tolist())):
-        at = (A == a) & (B == b)
-        F = build_F_det(tower, tower.eq(a), tower.eq(b)).in_field(f3)
-        c = C[at]
-        rhs[at] = F.evaluate(c, F1[c], F2[c])
+    # every triple's own pair cubic, as coefficient arrays, at its shift
+    rhs = _evaluate(f3, _det_coeffs(tower.fq, A, B), C,
+                    f3.frob_table(1)[C], f3.frob_table(2)[C])
     bad = np.flatnonzero((lhs != rhs) | (rhs >= tower.q))
     failures = [triples[i] for i in bad[:5]]
     return BatteryResult("determinant identity", not failures, len(triples),
@@ -78,38 +86,35 @@ def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) ->
 
 def battery_swap_relation(tower: FieldTower) -> BatteryResult:
     """published cubic == determinant cubic with X and Y exchanged, all (A, B)."""
-    from .curves import build_F_det, build_F_paper
+    from .curves import _SWAP_XY, _det_coeffs, _paper_coeffs
 
     q = tower.q
-    failures = []
-    for a in range(q):
-        for b in range(q):
-            A, B = tower.eq(a), tower.eq(b)
-            if build_F_paper(tower, A, B) != build_F_det(tower, A, B).swap_xy():
-                failures.append((a, b))
+    A, B = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    det = _det_coeffs(tower.fq, A, B)
+    bad = np.zeros(q * q, dtype=bool)
+    for c, slot in zip(_paper_coeffs(tower.fq, A, B), _SWAP_XY):
+        bad |= c != det[slot]
+    failures = [(int(a), int(b)) for a, b in zip(A[bad][:5], B[bad][:5])]
     return BatteryResult("X<->Y coefficient relation", not failures, q * q,
-                         tuple(failures[:5]))
+                         tuple(failures))
 
 
 def battery_root_criterion(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
     """cubic-sum kernel criterion == (brute kernel bigger than {0}), F_q coefficients."""
     q = tower.q
-    f3 = tower.fq3
     if q ** 3 <= _EXHAUSTIVE_TRIPLES:
         triples = [(a, b, g) for a in range(q) for b in range(q) for g in range(q)]
     else:
         # each sample costs a full O(q^3) kernel enumeration; cap the budget
         triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(q))
                    for _ in range(min(samples, 400))]
-    failures = []
-    for a, b, g in triples:
-        crit = has_nonzero_root_subfield_coeffs(tower.eq(a), tower.eq(b), tower.eq(g))
-        # the map is alpha*x^(q^2) + beta*x^q + gamma*x
-        L = LinTriple(Elt(f3, g), Elt(f3, b), Elt(f3, a))
-        if crit != (len(brute_kernel(L)) > 1):
-            failures.append((a, b, g))
+    alpha, beta, gamma = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    crit = _cubic_sum(tower.fq, alpha, beta, gamma) == 0
+    # the map is alpha*x^(q^2) + beta*x^q + gamma*x
+    nonzero_kernel = kernel_sizes(tower.fq3, gamma, beta, alpha) > 1
+    failures = [triples[i] for i in np.flatnonzero(crit != nonzero_kernel)[:5]]
     return BatteryResult("kernel criterion vs brute kernel", not failures,
-                         len(triples), tuple(failures[:5]))
+                         len(triples), tuple(failures))
 
 
 def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
@@ -128,11 +133,19 @@ def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Rando
 
 
 def run_identities(tower: FieldTower, samples: int = 1000, seed: int = 0) -> list[BatteryResult]:
-    """Run every battery with one seeded stream; returns per-battery results."""
+    """Run every battery with one seeded stream; returns per-battery results,
+    each with its wall time in ``seconds``."""
+    _check_enumerable(samples, "identity samples")
     rng = random.Random(seed)
-    return [
-        battery_det_identity(tower, samples, rng),
-        battery_swap_relation(tower),
-        battery_root_criterion(tower, samples, rng),
-        battery_matrix_convention(tower, samples, rng),
-    ]
+    batteries = (
+        lambda: battery_det_identity(tower, samples, rng),
+        lambda: battery_swap_relation(tower),
+        lambda: battery_root_criterion(tower, samples, rng),
+        lambda: battery_matrix_convention(tower, samples, rng),
+    )
+    results = []
+    for battery in batteries:
+        start = time.perf_counter()
+        result = battery()
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -6,7 +6,8 @@ permutation of F_{q^3} exactly when that matrix is nonsingular
 (``gf.det3`` of ``dickson_matrix``).  The brute kernel enumeration is kept
 alongside as the independent oracle.  Maps are evaluated and matrices are
 written on codes: ``LinTriple.apply`` takes an int or an array of codes, and
-the matrices are 3x3 nested tuples of codes.
+the matrices are 3x3 nested tuples of codes.  ``kernel_sizes`` counts the
+kernels of many maps at once, in bounded chunks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelMismatch
-from .gf import Elt, Field, FieldTower, _check_enumerable
+from .gf import Elt, Field, FieldTower, _check_enumerable, _ops
+
+_KERNEL_CHUNK = 1 << 14  # (map, x) cells per whole-array step of kernel_sizes
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,14 @@ def has_nonzero_root_subfield_coeffs(alpha: Elt, beta: Elt, gamma: Elt) -> bool:
     f = alpha.field
     if beta.field != f or gamma.field != f:
         raise LevelMismatch("coefficients must share one field")
-    a, b, g = alpha.code, beta.code, gamma.code
-    acc = f.add(f.add(f.pow(a, 3), f.pow(b, 3)), f.pow(g, 3))
-    prod = f.mul(f.mul(a, b), g)
-    acc = f.sub(acc, f.mul(f.from_int(3), prod))
-    return acc == 0
+    return _cubic_sum(f, alpha.code, beta.code, gamma.code) == 0
+
+
+def _cubic_sum(f: Field, a, b, g):
+    """a^3 + b^3 + g^3 - 3*a*b*g at codes a, b, g (ints, or arrays that broadcast)."""
+    mul, add, sub = _ops(f, a, b, g)
+    acc = add(add(mul(mul(a, a), a), mul(mul(b, b), b)), mul(mul(g, g), g))
+    return sub(acc, mul(f.from_int(3), mul(mul(a, b), g)))
 
 
 def brute_kernel(L: LinTriple) -> list[Elt]:
@@ -77,6 +83,37 @@ def brute_kernel(L: LinTriple) -> list[Elt]:
     f = L.field
     _check_enumerable(f.order, "kernel enumeration")
     return [Elt(f, int(c)) for c in np.flatnonzero(L.apply(np.arange(f.order)) == 0)]
+
+
+def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
+    """Kernel sizes of the maps x -> c0*x + c1*x^q + c2*x^(q^2), one map per
+    entry of the equal-length code arrays, by testing every map at every x.
+
+    The whole-array form of :func:`brute_kernel`: it counts the x with
+    c0*x + c1*x^q = -c2*x^(q^2), so it uses neither F_q-linearity nor the
+    coefficient matrix.  For each slice of x it multiplies every distinct
+    coefficient of a slot by the slice once, however many maps share it, and
+    then reads each map's terms from those product rows.  No step holds more
+    than ``_KERNEL_CHUNK`` cells.
+    """
+    f = field
+    _check_enumerable(f.order, "kernel enumeration")
+    images = (np.arange(f.order), f.frob_table(1), f.frob_table(2))
+    slots = [np.unique(np.asarray(c, dtype=np.int64), return_inverse=True)
+             for c in (c0, c1, f.sub_vec(0, c2))]
+    width = min(f.order, max(1, _KERNEL_CHUNK // max(1, *(len(u) for u, _ in slots))))
+    step = max(1, _KERNEL_CHUNK // width)
+    maps = len(slots[0][1])
+    sizes = np.zeros(maps, dtype=np.int64)
+    for lo in range(0, f.order, width):
+        (r0, w0), (r1, w1), (r2, w2) = [
+            (f.mul_vec(u[:, None], image[None, lo:lo + width]), which)
+            for (u, which), image in zip(slots, images)]
+        for m in range(0, maps, step):
+            part = slice(m, m + step)
+            lhs = f.add_vec(r0[w0[part]], r1[w1[part]])
+            sizes[part] += np.count_nonzero(lhs == r2[w2[part]], axis=1)
+    return sizes
 
 
 def difference_triple(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> LinTriple:

@@ -115,18 +115,43 @@ def test_identities_pass_on_extension_tower(capsys):
 
 
 def test_identities_detect_tampering(monkeypatch, capsys):
-    # deliberate sign flip in the cubic construction must trip the battery
-    import planarq.curves as curves
+    # deliberate sign flip in the Leibniz expansion must trip the batteries
+    original = curves._det_coeffs
 
-    original = curves.build_F_det.__wrapped__ if hasattr(curves.build_F_det, "__wrapped__") \
-        else curves.build_F_det
+    def tampered(fq, a, b):
+        return [fq.sub_vec(0, c) for c in original(fq, a, b)]
 
-    def tampered(tower, A, B):
-        F = original(tower, A, B)
-        return F.scale(tower.fq.neg(1))
-
-    monkeypatch.setattr(curves, "build_F_det", tampered)
+    monkeypatch.setattr(curves, "_det_coeffs", tampered)
     assert run_cli("identities", "--p", "3", "--samples", "200", "--seed", "1") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].split()[0] for line in lines] == ["FAIL", "FAIL", "pass", "pass"]
+
+
+def test_identities_default_run_on_extension_tower(capsys):
+    assert run_cli("identities", "--p", "5", "--m", "2", "--seed", "0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(": pass (" in line for line in lines)
+
+
+def test_identities_stderr_reports_battery_times(capsys):
+    assert run_cli("identities", "--p", "3", "--samples", "100", "--seed", "0") == 0
+    cap = capsys.readouterr()
+    assert cap.out == ("determinant identity: pass (243 checks)\n"
+                       "X<->Y coefficient relation: pass (9 checks)\n"
+                       "kernel criterion vs brute kernel: pass (27 checks)\n"
+                       "matrix convention: pass (100 checks)\n")
+    assert re.fullmatch(r"identities q=3: samples=100 seed=0 \(determinant identity \d+\.\d{3}s, "
+                        r"X<->Y coefficient relation \d+\.\d{3}s, kernel criterion vs brute "
+                        r"kernel \d+\.\d{3}s, matrix convention \d+\.\d{3}s\)\n", cap.err)
+
+
+def test_identities_samples_past_the_bound_exit_one(monkeypatch, capsys):
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "1000")
+    assert run_cli("identities", "--p", "7", "--samples", "2000") == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: identity samples over 2000 elements exceeds")
+    assert run_cli("identities", "--p", "7", "--samples", "1000") == 0
 
 
 def test_families_list(capsys):

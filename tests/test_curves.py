@@ -9,6 +9,9 @@ from conftest import det_sweep
 from planarq import NotOnLocus, find_normal_element, standard_extension
 from planarq.curves import (
     MONOMIALS,
+    _det_coeffs,
+    _evaluate,
+    _paper_coeffs,
     LineFactor,
     TernaryCubic,
     build_F_det,
@@ -372,3 +375,29 @@ def test_fq_line_with_kernel_blocks_planarity(towers):
                 u, v, w = lf.coeffs
                 if has_nonzero_root_subfield_coeffs(t.eq(w), t.eq(v), t.eq(u)):
                     assert not is_planar_det(t, t.eq(a), t.eq(b))[0]
+
+
+@pytest.mark.parametrize("q", (3, 5, 9, 25))
+def test_coefficient_arrays_match_the_single_pair_cubics(towers, q):
+    t = towers[q]
+    A, B = np.divmod(np.arange(q * q), q)
+    det = np.stack(np.broadcast_arrays(*_det_coeffs(t.fq, A, B)), axis=1)
+    paper = np.stack(np.broadcast_arrays(*_paper_coeffs(t.fq, A, B)), axis=1)
+    for a, b, d, p in zip(A.tolist(), B.tolist(), det.tolist(), paper.tolist()):
+        assert tuple(d) == build_F_det(t, t.eq(a), t.eq(b)).coeffs
+        assert tuple(p) == build_F_paper(t, t.eq(a), t.eq(b)).coeffs
+
+
+def test_array_coefficient_evaluation_matches_evaluate(towers):
+    t = towers[25]
+    f3 = t.fq3
+    rng = np.random.default_rng(5)
+    n = 300
+    # coefficients in F_q with many zeros and ones, points anywhere in F_{q^3}
+    coeffs = rng.integers(0, t.q, size=(10, n))
+    coeffs[rng.random((10, n)) < 0.3] = 0
+    coeffs[rng.random((10, n)) < 0.2] = 1
+    X, Y, T = rng.integers(0, f3.order, size=(3, n))
+    got = _evaluate(f3, list(coeffs), X, Y, T)
+    want = [int(TernaryCubic(f3, coeffs[:, i]).evaluate(X[i], Y[i], T[i])) for i in range(n)]
+    assert got.tolist() == want

@@ -7,13 +7,16 @@ import pytest
 
 from planarq import Elt, LevelMismatch
 from planarq.gf import det3
+import planarq.linearized as linearized
 from planarq.linearized import (
     LinTriple,
+    _cubic_sum,
     brute_kernel,
     dickson_matrix,
     difference_matrix_direct,
     difference_triple,
     has_nonzero_root_subfield_coeffs,
+    kernel_sizes,
 )
 
 
@@ -143,3 +146,38 @@ def test_lintriple_level_checks(towers):
         LinTriple(t.eq(1), t.eq(0), t.eq(0))
     with pytest.raises(LevelMismatch):
         difference_triple(t, t.eq3(1), t.eq(0), t.eq3(1))
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_kernel_sizes_match_brute_kernel_on_every_subfield_triple(towers, q):
+    t = towers[q]
+    alpha, beta, gamma = np.unravel_index(np.arange(q ** 3), (q, q, q))
+    sizes = kernel_sizes(t.fq3, gamma, beta, alpha)
+    for a, b, g, size in zip(alpha.tolist(), beta.tolist(), gamma.tolist(), sizes.tolist()):
+        assert size == len(brute_kernel(_triple(t, g, b, a)))
+
+
+def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeypatch):
+    # coefficients anywhere in F_{q^3}, and chunks far smaller than one x-slice
+    monkeypatch.setattr(linearized, "_KERNEL_CHUNK", 37)
+    t = towers[5]
+    rng = np.random.default_rng(11)
+    c0, c1, c2 = rng.integers(0, t.fq3.order, size=(3, 60))
+    c1[:20] = 0  # maps with repeated and zero coefficients
+    diffs = [difference_triple(t, t.eq(a), t.eq(b), t.eq3(c))
+             for a, b, c in ((1, 1, 1), (2, 1, 7), (0, 0, 3))]
+    c0 = np.concatenate([c0, [L.c0.code for L in diffs]])
+    c1 = np.concatenate([c1, [L.c1.code for L in diffs]])
+    c2 = np.concatenate([c2, [L.c2.code for L in diffs]])
+    sizes = kernel_sizes(t.fq3, c0, c1, c2)
+    want = [len(brute_kernel(_triple(t, *map(int, c)))) for c in zip(c0, c1, c2)]
+    assert sizes.tolist() == want
+    assert max(want) > 1
+
+
+def test_cubic_sum_on_arrays_matches_the_criterion(towers):
+    t = towers[7]
+    a, b, g = np.unravel_index(np.arange(343), (7, 7, 7))
+    zero = _cubic_sum(t.fq, a, b, g) == 0
+    assert zero.tolist() == [has_nonzero_root_subfield_coeffs(t.eq(x), t.eq(y), t.eq(z))
+                             for x, y, z in zip(a.tolist(), b.tolist(), g.tolist())]
