@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 from . import __version__
 from .errors import Disagreement, NotOnLocus, PlanarqError
@@ -141,8 +142,8 @@ def cmd_scan(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     bad = [m for m in methods if m not in ALL_METHODS]
     if bad or not methods:
-        print(f"--methods needs names from {','.join(ALL_METHODS)}, got {args.methods!r}",
-              file=sys.stderr)
+        print(f"error: --methods needs names from {','.join(ALL_METHODS)}, "
+              f"got {args.methods!r}", file=sys.stderr)
         return USAGE_EXIT
     tower = build_tower(args.p, args.m)
     report = scan(tower, methods=methods, workers=args.workers)
@@ -170,21 +171,26 @@ def cmd_verify(args) -> int:
 
     tower = build_tower(args.p, args.m)
     if not (0 <= args.A < tower.q and 0 <= args.B < tower.q):
-        print(f"A and B must be codes in [0, {tower.q})", file=sys.stderr)
+        print(f"error: A and B must be codes in [0, {tower.q}), got A={args.A}, B={args.B}",
+              file=sys.stderr)
         return USAGE_EXIT
     A, B = tower.eq(args.A), tower.eq(args.B)
     cls = classify_pair(tower, A, B)
+    clock = time.perf_counter()
     det_ok, witness = is_planar_det(tower, A, B)
+    timings = {"det": time.perf_counter() - clock}
     run_brute = args.brute == "on" or (args.brute == "auto"
                                        and tower.order_top <= _AUTO_BRUTE_MAX)
     brute_ok = brute_is_planar(f_poly(tower, A, B)) if run_brute else None
 
+    clock = time.perf_counter()
     F = build_F_det(tower, A, B)
     degenerate = F.is_zero()
     factors = None if degenerate else [
         {"coeffs": list(lf.coeffs), "ext": lf.ext}
         for lf in find_linear_factors(F)
     ]
+    timings["lines"] = time.perf_counter() - clock
     try:
         branch_report = verify_branch_factorization(tower, A, B)
         factorization = {
@@ -197,8 +203,12 @@ def cmd_verify(args) -> int:
         branch_report = None
         factorization = {"checks": [], "ok": None}
 
+    clock = time.perf_counter()
     xi = find_normal_element(tower)
+    timings["normal"] = time.perf_counter() - clock
+    clock = time.perf_counter()
     point_count = count_nonzero_fq_zeros(transform_H(tower, A, B, xi))
+    timings["points"] = time.perf_counter() - clock
 
     inconsistencies = []
     if det_ok != cls.planar:
@@ -235,6 +245,9 @@ def cmd_verify(args) -> int:
         "inconsistencies": inconsistencies,
     }
     _emit(_json_text(dossier), args.output)
+    print(f"verify q={tower.q} A={args.A} B={args.B}: planar={det_ok} "
+          f"consistent={not inconsistencies} "
+          f"({', '.join(f'{k} {v:.3f}s' for k, v in timings.items())})", file=sys.stderr)
     return 0 if not inconsistencies else DISAGREE_EXIT
 
 

@@ -33,7 +33,18 @@ from .errors import (
     NotOnLocus,
     SquareRootUnavailable,
 )
-from .gf import Elt, Field, FieldTower, _check_enumerable, _ops, standard_extension
+from .gf import (
+    Elt,
+    Field,
+    FieldTower,
+    _check_enumerable,
+    _decode,
+    _ops,
+    _poly_divmod,
+    _poly_trim,
+    orbit_reps,
+    standard_extension,
+)
 
 # degree-3 monomials (i, j, k) with X^i * Y^j * T^k, fixed order
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -481,6 +492,17 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     <= 3, and one with four projective zeros is zero, so the check is exact.
     A line defined over F_{q^k} and no smaller field comes with k distinct
     conjugate lines dividing R, so k <= d, and max_ext = 3 is complete.
+
+    F_q decides which extensions need a search.  The F_q roots of each
+    restriction come from the search over F_q; dividing them out with
+    multiplicity leaves a factor of degree e in {0, 2, 3} with no F_q root,
+    which is irreducible since e <= 3.  A root in F_{q^k} outside F_q, for
+    k in {2, 3}, has a minimal polynomial of degree k dividing that factor,
+    so it exists only when e = k.  F_{q^k} is therefore searched only when
+    some restriction leaves e = k.  Otherwise every root found there lies in
+    F_q, every candidate line has F_q coefficients, and all of them were
+    already found over F_q; the search would only repeat lines that
+    :func:`_dedupe_lines` drops.
     """
     if P.is_zero():
         raise ValueError("the zero cubic is divisible by every line")
@@ -490,24 +512,28 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     terms, coord_lines = _coordinate_factors(P)
     found: list[LineFactor] = [LineFactor(line, 1) for line in coord_lines]
     d = max((sum(m) for m in terms), default=0)
-    # R(1, Y, 0), R(0, Y, 1), R(X, 0, 1): coefficient lists, lowest power first
-    on_t0 = [terms.get((d - j, j, 0), 0) for j in range(d + 1)]
-    on_x0 = [terms.get((0, j, d - j), 0) for j in range(d + 1)]
-    on_y0 = [terms.get((j, 0, d - j), 0) for j in range(d + 1)]
+    vertical = not terms.get((0, d, 0))  # lines X = cT need R(0, 1, 0) = 0
+    # R(1, Y, 0), R(0, Y, 1) and, for lines X = cT, R(X, 0, 1): coefficient
+    # lists, lowest power first
+    polys = [[terms.get((d - j, j, 0), 0) for j in range(d + 1)],
+             [terms.get((0, j, d - j), 0) for j in range(d + 1)]]
+    if vertical:
+        polys.append([terms.get((j, 0, d - j), 0) for j in range(d + 1)])
+    left = set()  # degrees e of the restrictions with their F_q roots divided out
     for ext in range(1, min(max_ext, d) + 1):
+        if ext > 1 and ext not in left:
+            continue
         _check_enumerable(fq.order ** ext, "line search")
         f = standard_extension(fq, ext)
         codes = np.arange(f.order, dtype=np.int64)
-
-        def roots(poly):
-            return codes[_horner_vec(f, poly, codes) == 0].tolist()
-
+        roots = [codes[_horner_vec(f, poly, codes) == 0].tolist() for poly in polys]
+        if ext == 1:
+            left = {_degree_without_roots(fq, poly, rs) for poly, rs in zip(polys, roots)}
         # (line, two of its points) per candidate
-        b_roots = roots(on_x0)
         cands = [((f.neg(a), 1, f.neg(b)), (1, a, 0), (0, b, 1))
-                 for a in roots(on_t0) for b in b_roots]
-        if not terms.get((0, d, 0)):
-            cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1)) for c in roots(on_y0)]
+                 for a in roots[0] for b in roots[1]]
+        if vertical:
+            cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1)) for c in roots[2]]
         if not cands:
             continue
         p0 = np.array([c[1] for c in cands], dtype=np.int64)
@@ -519,6 +545,19 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
             if zero:
                 found.append(LineFactor(_normalize_line(f, line), ext))
     return _dedupe_lines(found, fq.order)
+
+
+def _degree_without_roots(f: Field, poly, roots) -> int:
+    """Degree of the nonzero polynomial ``poly`` once each of its roots in
+    ``roots`` is divided out as often as it divides."""
+    poly = _poly_trim(list(poly))
+    for r in roots:
+        while True:
+            quo, rem = _poly_divmod(f, poly, [f.neg(r), 1])
+            if rem:
+                break
+            poly = quo
+    return len(poly) - 1
 
 
 def _dedupe_lines(found, q: int) -> list[LineFactor]:
@@ -561,15 +600,15 @@ def transform_H(tower: FieldTower, A: Elt, B: Elt, xi: Elt) -> TernaryCubic:
 
 
 def count_nonzero_fq_zeros(P: TernaryCubic) -> int:
-    """Number of (x, y, t) in F_q^3 minus the origin with P(x, y, t) = 0."""
+    """Number of (x, y, t) in F_q^3 minus the origin with P(x, y, t) = 0.
+
+    P is homogeneous, so P(lam*v) = lam^3 * P(v) and its zeros are unions of
+    F_q^* orbits of q - 1 points each.  P is evaluated at the q^2 + q + 1
+    orbit representatives of ``orbit_reps``, read as base-q digit triples.
+    """
     f = P.field
     q = f.order
     _check_enumerable(q ** 3, "point count")
-    codes = np.arange(q, dtype=np.int64)
-    X = codes[:, None, None]
-    Y = codes[None, :, None]
-    T = codes[None, None, :]
-    vals = P.evaluate(X, Y, T)
-    zeros = int(np.count_nonzero(vals == 0))
-    return zeros - 1  # the origin is always a zero of a homogeneous cubic
+    X, Y, T = _decode(orbit_reps(q, q ** 3), q, 3)
+    return (q - 1) * int(np.count_nonzero(P.evaluate(X, Y, T) == 0))
 

@@ -624,11 +624,23 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> Field
 def find_normal_element(tower: FieldTower) -> Elt:
     """First xi in code order whose conjugates {xi, xi^q, xi^(q^2)} form a basis.
 
-    One ``det3`` over every code; normal elements always exist.
+    One ``det3`` per window [lo, hi) of codes, each twice as long as the
+    codes before it, with the conjugates from ``frob_vec``; the first window
+    holding a normal element gives the first one overall.  Normal elements
+    always exist, and the codes below q (F_q itself) never are one, so the
+    windows start at q and the search ends near the first normal code
+    instead of at the field's end.
     """
     f = tower.fq3
-    vecs = [f.coords(np.arange(f.order)), f.coords(f.frob_table(1)), f.coords(f.frob_table(2))]
-    return Elt(f, int(np.flatnonzero(det3(tower.fq, vecs))[0]))
+    _check_enumerable(f.order, "normal-element search")  # the windows may reach the end
+    lo, hi = tower.q, 2 * tower.q
+    while True:
+        codes = np.arange(lo, min(hi, f.order))
+        vecs = [f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]
+        hits = np.flatnonzero(det3(tower.fq, vecs))
+        if hits.size:
+            return Elt(f, lo + int(hits[0]))
+        lo, hi = hi, 2 * hi
 
 
 def det3(field: Field, rows):

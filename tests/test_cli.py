@@ -411,6 +411,28 @@ def test_scan_stderr_reports_phase_times(capsys):
                      capsys.readouterr().err)
 
 
+def test_verify_stderr_reports_phase_times(capsys):
+    assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 0
+    cap = capsys.readouterr()
+    assert json.loads(cap.out)["consistent"]
+    assert re.fullmatch(r"verify q=5 A=2 B=1: planar=True consistent=True \(det \d+\.\d{3}s, "
+                        r"lines \d+\.\d{3}s, normal \d+\.\d{3}s, points \d+\.\d{3}s\)\n",
+                        cap.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--p", "5", "--A", "7", "--B", "0"),
+     "error: A and B must be codes in [0, 5), got A=7, B=0\n"),
+    (("verify", "--p", "5", "--A", "1", "--B", "-1"),
+     "error: A and B must be codes in [0, 5), got A=1, B=-1\n"),
+    (("scan", "--p", "5", "--methods", "magic"),
+     "error: --methods needs names from theorem,det,brute, got 'magic'\n"),
+])
+def test_argument_value_errors_exit_one(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 def _fail_factorizations(monkeypatch):
     original = curves.verify_branch_factorization
 

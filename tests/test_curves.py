@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import det_sweep
 
+import planarq.curves as curves
 from planarq import NotOnLocus, find_normal_element, standard_extension
 from planarq.curves import (
     MONOMIALS,
@@ -281,23 +282,56 @@ def _all_lines(f):
             yield (1, v, w)
 
 
+def _two_points(f, line):
+    """Two distinct points of a line yielded by ``_all_lines``."""
+    u, v, w = line
+    if u:
+        return (f.neg(v), 1, 0), (f.neg(w), 0, 1)
+    if v:
+        return (1, 0, 0), (0, f.neg(w), 1)
+    return (1, 0, 0), (0, 1, 0)
+
+
 def _lines_by_enumeration(P, max_ext):
-    """Lines that ``divides`` accepts over F_{q^k}, k <= max_ext, each at its least k."""
+    """Lines that ``divides`` accepts over F_{q^k}, k <= max_ext, each at its least k.
+
+    A line dividing P carries only zeros of P, so ``divides`` is tried just
+    on the lines where P vanishes at two points; that prefilter drops no
+    dividing line, and it keeps the symbolic checks few.
+    """
     q = P.field.order
     found = []
     for ext in range(1, max_ext + 1):
         f = standard_extension(P.field, ext)
         Pk = P.in_field(f)
-        found += [LineFactor(line, ext) for line in _all_lines(f)
-                  if (ext == 1 or any(c >= q for c in line)) and divides(Pk, line)]
+        lines = [line for line in _all_lines(f) if ext == 1 or any(c >= q for c in line)]
+        pts = np.array([_two_points(f, line) for line in lines])
+        vals = Pk.evaluate(pts[..., 0], pts[..., 1], pts[..., 2])
+        found += [LineFactor(line, ext) for line, v in zip(lines, vals)
+                  if not v.any() and divides(Pk, line)]
     return sorted(found, key=lambda lf: (lf.ext, lf.coeffs))
+
+
+def _conjugates(f, line):
+    """The line and its images under the Frobenius of f over its base."""
+    out = [line]
+    for _ in range(f.degree - 1):
+        out.append(tuple(f.frob(c, 1) for c in out[-1]))
+    return out
+
+
+def _over_base(f, base, *lines):
+    """The product of three lines over f, whose coefficients lie in base."""
+    P = triple_product(f, *lines)
+    assert all(c < base.order for c in P.coeffs)
+    return TernaryCubic(base, P.coeffs)
 
 
 def test_find_linear_factors_complete(towers):
     # the oracle returns exactly the lines found by trying every projective
     # line with the symbolic divisibility check
     cases = []
-    for q, max_ext in ((3, 2), (5, 1), (7, 1)):
+    for q, max_ext in ((3, 3), (5, 1), (7, 1)):
         t = towers[q]
         for a in range(q):
             for b in range(q):
@@ -317,12 +351,37 @@ def test_find_linear_factors_complete(towers):
         cases.append((triple_product(t.fq, (1, 0, c), *rng.choices(base_lines, k=2)), 2))
     for _ in range(3):
         line = rng.choice(ext_lines)
-        conj = tuple(f9.frob(c, 1) for c in line)
-        P = triple_product(f9, line, conj, rng.choice(base_lines))
-        assert all(c < 3 for c in P.coeffs)
-        cases.append((TernaryCubic(t.fq, P.coeffs), 2))
+        cases.append((_over_base(f9, t.fq, *_conjugates(f9, line), rng.choice(base_lines)), 3))
+    # three F_27-conjugate lines leave an irreducible cubic restriction, and
+    # an F_9-conjugate pair times T an irreducible quadratic one
+    f27 = standard_extension(t.fq, 3)
+    ext3_lines = [l for l in _all_lines(f27) if any(c >= 3 for c in l)]
+    xi = find_normal_element(t)
+    x0, x1, x2 = xi.code, f27.frob(xi.code, 1), f27.frob(xi.code, 2)
+    for line in [(x0, x1, x2)] + rng.sample(ext3_lines, 3):
+        cases.append((_over_base(f27, t.fq, *_conjugates(f27, line)), 3))
+    for line in rng.sample(ext_lines, 2):
+        cases.append((_over_base(f9, t.fq, *_conjugates(f9, line), (0, 0, 1)), 3))
     for P, max_ext in cases:
         assert find_linear_factors(P, max_ext) == _lines_by_enumeration(P, max_ext)
+    # each kind of extension line is present among the cases
+    exts = {lf.ext for P, max_ext in cases for lf in find_linear_factors(P, max_ext)}
+    assert exts == {1, 2, 3}
+
+
+def test_find_linear_factors_split_cubic_searches_only_fq(towers, monkeypatch):
+    # (4, 2) at q = 7 is on the square branch: the cube of one F_7 line, so
+    # every restriction splits over F_7 and no extension field is built
+    t = towers[7]
+    degrees = []
+
+    def spy(base, degree):
+        degrees.append(degree)
+        return standard_extension(base, degree)
+
+    monkeypatch.setattr(curves, "standard_extension", spy)
+    assert find_linear_factors(build_F_det(t, t.eq(4), t.eq(2))) == [LineFactor((1, 2, 4), 1)]
+    assert degrees and all(d < 2 for d in degrees)
 
 
 def test_transform_H_properties(towers):
@@ -343,6 +402,25 @@ def test_point_count_examples(towers):
     xi = find_normal_element(t)
     assert count_nonzero_fq_zeros(transform_H(t, t.eq(2), t.eq(1), xi)) == 0
     assert count_nonzero_fq_zeros(transform_H(t, t.eq(2), t.eq(2), xi)) > 0
+
+
+def _grid_count(P):
+    """Zeros of P on the full grid F_q^3 minus the origin."""
+    codes = np.arange(P.field.order)
+    vals = P.evaluate(codes[:, None, None], codes[None, :, None], codes[None, None, :])
+    return int(np.count_nonzero(vals == 0)) - 1
+
+
+@pytest.mark.parametrize("q", (5, 7, 9))
+def test_point_count_matches_the_full_grid(towers, q):
+    t = towers[q]
+    xi = find_normal_element(t)
+    for a in range(q):
+        for b in range(q):
+            H = transform_H(t, t.eq(a), t.eq(b), xi)
+            assert count_nonzero_fq_zeros(H) == _grid_count(H)
+    zero = TernaryCubic(t.fq, [0] * 10)
+    assert count_nonzero_fq_zeros(zero) == _grid_count(zero) == q ** 3 - 1
 
 
 def test_irreducible_nonplanar_curves_have_points(towers):

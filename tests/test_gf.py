@@ -285,6 +285,19 @@ def test_normal_element(towers):
             assert det3(t.fq, vecs) == 0
 
 
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                                  (23, 1), (5, 2), (3, 3), (7, 2)])
+def test_normal_element_is_first_nonzero_det_over_the_field(p, m):
+    # the windowed search agrees with one det3 over every code of F_{q^3},
+    # conjugates by generic exponentiation
+    t = build_tower(p, m)
+    f = t.fq3
+    codes = np.arange(f.order)
+    vecs = [f.coords(codes), f.coords(f.pow_vec(codes, t.q)),
+            f.coords(f.pow_vec(codes, t.q ** 2))]
+    assert find_normal_element(t).code == np.flatnonzero(det3(t.fq, vecs))[0]
+
+
 def test_sqrt_examples():
     t7 = build_tower(7, 1)
     assert t7.fq.sqrt_code(4) == 2  # 4 = -3 mod 7
