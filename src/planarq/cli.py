@@ -270,7 +270,7 @@ def cmd_families(args) -> int:
             print(f"    parameters: {', '.join(names) if names else '(none)'}")
         return 0
     if args.id not in FAMILIES:
-        print(f"unknown family id {args.id!r}; see `planarq families list`",
+        print(f"error: unknown family id {args.id!r}; see `planarq families list`",
               file=sys.stderr)
         return USAGE_EXIT
     params = {name: getattr(args, name) for name in _FAMILY_PARAMS

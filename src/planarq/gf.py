@@ -43,6 +43,7 @@ from the environment at each check and is never stored on a field.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -234,6 +235,28 @@ def _encode(digits, radix: int):
     for d in reversed(digits):
         acc = acc * radix + d
     return acc
+
+
+_CHUNK_CELLS = 2 ** 12
+
+
+@functools.cache
+def _chunk_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(c, add, sub): add[u, v] and sub[u, v] are the digit-wise sum and
+    difference mod p of two chunks u, v of c base-p digits, as read-only
+    p^c x p^c int64 tables.  c is the largest width with p^(2c) <=
+    _CHUNK_CELLS, or 1 for the primes p > 64 that have none.  Any code, split
+    into base-p^c digits with :func:`_decode`, is a little-endian list of
+    such chunks."""
+    c = 1
+    while p ** (2 * c + 2) <= _CHUNK_CELLS:
+        c += 1
+    u = _decode(np.arange(p ** c, dtype=np.int64), p, c)
+    add = _encode([(x[:, None] + x) % p for x in u], p)
+    sub = _encode([(x[:, None] - x) % p for x in u], p)
+    add.setflags(write=False)
+    sub.setflags(write=False)
+    return c, add, sub
 
 
 class Field:

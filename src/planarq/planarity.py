@@ -4,11 +4,12 @@ A polynomial f on a finite field is planar when every difference map
 x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
 
   * ``brute_is_planar`` -- the definition, checked with hit counts; works for
-    any sparse polynomial over any field within the enumeration budget.  A
-    polynomial with f(lambda x) = lambda^2 f(x) for lambda in F_s^*, F_s the
-    field it was built over (F_q for the tower's F_{q^3}), checked on its
-    value table, needs one shift per F_s^* orbit; any other is swept over
-    every shift.
+    any sparse polynomial over any field within the enumeration budget.  It
+    adds and subtracts codes a chunk of base-p digits at a time through the
+    cached tables of ``gf._chunk_tables``.  A polynomial with
+    f(lambda x) = lambda^2 f(x) for lambda in F_s^*, F_s the field it was
+    built over (F_q for the tower's F_{q^3}), checked on its value table,
+    needs one shift per F_s^* orbit; any other is swept over every shift.
   * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
     may kill the determinant of the difference map's coefficient matrix.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement, LevelMismatch
-from .gf import Elt, Field, FieldTower, _check_enumerable, _decode, _encode, _mult_order, orbit_reps
+from .gf import (Elt, Field, FieldTower, _check_enumerable, _chunk_tables, _decode, _mult_order,
+                 orbit_reps)
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -127,10 +129,14 @@ def brute_is_planar(poly: SparsePoly) -> bool:
     """Definition-level planarity test by exhaustive difference-map checks.
 
     For each swept shift a, tabulates f(x+a) - f(x) over all x and demands
-    all |F| values be distinct; stops at the first failing shift.  The codes
-    and the value table are split into their base-p digit planes once, so
-    each shift costs one digit-wise addition, one gather and one digit-wise
-    subtraction.
+    all |F| values be distinct; stops at the first failing shift.  Codes are
+    added and subtracted digit-wise a chunk of c base-p digits at a time,
+    through the p^c x p^c tables of ``gf._chunk_tables``.  The codes and the
+    value table are split into their ceil(k/c) chunk planes once (k digits
+    per code), so each shift costs one table gather per chunk to form x + a,
+    then one gather and one table lookup per chunk to form f(x+a) - f(x);
+    chunk j's tables are scaled by p^(cj), so summing over the chunks packs
+    the code again.
 
     Let F_s be the field F was built over (s = p for a prime field).  When
     f(lambda x) = lambda^2 f(x) for every lambda in F_s^* (every
@@ -150,10 +156,20 @@ def brute_is_planar(poly: SparsePoly) -> bool:
     codes = np.arange(n, dtype=np.int64)
     g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
     homogeneous = np.array_equal(ftab[f.mul_vec(g, codes)], f.mul_vec(f.mul(g, g), ftab))
-    xs, ys = _decode(codes, p, k), _decode(ftab, p, k)
-    for a in orbit_reps(s, n) if homogeneous else range(1, n):
-        shifted = _encode([(x + d) % p for x, d in zip(xs, _decode(int(a), p, k))], p)
-        diffs = _encode([(y[shifted] - y) % p for y in ys], p)
+    shifts = orbit_reps(s, n) if homogeneous else codes[1:]
+    c, add, sub = _chunk_tables(p)
+    P, m = p ** c, -(-k // c)
+    # flat index j*P*P + u*P + v of add_j is add[u, v] * P^j, and so for sub_j
+    weights = (P ** np.arange(m))[:, None, None]
+    add_j, sub_j = (add * weights).ravel(), (sub * weights).ravel()
+    start = (P * P * np.arange(m))[:, None]  # where table j begins in add_j, sub_j
+    xs = np.stack(_decode(codes, P, m))  # (m, n) chunk planes
+    ys = np.stack(_decode(ftab, P, m))
+    y_rows = ys * P + start
+    a_rows = np.stack(_decode(shifts, P, m), axis=1)[:, :, None] * P + start
+    for rows in a_rows:
+        shifted = add_j[rows + xs].sum(axis=0)  # codes of x + a
+        diffs = sub_j[np.take(y_rows, shifted, axis=1) + ys].sum(axis=0)
         if np.bincount(diffs, minlength=n).max() != 1:
             return False
     return True

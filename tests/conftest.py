@@ -10,6 +10,20 @@ from planarq.planarity import _dets_at
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def pytest_addoption(parser):
+    parser.addoption("--exhaustive", action="store_true",
+                     help="also run the tests marked exhaustive (minutes each)")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--exhaustive"):
+        return
+    skip = pytest.mark.skip(reason="exhaustive: run with --exhaustive")
+    for item in items:
+        if item.get_closest_marker("exhaustive"):
+            item.add_marker(skip)
+
+
 def det_sweep(tower, a_code, b_code):
     """Full-sweep oracle: the determinants for one pair at every shift C != 0,
     in code order (entry C - 1)."""

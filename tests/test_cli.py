@@ -427,6 +427,8 @@ def test_verify_stderr_reports_phase_times(capsys):
      "error: A and B must be codes in [0, 5), got A=1, B=-1\n"),
     (("scan", "--p", "5", "--methods", "magic"),
      "error: --methods needs names from theorem,det,brute, got 'magic'\n"),
+    (("families", "check", "--id", "NOPE"),
+     "error: unknown family id 'NOPE'; see `planarq families list`\n"),
 ])
 def test_argument_value_errors_exit_one(capsys, argv, message):
     assert run_cli(*argv) == 1

@@ -261,7 +261,7 @@ _REPORT_DIGESTS = [
      "3ff6beb1b949765638b2e88ef23372c11802fed8a5498c19d4f98e4503b2a478"),
     # unknown id (exit 1, stderr), unknown parameter, missing parameter
     ("check --id T9.9", 1,
-     "5804a988adaa57a823c3476c37cbd04be0e3876a2cc9531f018faa3c33dd45fb"),
+     "30691ea8771aa2dc495d73442cd4dab6dd6bba1b33c152460a488d051665cb0d"),
     ("check --id T3.4 --p 3 --e 1 --k 0 --u 3", 0,
      "952f858c64c680dd0f9d7ac438d81b4998176a4c4b053a6b0d917a50d20c20c3"),
     ("check --id T2.2 --p 3", 0,

@@ -18,7 +18,7 @@ from planarq import (
     find_normal_element,
     prime_ext_field,
 )
-from planarq.gf import _fits, _poly_divmod, det3, is_irreducible
+from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
 from planarq.planarity import classify_pair
 
 
@@ -99,6 +99,22 @@ def test_encode_decode_roundtrip():
     for f in (t.fq, t.fq3):
         for code in range(f.order):
             assert f.encode(f.coords(code)) == code
+
+
+@pytest.mark.parametrize("p, c, n", [(3, 3, 7), (5, 2, 5), (7, 2, 3), (11, 1, 3), (23, 1, 2),
+                                     (67, 1, 2)])
+def test_chunk_tables_add_and_sub_like_the_field(p, c, n):
+    # c is the largest width with p^(2c) <= 2^12, or 1 (p = 67); n is not a
+    # multiple of c, so the top chunk is short where c > 1
+    width, add, sub = _chunk_tables(p)
+    assert width == c and add.shape == sub.shape == (p ** c, p ** c)
+    f = prime_ext_field(p, n)
+    rng = np.random.default_rng(p)
+    u, v = rng.integers(0, f.order, size=(2, 2000))
+    radix, chunks = p ** c, -(-n // c)
+    pairs = list(zip(_decode(u, radix, chunks), _decode(v, radix, chunks)))
+    assert np.array_equal(_encode([add[x, y] for x, y in pairs], radix), f.add_vec(u, v))
+    assert np.array_equal(_encode([sub[x, y] for x, y in pairs], radix), f.sub_vec(u, v))
 
 
 def test_enumeration_sizes():

@@ -113,6 +113,39 @@ def test_brute_equals_the_full_sweep_on_every_pair(towers, q):
             assert brute_is_planar(poly) == full_sweep(poly)
 
 
+# (p, n): {terms: planar}.  Brute's chunks have 3, 2 and 1 base-p digits
+# at p = 3, 5 and 23, so the codes of F_{3^7} split 3+3+1, of F_{5^5}
+# 2+2+1, of F_9 into one short chunk, and of F_{23^2} 1+1.  Each field has
+# a planar and a non-planar polynomial on each sweep path: homogeneous (one
+# shift per F_p^* orbit) and, with the x term, not (every shift).
+_CHUNKED = {
+    (3, 7): {(2,): True, (14,): True, (8,): False, (2, 1): True, (8, 1): False},
+    (5, 5): {(2,): True, (14,): False, (2, 1): True, (14, 1): False},
+    (3, 2): {(2,): True, (4,): False, (2, 1): True, (4, 1): False},
+    (23, 2): {(2,): True, (24,): False, (2, 1): True, (24, 1): False},
+}
+
+
+@pytest.mark.parametrize("p, n", list(_CHUNKED), ids=["F3^7", "F5^5", "F3^2", "F23^2"])
+def test_brute_equals_the_full_sweep_on_chunked_fields(p, n):
+    f = prime_ext_field(p, n)
+    # every shift a != 0, with x + a and u - v = u + (-v) read from a
+    # whole-field addition table, built a block of rows at a time
+    codes = np.arange(f.order)
+    blocks = np.array_split(codes, -(-f.order // 64))
+    addtab = np.concatenate([f.add_vec(b[:, None], codes).astype(np.int16) for b in blocks])
+    neg = f.sub_vec(0, codes)
+
+    def full_sweep(poly):
+        ftab = poly.value_table()
+        return all(np.bincount(addtab[ftab[addtab[a]], neg[ftab]]).max() == 1
+                   for a in range(1, f.order))
+
+    for terms, planar in _CHUNKED[p, n].items():
+        poly = SparsePoly(f, dict.fromkeys(terms, 1))
+        assert brute_is_planar(poly) == full_sweep(poly) == planar, terms
+
+
 def test_base_field_generator_is_the_least_generator():
     # brute's generator of F_s^*: the least code whose order is s - 1
     for p, n in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (31, 1), (101, 1),
