@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -73,7 +74,10 @@ def _add_output_args(p):
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves no state on it."""
     parser = _Parser(prog="planarq")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -169,7 +173,9 @@ def cmd_verify(args) -> int:
         verify_branch_factorization,
     )
 
+    clock = time.perf_counter()
     tower = build_tower(args.p, args.m)
+    timings = {"tower": time.perf_counter() - clock}
     if not (0 <= args.A < tower.q and 0 <= args.B < tower.q):
         print(f"error: A and B must be codes in [0, {tower.q}), got A={args.A}, B={args.B}",
               file=sys.stderr)
@@ -178,7 +184,7 @@ def cmd_verify(args) -> int:
     cls = classify_pair(tower, A, B)
     clock = time.perf_counter()
     det_ok, witness = is_planar_det(tower, A, B)
-    timings = {"det": time.perf_counter() - clock}
+    timings["det"] = time.perf_counter() - clock
     run_brute = args.brute == "on" or (args.brute == "auto"
                                        and tower.order_top <= _AUTO_BRUTE_MAX)
     brute_ok = brute_is_planar(f_poly(tower, A, B)) if run_brute else None

@@ -23,6 +23,7 @@ coefficients, which is how the identity batteries check every pair at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -187,15 +188,17 @@ _PERMS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 def build_F_det(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
     """The determinant of the difference-map matrix as a cubic in (X, Y, T).
 
-    Built by Leibniz expansion (:func:`_det_coeffs`), once per pair.  By
-    construction F(C, C^q, C^(q^2)) = det for every C.
+    Built by Leibniz expansion (:func:`_det_coeffs`).  By construction
+    F(C, C^q, C^(q^2)) = det for every C.  F_q keeps the cubic of the most
+    recent pair only, which serves the several calls one dossier makes
+    without letting a long-lived field collect one cubic per pair.
     """
     fq = _check_pair(tower, A, B)
-    a, b = A.code, B.code
-    cache = fq._cache.setdefault("F_det", {})
-    if (a, b) not in cache:
-        cache[(a, b)] = TernaryCubic(fq, _det_coeffs(fq, a, b))
-    return cache[(a, b)]
+    key = (A.code, B.code)
+    last = fq._cache.get("F_det")
+    if last is None or last[0] != key:
+        last = fq._cache["F_det"] = (key, TernaryCubic(fq, _det_coeffs(fq, *key)))
+    return last[1]
 
 
 def _det_coeffs(fq: Field, a, b) -> list:
@@ -583,20 +586,38 @@ def transform_H(tower: FieldTower, A: Elt, B: Elt, xi: Elt) -> TernaryCubic:
     Substitutes X*xi + Y*xi^q + T*xi^(q^2) and its two Frobenius twists into
     the determinant cubic.  Nonzero F_q-points of the result biject with
     nonzero roots C of the determinant via C = x*xi + y*xi^q + t*xi^(q^2).
+    The substitution is linear in the coefficients, so H = M * G for the
+    coefficient vector G of the cubic and the matrix M of
+    :func:`_substitution_matrix`.
     """
     f3 = tower.fq3
     if xi.field != f3:
         raise LevelMismatch("xi must live in F_{q^3}")
-    x0 = xi.code
-    x1 = f3.frob(x0, 1)
-    x2 = f3.frob(x0, 2)
-    G = build_F_det(tower, A, B).in_field(f3)
-    H = G.substitute_linear(((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
+    G = np.array(build_F_det(tower, A, B).coeffs, dtype=np.int64)
+    M = _substitution_matrix(f3, xi.code)
+    H = functools.reduce(f3.add_vec, f3.mul_vec(M, G).T).tolist()
     q = tower.fq.order
-    for c in H.coeffs:
+    for c in H:
         if c >= q:
             raise CoefficientNotInSubfield(f"coefficient code {c} is not in F_{q}")
-    return TernaryCubic(tower.fq, H.coeffs)
+    return TernaryCubic(tower.fq, H)
+
+
+def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:
+    """10 x 10 codes whose column n is the cubic that monomial n becomes under
+    (X, Y, T) -> the conjugate-basis forms of xi, as in
+    ``TernaryCubic.substitute_linear``.  It depends on F_{q^3} and xi only,
+    so it is built once per xi and kept on F_{q^3}."""
+    key = ("H_matrix", xi)
+    if key not in f3._cache:
+        x1, x2 = f3.frob(xi, 1), f3.frob(xi, 2)
+        L0, L1, L2 = (xi, x1, x2), (x1, x2, xi), (x2, xi, x1)
+        cols = [triple_product(f3, *([L0] * i + [L1] * j + [L2] * k)).coeffs
+                for i, j, k in MONOMIALS]
+        matrix = np.array(cols, dtype=np.int64).T
+        matrix.setflags(write=False)
+        f3._cache[key] = matrix
+    return f3._cache[key]
 
 
 def count_nonzero_fq_zeros(P: TernaryCubic) -> int:

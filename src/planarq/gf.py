@@ -35,10 +35,13 @@ the ``*_vec`` entry points, so that guard covers them too; code that runs the
 scalar kernels on ints takes its operations from :func:`_ops`, which hands it
 the ``*_vec`` entry points as soon as an operand is an array.
 
-Fields are immutable after construction apart from monotone internal caches,
-so a tower can be shared freely across worker processes or threads.  The one
-size policy, the enumeration bound of :func:`max_enumeration_order`, is read
-from the environment at each check and is never stored on a field.
+Fields are immutable after construction apart from internal caches, which
+hold only values fixed by the field and the cache key, so a tower can be
+shared freely across worker processes or threads.  :func:`PrimeField`
+returns one object per p, so every tower over p in a process shares its
+fields and their caches.  The one size policy, the enumeration bound of
+:func:`max_enumeration_order`, is read from the environment at each check,
+before any cached result is returned, and is never stored on a field.
 """
 
 from __future__ import annotations
@@ -442,9 +445,10 @@ class Field:
     def frob_table(self, k: int = 1):
         """Permutation array code -> code^(s^k) over the whole field."""
         k %= self.degree
+        # checked on every call: a cached table must not outlive a lower bound
+        _check_enumerable(self.order, "Frobenius table")
         tabs = self._cache.setdefault("frobtab", {})
         if k not in tabs:
-            _check_enumerable(self.order, "Frobenius table")
             tabs[k] = self._frob(self._arr(np.arange(self.order)), k)
         return tabs[k]
 
@@ -481,10 +485,20 @@ def orbit_reps(s: int, order: int) -> np.ndarray:
 
 
 def PrimeField(p: int) -> Field:
-    """F_p for an odd prime p; codes are the residues 0..p-1."""
+    """F_p for an odd prime p; codes are the residues 0..p-1.
+
+    There is one F_p object per p and process, so the extensions that
+    :func:`standard_extension` caches on it, and their own caches, are built
+    once and shared by every tower over p.
+    """
     p = int(p)
     if p == 2 or not _is_prime(p):
         raise NotOddPrime(f"p must be an odd prime, got {p}")
+    return _prime_field(p)
+
+
+@functools.cache
+def _prime_field(p: int) -> Field:
     return Field(p)
 
 

@@ -1,6 +1,7 @@
 """CLI surface: flags, report files, exit codes."""
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from conftest import det_sweep
 
 import planarq.cli as cli
 import planarq.curves as curves
+import planarq.gf as gf
 import planarq.planarity as planarity
 from planarq import build_tower
 from planarq.cli import main
@@ -415,8 +417,9 @@ def test_verify_stderr_reports_phase_times(capsys):
     assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 0
     cap = capsys.readouterr()
     assert json.loads(cap.out)["consistent"]
-    assert re.fullmatch(r"verify q=5 A=2 B=1: planar=True consistent=True \(det \d+\.\d{3}s, "
-                        r"lines \d+\.\d{3}s, normal \d+\.\d{3}s, points \d+\.\d{3}s\)\n",
+    assert re.fullmatch(r"verify q=5 A=2 B=1: planar=True consistent=True \(tower \d+\.\d{3}s, "
+                        r"det \d+\.\d{3}s, lines \d+\.\d{3}s, normal \d+\.\d{3}s, "
+                        r"points \d+\.\d{3}s\)\n",
                         cap.err)
 
 
@@ -480,3 +483,50 @@ def test_verify_inconsistency_exits_two(tmp_path, monkeypatch, pair, tamper, mes
     d = json.loads(out.read_text())
     assert not d["consistent"]
     assert d["inconsistencies"] == [message]
+
+
+@pytest.mark.parametrize("pair, tamper, message", _VERIFY_TRIPS)
+def test_tampering_leaves_nothing_in_shared_caches(monkeypatch, capsys, pair, tamper, message):
+    argv = ("verify", "--p", "5", "--A", str(pair[0]), "--B", str(pair[1]))
+    assert run_cli(*argv) == 0
+    clean = capsys.readouterr().out
+    with monkeypatch.context() as mp:
+        tamper(mp)
+        assert run_cli(*argv) == 2
+        assert json.loads(capsys.readouterr().out)["inconsistencies"] == [message]
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == clean
+
+
+# at q = 23 and 9: (1, 4) searches F_{q^2} for lines, (2, 1) is planar
+_SHARED_ARGVS = [("verify", "--p", p, "--m", m, "--A", a, "--B", b)
+                 for a, b in (("1", "4"), ("2", "1")) for p, m in (("23", "1"), ("3", "2"))]
+
+
+def test_verify_in_one_process_prints_the_bytes_of_fresh_processes(src_env, capsys):
+    fresh = [subprocess.run([sys.executable, "-m", "planarq.cli", *argv],
+                            capture_output=True, text=True, env=src_env)
+             for argv in _SHARED_ARGVS]
+    # two rounds alternating the towers: the second reads only shared fields
+    for _ in range(2):
+        for argv, proc in zip(_SHARED_ARGVS, fresh):
+            assert run_cli(*argv) == proc.returncode == 0
+            assert capsys.readouterr().out == proc.stdout
+
+
+def test_second_verify_at_a_tower_builds_no_field(monkeypatch, capsys):
+    # a process that has built no field yet
+    monkeypatch.setattr(gf, "_prime_field", functools.cache(gf._prime_field.__wrapped__))
+    degrees = []
+    original = gf.find_irreducible
+
+    def spy(base, degree):
+        degrees.append(degree)
+        return original(base, degree)
+
+    monkeypatch.setattr(gf, "find_irreducible", spy)
+    assert run_cli("verify", "--p", "23", "--A", "1", "--B", "4") == 0
+    assert sorted(degrees) == [2, 3]  # F_{q^2} for the line search, F_{q^3} for the tower
+    degrees.clear()
+    assert run_cli("verify", "--p", "23", "--A", "1", "--B", "8") == 0
+    assert degrees == []

@@ -397,6 +397,38 @@ def test_transform_H_properties(towers):
             assert count_nonzero_fq_zeros(H) == roots
 
 
+@pytest.mark.parametrize("q", (5, 7, 9))
+def test_transform_H_equals_the_substitution(towers, q):
+    # the cached matrix form against substitute_linear, at two normal elements
+    t = towers[q]
+    f3 = t.fq3
+
+    def conjugates(c):
+        return c, f3.frob(c, 1), f3.frob(c, 2)
+
+    first = find_normal_element(t).code
+    second = next(c for c in range(first + 1, f3.order)
+                  if det3(t.fq, [f3.coords(x) for x in conjugates(c)]))
+    for a in range(q):
+        for b in range(q):
+            A, B = t.eq(a), t.eq(b)
+            G = build_F_det(t, A, B).in_field(f3)
+            for xi in (first, second):  # alternating, so each reads its own matrix
+                x0, x1, x2 = conjugates(xi)
+                oracle = G.substitute_linear(((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
+                assert max(oracle.coeffs) < q
+                assert transform_H(t, A, B, t.eq3(xi)) == TernaryCubic(t.fq, oracle.coeffs)
+
+
+def test_F_det_cache_keeps_the_last_pair(towers):
+    t = towers[7]
+    for a in range(7):
+        for b in range(7):
+            F = build_F_det(t, t.eq(a), t.eq(b))
+            assert build_F_det(t, t.eq(a), t.eq(b)) is F
+    assert t.fq._cache["F_det"] == ((6, 6), F)
+
+
 def test_point_count_examples(towers):
     t = towers[5]
     xi = find_normal_element(t)

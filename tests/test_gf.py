@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from planarq import (
     DivisionByZero,
+    ExtensionField,
     LevelMismatch,
     NotOddPrime,
     PrimeField,
@@ -17,6 +18,7 @@ from planarq import (
     find_irreducible,
     find_normal_element,
     prime_ext_field,
+    standard_extension,
 )
 from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
 from planarq.planarity import classify_pair
@@ -54,6 +56,16 @@ def test_fits_is_the_power_comparison():
         for n in range(61):
             for limit in (4, 100, 2 ** 24, 2 ** 48):
                 assert _fits(p, n, limit) == (p ** n <= limit)
+
+
+def test_prime_fields_are_shared():
+    # one F_p per process, so the extensions cached on it are shared too
+    assert PrimeField(7) is PrimeField(7)
+    assert build_tower(7, 2).fq3 is build_tower(7, 2).fq3
+    # a field with an explicit modulus is built anew
+    f9 = ExtensionField(PrimeField(3), (1, 0, 1))
+    assert f9 == standard_extension(PrimeField(3), 2)
+    assert f9 is not standard_extension(PrimeField(3), 2)
 
 
 def test_prime_field_arith():
