@@ -13,10 +13,11 @@ print(f"  mid modulus (F_9  = F_3[t]/...):  {tower.mid_modulus}")
 print(f"  top modulus (F_729 = F_9[x]/...): {tower.top_modulus}")
 
 # Element codes pack coordinate vectors little-endian; code < q means the
-# element lies in the subfield.
-x = tower.eq3(500)
-print(f"\ncode 500 in F_729 has F_9-coordinates {x.coeffs}")
-print(f"subfield element code 7 embeds as code {tower.embed(tower.eq(7)).code}")
+# element lies in the subfield, so embedding F_9 in F_729 keeps every code.
+x = 500
+print(f"\ncode {x} in F_729 has F_9-coordinates {tower.fq3.coords(x)}")
+sub = 7
+print(f"subfield element code {sub} embeds as code {sub}")
 
 # Arithmetic is done by the field on codes.
 f, a, b = tower.fq3, 500, 123
@@ -25,14 +26,14 @@ print(f"a^(|F|-1) = {f.pow(a, f.order - 1)}  (unit group order)")
 
 # The q-power Frobenius acts as a precomputed 3x3 matrix over F_9; its fixed
 # field is exactly the embedded F_9.
-y = tower.fq3.frob(x.code, 1)
-print(f"\nx^q = {y}; x^(q^3) = {tower.fq3.frob(x.code, 3)} (back to x)")
+y = tower.fq3.frob(x, 1)
+print(f"\nx^q = {y}; x^(q^3) = {tower.fq3.frob(x, 3)} (back to x)")
 fixed = [c for c in range(729) if tower.fq3.frob(c, 1) == c]
 print(f"Frobenius fixes {len(fixed)} elements: codes {fixed[:5]}... (= F_9)")
 
 # A normal element's conjugates form a basis; the search is deterministic.
 xi = find_normal_element(tower)
-print(f"\nfirst normal element: code {xi.code}")
+print(f"\nfirst normal element: code {xi}")
 
 # Square roots in F_q (needed for the sqrt(-3) branch loci downstream).
 t7 = build_tower(7, 1)

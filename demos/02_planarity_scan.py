@@ -22,7 +22,7 @@ from planarq.planarity import (
 tower = build_tower(5, 1)
 
 # One pair, three ways.
-A, B = tower.eq(2), tower.eq(1)
+A, B = 2, 1
 cls = classify_pair(tower, A, B)
 det_ok, _ = is_planar_det(tower, A, B)
 brute_ok = brute_is_planar(f_poly(tower, A, B))
@@ -33,15 +33,16 @@ print(f"  brute force: {'Planar' if brute_ok else 'NotPlanar'}")
 
 # A failing pair comes with a witness shift whose difference map is singular:
 # the first such shift in code order.
-ok, witness = is_planar_det(tower, tower.eq(1), tower.eq(1))
-print(f"\n(1, 1) is planar: {ok}; witness shift C = {witness.code}, "
-      f"coordinates {witness.coeffs}")
+ok, witness = is_planar_det(tower, 1, 1)
+print(f"\n(1, 1) is planar: {ok}; witness shift C = {witness}, "
+      f"coordinates {tower.fq3.coords(witness)}")
 
 # The scan runs all q^2 pairs and compares the planar count to the formula.
 report = scan(tower, methods=("theorem", "det", "brute"))
 print(f"\nscan over q = 5: planar {report.planar_count}, "
       f"expected {report.expected_count} (= 3q - 2 - 4*gcd(3, q-1) = {count_formula(5)})")
-print(f"planar pairs: {sorted(report.planar_pairs())}")
+planar = sorted((r.A, r.B) for r in report.pairs if r.verdicts["brute"])
+print(f"planar pairs: {planar}")
 print(f"disagreements: {report.disagreements}")
 
 # q = 3 is a special case: the closed form is only guaranteed to be a lower

@@ -24,14 +24,14 @@ from planarq.linearized import dickson_matrix, difference_triple
 from planarq.planarity import _dets_at
 
 tower = build_tower(5, 1)
-A, B = tower.eq(2), tower.eq(1)
+A, B = 2, 1
 
 # The cubic is regenerated symbolically from the coefficient matrix, never
 # transcribed; evaluating it at (C, C^q, C^(q^2)) reproduces the determinant.
 F = build_F_det(tower, A, B)
 print(f"determinant cubic for (2, 1): {F}")
 f3 = tower.fq3
-det = det3(f3, dickson_matrix(difference_triple(tower, A, B, tower.eq3(1))))
+det = det3(f3, dickson_matrix(difference_triple(tower, A, B, 1)))
 value = F.in_field(f3).evaluate(1, f3.frob(1, 1), f3.frob(1, 2))
 print(f"identity holds at C = 1: {bool(det == value and det < tower.q)}")
 
@@ -47,7 +47,7 @@ for check in rep.checks:
 
 # The line oracle searches F_q, F_25, F_125 independently of the loci.
 print(f"\nlines of the (2,1) cubic: {find_linear_factors(F)}")
-F12 = build_F_det(tower, tower.eq(1), tower.eq(2))
+F12 = build_F_det(tower, 1, 2)
 print(f"lines of the (1,2) cubic: {find_linear_factors(F12)}")
 print("(the conjugate pair over F_25 appears because -3 is a non-square in F_5)")
 
@@ -57,7 +57,7 @@ print("(the conjugate pair over F_25 appears because -3 is a non-square in F_5)"
 xi = find_normal_element(tower)
 shifts = np.arange(1, f3.order)
 for (a, b) in ((2, 1), (2, 2), (1, 1)):
-    H = transform_H(tower, tower.eq(a), tower.eq(b), xi)
+    H = transform_H(tower, a, b, xi)
     pts = count_nonzero_fq_zeros(H)
     roots = np.count_nonzero(_dets_at(tower, a, b, shifts) == 0)
     print(f"pair ({a}, {b}): determinant roots {roots}, points of H {pts}")

@@ -13,7 +13,6 @@ from planarq.families import (
     ambient_field,
     family_report,
     instantiate_family,
-    resolve_params,
     validate_family,
 )
 
@@ -34,10 +33,9 @@ print(f"\nT2.2 with (p, n, k) = (3, 4, 2): violations {validate_family(bad)}")
 
 # Element parameters are searched deterministically when not supplied.
 spec = FamilySpec("T2.5", {"p": 3, "k": 1, "s": 4})
-resolved = resolve_params(spec)
-field = ambient_field(spec)
+resolved = FamilySpec(spec.id, family_report(spec, brute=False)["params"])
 print(f"\nT2.5 resolved parameters: {resolved.params}")
-print(f"instance: {instantiate_family(resolved, field)}")
+print(f"instance: {instantiate_family(resolved, ambient_field(spec))}")
 
 # The one known trouble spot: the published side conditions for T3.2 admit
 # p = 3 instances that are not planar; the report flags the discrepancy.

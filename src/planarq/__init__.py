@@ -17,7 +17,6 @@ from .errors import (
 )
 from .gf import (
     DEFAULT_MAX_Q3,
-    Elt,
     ExtensionField,
     Field,
     FieldTower,

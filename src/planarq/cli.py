@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
         print(f"error: A and B must be codes in [0, {tower.q}), got A={args.A}, B={args.B}",
               file=sys.stderr)
         return USAGE_EXIT
-    A, B = tower.eq(args.A), tower.eq(args.B)
+    A, B = args.A, args.B
     cls = classify_pair(tower, A, B)
     clock = time.perf_counter()
     det_ok, witness = is_planar_det(tower, A, B)
@@ -241,11 +241,11 @@ def cmd_verify(args) -> int:
         "classification": {"planar": cls.planar, "branch": cls.branch},
         "prop_necessary": prop_ok,
         "det": {"planar": det_ok,
-                "witness": None if witness is None else witness.code,
-                "witness_coeffs": None if witness is None else list(witness.coeffs)},
+                "witness": witness,
+                "witness_coeffs": None if witness is None else list(tower.fq3.coords(witness))},
         "brute": {"planar": brute_ok, "ran": run_brute},
         "curve": {"degenerate_zero": degenerate, "linear_factors": factors,
-                  "point_count_H": point_count, "xi": xi.code},
+                  "point_count_H": point_count, "xi": xi},
         "factorization": factorization,
         "consistent": not inconsistencies,
         "inconsistencies": inconsistencies,

@@ -14,11 +14,13 @@ restrictions of the cubic, and each candidate is confirmed at four points of
 the line.  It also carries the normal-basis change of variables H plus F_q
 point counting that replaces the curve-theoretic existence argument for roots.
 
-Coefficients are codes, and ``TernaryCubic.evaluate`` takes codes: ints or
-int64 arrays that broadcast together.  The cores under the single-pair
-objects take codes the same way: ``_det_coeffs`` and ``_paper_coeffs`` expand
-the cubics of whole arrays of pairs, and ``_evaluate`` accepts arrays of
-coefficients, which is how the identity batteries check every pair at once.
+The pair (A, B) and the normal element xi are passed as codes, each checked
+against its field by ``gf._codes_in``.  Coefficients are codes, and
+``TernaryCubic.evaluate`` takes codes: ints or int64 arrays that broadcast
+together.  The cores under the single-pair objects take codes the same way:
+``_det_coeffs`` and ``_paper_coeffs`` expand the cubics of whole arrays of
+pairs, and ``_evaluate`` accepts arrays of coefficients, which is how the
+identity batteries check every pair at once.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ import numpy as np
 
 from .errors import (
     CoefficientNotInSubfield,
-    LevelMismatch,
     NotOnLocus,
     SquareRootUnavailable,
 )
 from .gf import (
-    Elt,
     Field,
     FieldTower,
     _check_enumerable,
+    _codes_in,
     _decode,
     _ops,
     _poly_divmod,
@@ -185,16 +186,17 @@ _PERMS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
           (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1))
 
 
-def build_F_det(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
-    """The determinant of the difference-map matrix as a cubic in (X, Y, T).
+def build_F_det(tower: FieldTower, A, B) -> TernaryCubic:
+    """The determinant of the difference-map matrix of the F_q codes (A, B),
+    as a cubic in (X, Y, T).
 
     Built by Leibniz expansion (:func:`_det_coeffs`).  By construction
     F(C, C^q, C^(q^2)) = det for every C.  F_q keeps the cubic of the most
     recent pair only, which serves the several calls one dossier makes
     without letting a long-lived field collect one cubic per pair.
     """
-    fq = _check_pair(tower, A, B)
-    key = (A.code, B.code)
+    fq = tower.fq
+    key = _codes_in(fq, A, B)
     last = fq._cache.get("F_det")
     if last is None or last[0] != key:
         last = fq._cache["F_det"] = (key, TernaryCubic(fq, _det_coeffs(fq, *key)))
@@ -227,15 +229,16 @@ def _det_coeffs(fq: Field, a, b) -> list:
     return acc
 
 
-def build_F_paper(tower: FieldTower, A: Elt, B: Elt) -> TernaryCubic:
-    """Verbatim transcription of the published bivariate cubic, homogenized.
+def build_F_paper(tower: FieldTower, A, B) -> TernaryCubic:
+    """Verbatim transcription of the published bivariate cubic of the F_q
+    codes (A, B), homogenized.
 
     2AB(X^3+Y^3+1) + (2A^2B+4B^2)(X+Y^2+X^2Y) + (4AB^2+2B)(X^2+Y+XY^2)
     + (2A^3+8B^3+2)XY, with the constant slot homogenized by T.  Swapping
     X and Y turns this into ``build_F_det`` (the pinned erratum relation).
     """
-    fq = _check_pair(tower, A, B)
-    return TernaryCubic(fq, _paper_coeffs(fq, A.code, B.code))
+    fq = tower.fq
+    return TernaryCubic(fq, _paper_coeffs(fq, *_codes_in(fq, A, B)))
 
 
 def _paper_coeffs(fq: Field, a, b) -> list:
@@ -249,12 +252,6 @@ def _paper_coeffs(fq: Field, a, b) -> list:
     c_g2 = add(mul(four, mul(a, bb)), mul(two, b))            # X^2T, YT^2, XY^2
     c_xyt = add(add(mul(two, mul(a, mul(a, a))), mul(eight, mul(b, bb))), two)
     return [c_sym, c_g1, c_g2, c_g2, c_xyt, c_g1, c_sym, c_g1, c_g2, c_sym]
-
-
-def _check_pair(tower: FieldTower, A: Elt, B: Elt) -> Field:
-    if A.field != tower.fq or B.field != tower.fq:
-        raise LevelMismatch("A and B must live in F_q")
-    return tower.fq
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +328,9 @@ def _match_up_to_scalar(P: TernaryCubic, Q: TernaryCubic) -> int | None:
     return lam
 
 
-def verify_branch_factorization(tower: FieldTower, A: Elt, B: Elt) -> FactorReport:
-    """Check every reducibility locus that (A, B) lies on against F_det.
+def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
+    """Check every reducibility locus that the F_q codes (A, B) lie on
+    against F_det.
 
     Full splittings (the cubic and square branches) are verified up to an
     explicitly reported nonzero scalar; single-line loci are verified as exact
@@ -340,9 +338,9 @@ def verify_branch_factorization(tower: FieldTower, A: Elt, B: Elt) -> FactorRepo
     variables as printed; an X <-> Y relabel is tried as a fallback and the
     orientation used is recorded in the notes.
     """
-    fq = _check_pair(tower, A, B)
-    a, b = A.code, B.code
-    F = build_F_det(tower, A, B)
+    fq = tower.fq
+    a, b = _codes_in(fq, A, B)
+    F = build_F_det(tower, a, b)
     rep = FactorReport(a, b)
     two = fq.from_int(2)
     a3 = fq.pow(a, 3)
@@ -580,8 +578,9 @@ def _dedupe_lines(found, q: int) -> list[LineFactor]:
 # normal-basis transform and point counting
 # ---------------------------------------------------------------------------
 
-def transform_H(tower: FieldTower, A: Elt, B: Elt, xi: Elt) -> TernaryCubic:
-    """Change variables by the conjugate basis of xi; coefficients drop to F_q.
+def transform_H(tower: FieldTower, A, B, xi) -> TernaryCubic:
+    """Change variables by the conjugate basis of xi, a code of F_{q^3}, in
+    the cubic of the F_q codes (A, B); coefficients drop to F_q.
 
     Substitutes X*xi + Y*xi^q + T*xi^(q^2) and its two Frobenius twists into
     the determinant cubic.  Nonzero F_q-points of the result biject with
@@ -591,10 +590,9 @@ def transform_H(tower: FieldTower, A: Elt, B: Elt, xi: Elt) -> TernaryCubic:
     :func:`_substitution_matrix`.
     """
     f3 = tower.fq3
-    if xi.field != f3:
-        raise LevelMismatch("xi must live in F_{q^3}")
+    (xi,) = _codes_in(f3, xi)
     G = np.array(build_F_det(tower, A, B).coeffs, dtype=np.int64)
-    M = _substitution_matrix(f3, xi.code)
+    M = _substitution_matrix(f3, xi)
     H = functools.reduce(f3.add_vec, f3.mul_vec(M, G).T).tolist()
     q = tower.fq.order
     for c in H:

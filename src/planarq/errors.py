@@ -14,7 +14,7 @@ class SizeLimit(PlanarqError):
 
 
 class LevelMismatch(PlanarqError):
-    """Operands live in different fields of the tower."""
+    """A code lies outside the field of the tower its operand must live in."""
 
 
 class DivisionByZero(PlanarqError, ZeroDivisionError):

@@ -393,13 +393,6 @@ def validate_family(spec: FamilySpec, field: Field | None = None) -> list[str]:
     return _elem_violations(fam, spec.params, field)
 
 
-def resolve_params(spec: FamilySpec, field: Field | None = None) -> FamilySpec:
-    """Fill element parameters by deterministic search in code order."""
-    if field is None:
-        field = ambient_field(spec)
-    return FamilySpec(spec.id, _resolve(FAMILIES[spec.id], spec.params, field))
-
-
 def desk_verifiable(spec: FamilySpec) -> bool:
     """Whether p^n is within the enumeration budget, decided without forming a
     huge p^n."""

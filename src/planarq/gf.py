@@ -10,6 +10,10 @@ Consequences used throughout the package:
   * embedding a subfield element into the extension is the identity on codes,
   * ``code < s`` tests membership in the base field.
 
+Elements are passed around as their codes alone.  An entry point that takes
+the pair (A, B) in F_q^2 or a shift in F_{q^3} checks each code's level with
+:func:`_codes_in`, a range check that raises LevelMismatch.
+
 Since s is a power of p, the code of an element of F_{p^n} is also the
 little-endian base-p packing of n flat F_p-digits, however the field was
 built.  Arithmetic works on those digits alone.  Each field stores the digits
@@ -47,8 +51,8 @@ before any cached result is returned, and is never stored on a field.
 from __future__ import annotations
 
 import functools
+import operator
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -466,6 +470,20 @@ def _ops(field: Field, *codes):
     return field.mul, field.add, field.sub
 
 
+def _codes_in(field: Field, *codes) -> tuple[int, ...]:
+    """The codes as ints, once each is checked to be a code of ``field``.
+
+    Codes are Python or numpy integers; one outside [0, |field|) raises
+    LevelMismatch, which is how an entry point refuses an F_{q^3} code where
+    an element of F_q belongs.
+    """
+    out = tuple(operator.index(c) for c in codes)
+    for c in out:
+        if not 0 <= c < field.order:
+            raise LevelMismatch(f"code {c} is not an element of {field!r}")
+    return out
+
+
 def orbit_reps(s: int, order: int) -> np.ndarray:
     """One code per orbit of F^* under scaling by F_s^*, for a field F of the
     given order whose codes are base-s packings of coordinates over its
@@ -540,42 +558,6 @@ def prime_ext_field(p: int, n: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Elt:
-    """A field element: its field plus the canonical integer code."""
-
-    field: Field
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.field.order:
-            raise ValueError(f"code {self.code} out of range for {self.field!r}")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coordinate vector over the immediate base field."""
-        return self.field.coords(self.code)
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.code == other
-        return (isinstance(other, Elt) and other.field == self.field
-                and other.code == self.code)
-
-    def __hash__(self):
-        return hash(self.code)  # agrees with __eq__, which equates an Elt with its int code
-
-    def __repr__(self):
-        return f"{self.field!r}({self.code})"
-
-
-# ---------------------------------------------------------------------------
 # the tower
 # ---------------------------------------------------------------------------
 
@@ -606,21 +588,6 @@ class FieldTower:
 
     def __reduce__(self):
         return (build_tower, (self.p, self.m, self.mid_modulus, self.top_modulus))
-
-    # -- element constructors -------------------------------------------------
-    def eq(self, code: int) -> Elt:
-        """Element of F_q from its canonical code."""
-        return Elt(self.fq, int(code))
-
-    def eq3(self, code: int) -> Elt:
-        """Element of F_{q^3} from its canonical code."""
-        return Elt(self.fq3, int(code))
-
-    def embed(self, x: Elt) -> Elt:
-        """Embed an F_q element into F_{q^3} (identity on codes)."""
-        if x.field != self.fq:
-            raise LevelMismatch(f"expected an F_q element, got {x.field!r}")
-        return Elt(self.fq3, x.code)
 
 
 def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> FieldTower:
@@ -658,7 +625,7 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> Field
     return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus)
 
 
-def find_normal_element(tower: FieldTower) -> Elt:
+def find_normal_element(tower: FieldTower) -> int:
     """First xi in code order whose conjugates {xi, xi^q, xi^(q^2)} form a basis.
 
     One ``det3`` per window [lo, hi) of codes, each twice as long as the
@@ -676,7 +643,7 @@ def find_normal_element(tower: FieldTower) -> Elt:
         vecs = [f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]
         hits = np.flatnonzero(det3(tower.fq, vecs))
         if hits.size:
-            return Elt(f, lo + int(hits[0]))
+            return lo + int(hits[0])
         lo, hi = hi, 2 * hi
 
 

@@ -29,10 +29,10 @@ import numpy as np
 
 from .gf import FieldTower, _check_enumerable
 from .linearized import (
-    _cubic_sum,
     dickson_matrix,
     difference_matrix_direct,
     difference_triple,
+    has_nonzero_root_subfield_coeffs,
     kernel_sizes,
 )
 
@@ -109,7 +109,7 @@ def battery_root_criterion(tower: FieldTower, samples: int, rng: random.Random) 
         triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(q))
                    for _ in range(min(samples, 400))]
     alpha, beta, gamma = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    crit = _cubic_sum(tower.fq, alpha, beta, gamma) == 0
+    crit = has_nonzero_root_subfield_coeffs(tower.fq, alpha, beta, gamma)
     # the map is alpha*x^(q^2) + beta*x^q + gamma*x
     nonzero_kernel = kernel_sizes(tower.fq3, gamma, beta, alpha) > 1
     failures = [triples[i] for i in np.flatnonzero(crit != nonzero_kernel)[:5]]
@@ -125,9 +125,8 @@ def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Rando
     count = min(samples, 256)
     for _ in range(count):
         a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(n)
-        A, B, C = tower.eq(a), tower.eq(b), tower.eq3(c)
-        if dickson_matrix(difference_triple(tower, A, B, C)) != \
-                difference_matrix_direct(tower, A, B, C):
+        if dickson_matrix(difference_triple(tower, a, b, c)) != \
+                difference_matrix_direct(tower, a, b, c):
             failures.append((a, b, c))
     return BatteryResult("matrix convention", not failures, count, tuple(failures[:5]))
 

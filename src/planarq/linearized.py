@@ -5,9 +5,11 @@ coefficient matrix built from Frobenius twists of (c0, c1, c2); the map is a
 permutation of F_{q^3} exactly when that matrix is nonsingular
 (``gf.det3`` of ``dickson_matrix``).  The brute kernel enumeration is kept
 alongside as the independent oracle.  Maps are evaluated and matrices are
-written on codes: ``LinTriple.apply`` takes an int or an array of codes, and
-the matrices are 3x3 nested tuples of codes.  ``kernel_sizes`` counts the
-kernels of many maps at once, in bounded chunks.
+written on codes: a ``LinTriple`` holds its field and three coefficient
+codes, ``LinTriple.apply`` takes an int or an array of codes, the matrices
+are 3x3 nested tuples of codes, and ``brute_kernel`` lists the kernel's
+codes.  ``kernel_sizes`` counts the kernels of many maps at once, in bounded
+chunks.
 """
 
 from __future__ import annotations
@@ -17,37 +19,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelMismatch
-from .gf import Elt, Field, FieldTower, _check_enumerable, _ops
+from .gf import Field, FieldTower, _check_enumerable, _codes_in, _ops
 
 _KERNEL_CHUNK = 1 << 14  # (map, x) cells per whole-array step of kernel_sizes
 
 
 @dataclass(frozen=True)
 class LinTriple:
-    """Coefficients of x -> c0*x + c1*x^q + c2*x^(q^2), all in F_{q^3}."""
+    """Coefficients of x -> c0*x + c1*x^q + c2*x^(q^2): three codes of the
+    cubic extension ``field``."""
 
-    c0: Elt
-    c1: Elt
-    c2: Elt
+    field: Field
+    c0: int
+    c1: int
+    c2: int
 
     def __post_init__(self):
-        f = self.c0.field
-        if not (isinstance(f, Field) and f.degree == 3):
+        if self.field.degree != 3:
             raise LevelMismatch("LinTriple coefficients must live in a cubic extension")
-        if self.c1.field != f or self.c2.field != f:
-            raise LevelMismatch("LinTriple coefficients must share one field")
-
-    @property
-    def field(self) -> Field:
-        return self.c0.field
+        _codes_in(self.field, self.c0, self.c1, self.c2)
 
     def apply(self, x):
         """L(x) for codes x (an int or an array), Frobenius read from ``frob_table``."""
         f = self.field
         x = np.asarray(x, dtype=np.int64)
-        acc = f.mul_vec(self.c0.code, x)
-        acc = f.add_vec(acc, f.mul_vec(self.c1.code, f.frob_table(1)[x]))
-        return f.add_vec(acc, f.mul_vec(self.c2.code, f.frob_table(2)[x]))
+        acc = f.mul_vec(self.c0, x)
+        acc = f.add_vec(acc, f.mul_vec(self.c1, f.frob_table(1)[x]))
+        return f.add_vec(acc, f.mul_vec(self.c2, f.frob_table(2)[x]))
 
 
 Matrix3 = tuple  # 3x3 nested tuples of codes
@@ -56,33 +54,27 @@ Matrix3 = tuple  # 3x3 nested tuples of codes
 def dickson_matrix(L: LinTriple) -> Matrix3:
     """entry(i, j) = c_((j - i) mod 3) ^ (q^i)."""
     f = L.field
-    cs = (L.c0.code, L.c1.code, L.c2.code)
+    cs = (L.c0, L.c1, L.c2)
     return tuple(tuple(f.frob(cs[(j - i) % 3], i) for j in range(3)) for i in range(3))
 
 
-def has_nonzero_root_subfield_coeffs(alpha: Elt, beta: Elt, gamma: Elt) -> bool:
-    """Nonzero-kernel criterion for alpha*x^(q^2) + beta*x^q + gamma*x, coefficients in F_q.
+def has_nonzero_root_subfield_coeffs(field: Field, a, b, g):
+    """Nonzero-kernel criterion for a*x^(q^2) + b*x^q + g*x, coefficients in F_q.
 
-    True exactly when alpha^3 + beta^3 + gamma^3 - 3*alpha*beta*gamma = 0.
+    True exactly when a^3 + b^3 + g^3 - 3*a*b*g = 0.  a, b, g are codes of the
+    field F_q, ints (giving a bool) or arrays that broadcast (giving a bool
+    array).
     """
-    f = alpha.field
-    if beta.field != f or gamma.field != f:
-        raise LevelMismatch("coefficients must share one field")
-    return _cubic_sum(f, alpha.code, beta.code, gamma.code) == 0
-
-
-def _cubic_sum(f: Field, a, b, g):
-    """a^3 + b^3 + g^3 - 3*a*b*g at codes a, b, g (ints, or arrays that broadcast)."""
-    mul, add, sub = _ops(f, a, b, g)
+    mul, add, sub = _ops(field, a, b, g)
     acc = add(add(mul(mul(a, a), a), mul(mul(b, b), b)), mul(mul(g, g), g))
-    return sub(acc, mul(f.from_int(3), mul(mul(a, b), g)))
+    return sub(acc, mul(field.from_int(3), mul(mul(a, b), g))) == 0
 
 
-def brute_kernel(L: LinTriple) -> list[Elt]:
-    """All x with L(x) = 0, by exhaustive evaluation, in code order."""
+def brute_kernel(L: LinTriple) -> list[int]:
+    """The codes x with L(x) = 0, by exhaustive evaluation, in code order."""
     f = L.field
     _check_enumerable(f.order, "kernel enumeration")
-    return [Elt(f, int(c)) for c in np.flatnonzero(L.apply(np.arange(f.order)) == 0)]
+    return np.flatnonzero(L.apply(np.arange(f.order)) == 0).tolist()
 
 
 def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
@@ -116,34 +108,31 @@ def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
     return sizes
 
 
-def difference_triple(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> LinTriple:
-    """Linearized difference map of the engine's quadratic family at shift C.
+def difference_triple(tower: FieldTower, A, B, C) -> LinTriple:
+    """Linearized difference map of the engine's quadratic family at shift C,
+    for codes A, B of F_q and C of F_{q^3}.
 
     For f(x) = x*(x^(q^2) + A*x^q + B*x) the map x -> f(x+C) - f(x) - f(C)
     equals C*x^(q^2) + A*C*x^q + (C^(q^2) + A*C^q + 2*B*C)*x.
     """
-    if A.field != tower.fq or B.field != tower.fq:
-        raise LevelMismatch("A and B must live in F_q")
-    if C.field != tower.fq3:
-        raise LevelMismatch("C must live in F_{q^3}")
+    a, b = _codes_in(tower.fq, A, B)  # subfield codes are F_{q^3} codes as they stand
+    (c,) = _codes_in(tower.fq3, C)
     f = tower.fq3
-    a = A.code  # subfield embedding is the identity on codes
-    twob = tower.fq.add(B.code, B.code)
-    c0 = f.add(f.frob(C.code, 2), f.add(f.mul(a, f.frob(C.code, 1)), f.mul(twob, C.code)))
-    c1 = f.mul(a, C.code)
-    return LinTriple(Elt(f, c0), Elt(f, c1), C)
+    twob = tower.fq.add(b, b)
+    c0 = f.add(f.frob(c, 2), f.add(f.mul(a, f.frob(c, 1)), f.mul(twob, c)))
+    return LinTriple(f, c0, f.mul(a, c), c)
 
 
-def difference_matrix_direct(tower: FieldTower, A: Elt, B: Elt, C: Elt) -> Matrix3:
+def difference_matrix_direct(tower: FieldTower, A, B, C) -> Matrix3:
     """The difference-map matrix written out entry by entry.
 
     Independent transcription kept solely to pin dickson_matrix's convention;
     the two constructions must agree on every (A, B, C).
     """
+    a, b = _codes_in(tower.fq, A, B)
+    (c,) = _codes_in(tower.fq3, C)
     f = tower.fq3
-    a = A.code
-    twob = tower.fq.add(B.code, B.code)
-    c = C.code
+    twob = tower.fq.add(b, b)
     cq = f.frob(c, 1)
     cq2 = f.frob(c, 2)
 

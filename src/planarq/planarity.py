@@ -35,9 +35,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import Disagreement, LevelMismatch
-from .gf import (Elt, Field, FieldTower, _check_enumerable, _chunk_tables, _decode, _mult_order,
-                 orbit_reps)
+from .errors import Disagreement
+from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
+                 _mult_order, orbit_reps)
 from .linearized import has_nonzero_root_subfield_coeffs
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
@@ -109,16 +109,16 @@ class SparsePoly:
         return acc
 
 
-def f_poly(tower: FieldTower, A: Elt, B: Elt) -> SparsePoly:
-    """x^(q^2+1) + A*x^(q+1) + B*x^2 over F_{q^3}: x times the linearized part.
+def f_poly(tower: FieldTower, A, B) -> SparsePoly:
+    """x^(q^2+1) + A*x^(q+1) + B*x^2 over F_{q^3}, for codes A, B of F_q: x
+    times the linearized part.
 
     The B-term multiplies x^2 (not a constant), which is what makes every
     difference map linearized; see ``difference_triple``.
     """
-    if A.field != tower.fq or B.field != tower.fq:
-        raise LevelMismatch("A and B must live in F_q")
+    a, b = _codes_in(tower.fq, A, B)
     q = tower.q
-    return SparsePoly(tower.fq3, {q * q + 1: 1, q + 1: A.code, 2: B.code})
+    return SparsePoly(tower.fq3, {q * q + 1: 1, q + 1: a, 2: b})
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +225,16 @@ def _direct_witnesses(tower: FieldTower, a_codes, b_codes) -> np.ndarray:
     return np.where(killed.any(axis=1), reps[killed.argmax(axis=1)], 0)
 
 
-def is_planar_det(tower: FieldTower, A: Elt, B: Elt) -> tuple[bool, Elt | None]:
-    """Planarity via the determinant: no nonzero C may kill it.
+def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
+    """Planarity of the pair of F_q codes (A, B) via the determinant: no
+    nonzero C may kill it.
 
     Evaluates the determinant at the q^2 + q + 1 projective shifts.  When not
-    planar, also returns the witness: the first root C in code order.
+    planar, also returns the witness: the code of the first root C.
     """
-    if A.field != tower.fq or B.field != tower.fq:
-        raise LevelMismatch("A and B must live in F_q")
-    witness = int(_direct_witnesses(tower, [A.code], [B.code])[0])
-    return (True, None) if witness == 0 else (False, Elt(tower.fq3, witness))
+    a, b = _codes_in(tower.fq, A, B)
+    witness = int(_direct_witnesses(tower, [a], [b])[0])
+    return (True, None) if witness == 0 else (False, witness)
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,8 @@ class PairClass:
         return "Planar" if self.planar else "NotPlanar"
 
 
-def classify_pair(tower: FieldTower, A: Elt, B: Elt) -> PairClass:
-    """Closed-form decision, entirely in F_q.
+def classify_pair(tower: FieldTower, A, B) -> PairClass:
+    """Closed-form decision for the F_q codes (A, B), entirely in F_q.
 
     Planar exactly when one of the branches holds:
       BranchBZero:  B = 0 and A^3 + 1 != 0
@@ -258,10 +258,8 @@ def classify_pair(tower: FieldTower, A: Elt, B: Elt) -> PairClass:
       BranchSquare: A = B^2 and B^3 != 1
     At (0, 0) both BranchBZero and BranchSquare hold; BranchBZero is recorded.
     """
-    if A.field != tower.fq or B.field != tower.fq:
-        raise LevelMismatch("A and B must live in F_q")
     fq = tower.fq
-    a, b = A.code, B.code
+    a, b = _codes_in(fq, A, B)
     a3 = fq.pow(a, 3)
     one = 1
     if b == 0 and fq.add(a3, one) != 0:
@@ -274,17 +272,17 @@ def classify_pair(tower: FieldTower, A: Elt, B: Elt) -> PairClass:
     return PairClass(False)
 
 
-def prop1_necessary(tower: FieldTower, A: Elt, B: Elt) -> bool:
-    """Necessary condition: the linearized factor x^(q^2) + A*x^q + B*x is bijective.
+def prop1_necessary(tower: FieldTower, A, B) -> bool:
+    """Necessary condition: the linearized factor x^(q^2) + A*x^q + B*x is
+    bijective, for codes A, B of F_q.
 
     Equivalent to 1 + A^3 + B^3 - 3AB != 0 by the nonzero-kernel criterion.
     """
-    return not has_nonzero_root_subfield_coeffs(tower.eq(1), A, B)
+    return not has_nonzero_root_subfield_coeffs(tower.fq, 1, *_codes_in(tower.fq, A, B))
 
 
-def count_formula(q) -> int:
+def count_formula(q: int) -> int:
     """Expected number of planar pairs: 3q - 2 - 4*gcd(3, q - 1)."""
-    q = getattr(q, "q", q)
     return 3 * q - 2 - 4 * math.gcd(3, q - 1)
 
 
@@ -428,10 +426,6 @@ class ScanReport:
     beyond_theorem: list
     timings: dict = dc_field(default_factory=dict)
 
-    def planar_pairs(self) -> list[tuple[int, int]]:
-        method = _authority(self.methods)
-        return [(r.A, r.B) for r in self.pairs if r.verdicts[method]]
-
     def to_report_dict(self, seed: int = 0, version: str = "0") -> dict:
         """Stable-key dict for serialization; excludes wall-clock timings."""
         return {
@@ -464,17 +458,16 @@ def _scan_chunk(args):
     tower, pairs, methods = args
     out = []
     for a_code, b_code, witness in pairs:
-        A, B = tower.eq(a_code), tower.eq(b_code)
         verdicts = {}
         branch = None
         if METHOD_THEOREM in methods:
-            cls = classify_pair(tower, A, B)
+            cls = classify_pair(tower, a_code, b_code)
             verdicts[METHOD_THEOREM] = cls.planar
             branch = cls.branch
         if METHOD_DET in methods:
             verdicts[METHOD_DET] = witness is None
         if METHOD_BRUTE in methods:
-            verdicts[METHOD_BRUTE] = brute_is_planar(f_poly(tower, A, B))
+            verdicts[METHOD_BRUTE] = brute_is_planar(f_poly(tower, a_code, b_code))
         out.append(PairRecord(a_code, b_code, verdicts, branch, witness))
     return out
 

@@ -92,8 +92,7 @@ def test_criterion_5_coefficient_swap_relation(towers):
         t = towers[q]
         for a in range(q):
             for b in range(q):
-                A, B = t.eq(a), t.eq(b)
-                ok &= build_F_paper(t, A, B) == build_F_det(t, A, B).swap_xy()
+                ok &= build_F_paper(t, a, b) == build_F_det(t, a, b).swap_xy()
     _report(5, "published cubic == determinant cubic with X, Y exchanged, "
                "all (A, B), q in (3, 5, 7, 9)", ok)
 
@@ -117,7 +116,7 @@ def test_criterion_7_branch_factorizations(towers):
         for a in range(q):
             for b in range(q):
                 try:
-                    rep = verify_branch_factorization(t, t.eq(a), t.eq(b))
+                    rep = verify_branch_factorization(t, a, b)
                 except NotOnLocus:
                     continue
                 n += 1
@@ -135,8 +134,8 @@ def test_criterion_8_curve_root_correspondence(towers):
         t = towers[q]
         xi = find_normal_element(t)
         for _ in range(50):
-            A, B = t.eq(rng.randrange(q)), t.eq(rng.randrange(q))
-            roots = int(np.count_nonzero(det_sweep(t, A.code, B.code) == 0))
+            A, B = rng.randrange(q), rng.randrange(q)
+            roots = int(np.count_nonzero(det_sweep(t, A, B) == 0))
             points = count_nonzero_fq_zeros(transform_H(t, A, B, xi))
             ok &= roots == points
             from planarq.planarity import classify_pair
@@ -157,7 +156,7 @@ def test_criterion_9_points_on_irreducible_curves(towers):
         for r in rep.pairs:
             if r.verdicts["theorem"]:
                 continue
-            A, B = t.eq(r.A), t.eq(r.B)
+            A, B = r.A, r.B
             F = build_F_det(t, A, B)
             if F.is_zero() or find_linear_factors(F):
                 continue

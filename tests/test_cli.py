@@ -326,7 +326,7 @@ def _closed_form_overridden(monkeypatch, module, verdicts):
 
     def patched(tower, A, B):
         cls = original(tower, A, B)
-        planar = verdicts.get((A.code, B.code), cls.planar)
+        planar = verdicts.get((A, B), cls.planar)
         return cls if planar == cls.planar else planarity.PairClass(planar)
 
     monkeypatch.setattr(module, "classify_pair", patched)
@@ -451,8 +451,8 @@ def _fail_factorizations(monkeypatch):
 
 def _non_root_witness(monkeypatch):
     def patched(tower, A, B):
-        dets = det_sweep(tower, A.code, B.code)
-        return False, tower.eq3(int(np.flatnonzero(dets != 0)[0]) + 1)
+        dets = det_sweep(tower, A, B)
+        return False, int(np.flatnonzero(dets != 0)[0]) + 1
 
     monkeypatch.setattr(cli, "is_planar_det", patched)
 

@@ -29,7 +29,7 @@ from planarq.linearized import dickson_matrix, difference_triple
 from planarq.planarity import scan
 
 
-def closed_form_F_det(tower, A, B):
+def closed_form_F_det(tower, a, b):
     """The determinant cubic written from its closed-form coefficients.
 
     Independent of the Leibniz construction in the package: 2AB on the
@@ -37,7 +37,6 @@ def closed_form_F_det(tower, A, B):
     on {X^2Y, Y^2T, XT^2}, and (2A^3 + 8B^3 + 2) on XYT.
     """
     fq = tower.fq
-    a, b = A.code, B.code
 
     def n(k):
         return fq.from_int(k)
@@ -59,22 +58,21 @@ def test_leibniz_matches_closed_form(towers):
         t = towers[q]
         for a in range(t.q):
             for b in range(t.q):
-                A, B = t.eq(a), t.eq(b)
-                assert build_F_det(t, A, B) == closed_form_F_det(t, A, B)
+                assert build_F_det(t, a, b) == closed_form_F_det(t, a, b)
 
 
 def test_F_det_examples(towers):
     t = towers[5]
-    F = build_F_det(t, t.eq(2), t.eq(1))
+    F = build_F_det(t, 2, 1)
     assert F.in_field(t.fq3).evaluate(1, 1, 1) == 4
     # B = 0 collapses to 2(A^3+1) XYT
-    F0 = build_F_det(t, t.eq(3), t.eq(0))
+    F0 = build_F_det(t, 3, 0)
     fq = t.fq
     coeff = fq.mul(2, fq.add(fq.pow(3, 3), 1))
     assert F0 == TernaryCubic(fq, {(1, 1, 1): coeff})
     # cyclic substitution invariance (ground for det lying in F_q)
     for (a, b) in ((2, 1), (1, 3), (0, 2), (4, 4)):
-        F = build_F_det(t, t.eq(a), t.eq(b))
+        F = build_F_det(t, a, b)
         # (X, Y, T) -> (Y, T, X) moves the coefficient of X^i Y^j T^k to X^k Y^i T^j
         shifted = {(k, i, j): c for (i, j, k), c in zip(MONOMIALS, F.coeffs)}
         assert F == TernaryCubic(fq, shifted)
@@ -85,15 +83,14 @@ def test_published_form_swap_relation(towers):
         t = towers[q]
         for a in range(t.q):
             for b in range(t.q):
-                A, B = t.eq(a), t.eq(b)
-                assert build_F_paper(t, A, B) == build_F_det(t, A, B).swap_xy()
+                assert build_F_paper(t, a, b) == build_F_det(t, a, b).swap_xy()
 
 
 def test_published_vs_det_disagree_off_diagonal(towers):
     # both cubics agree at symmetric points, differ at (2, 0, 1) for (A,B)=(2,1)
     t = towers[5]
     f3 = t.fq3
-    A, B = t.eq(2), t.eq(1)
+    A, B = 2, 1
     Fp = build_F_paper(t, A, B).in_field(f3)
     Fd = build_F_det(t, A, B).in_field(f3)
     assert Fp.evaluate(1, 1, 1) == 4
@@ -106,26 +103,25 @@ def test_det_identity_exhaustive_q3_and_random(towers):
     def holds(t, A, B, C):
         f3 = t.fq3
         lhs = det3(f3, dickson_matrix(difference_triple(t, A, B, C)))
-        c = C.code
-        rhs = build_F_det(t, A, B).in_field(f3).evaluate(c, f3.frob(c, 1), f3.frob(c, 2))
+        rhs = build_F_det(t, A, B).in_field(f3).evaluate(C, f3.frob(C, 1), f3.frob(C, 2))
         return lhs == rhs and lhs < t.q
 
     t = towers[3]
     for a in range(3):
         for b in range(3):
             for c in range(27):
-                assert holds(t, t.eq(a), t.eq(b), t.eq3(c))
+                assert holds(t, a, b, c)
     t = towers[7]
     rng = random.Random(4)
     for _ in range(300):
-        A, B = t.eq(rng.randrange(7)), t.eq(rng.randrange(7))
-        C = t.eq3(rng.randrange(343))
+        A, B = rng.randrange(7), rng.randrange(7)
+        C = rng.randrange(343)
         assert holds(t, A, B, C)
 
 
 def test_branch_factorization_cubic_branch(towers):
     t = towers[5]
-    rep = verify_branch_factorization(t, t.eq(2), t.eq(1))
+    rep = verify_branch_factorization(t, 2, 1)
     entry = rep.check("cubic_split")
     assert entry.verified and entry.scalar == 3  # 2B / A^2 = 2/4 = 3 mod 5
     assert rep.ok
@@ -133,17 +129,17 @@ def test_branch_factorization_cubic_branch(towers):
 
 def test_branch_factorization_trace_line(towers):
     t7 = towers[7]
-    rep = verify_branch_factorization(t7, t7.eq(3), t7.eq(2))  # A - 2B + 1 = 0
+    rep = verify_branch_factorization(t7, 3, 2)  # A - 2B + 1 = 0
     assert rep.check("trace_line").verified
     t5 = towers[5]
-    rep = verify_branch_factorization(t5, t5.eq(1), t5.eq(1))
+    rep = verify_branch_factorization(t5, 1, 1)
     assert rep.check("trace_line").verified
     assert rep.check("cubic_split").verified  # degenerates to a triple line
 
 
 def test_branch_factorization_square_branch(towers):
     t = towers[5]
-    rep = verify_branch_factorization(t, t.eq(4), t.eq(2))
+    rep = verify_branch_factorization(t, 4, 2)
     entry = rep.check("square_split")
     assert entry.verified and entry.scalar == 2  # 2A / B^2 = 8/4 = 2 mod 5
 
@@ -152,10 +148,10 @@ def test_branch_factorization_alpha_lines(towers):
     # q = 7: alpha^2 = -3 has roots {2, 5}; (2, 4) lies on the unit-cubic
     # locus (A^2+A+1 = 0, B = A^2), (2, 5) on the conic locus
     t = towers[7]
-    rep = verify_branch_factorization(t, t.eq(2), t.eq(4))
+    rep = verify_branch_factorization(t, 2, 4)
     entry = rep.check("alpha_line_unit_cubic")
     assert entry.verified and entry.alpha in (2, 5)
-    rep = verify_branch_factorization(t, t.eq(2), t.eq(5))
+    rep = verify_branch_factorization(t, 2, 5)
     entry = rep.check("alpha_line_conic")
     assert entry.verified and entry.alpha in (2, 5)
 
@@ -164,25 +160,25 @@ def test_branch_factorization_a_zero_line(towers):
     # corrected locus 8B^3 = 1: over F_7 that is B in {1, 2, 4}
     t = towers[7]
     for b in (1, 2, 4):
-        rep = verify_branch_factorization(t, t.eq(0), t.eq(b))
+        rep = verify_branch_factorization(t, 0, b)
         entry = rep.check("a_zero_line")
         assert entry.verified
     for b in (3, 5, 6):  # the sign-flipped locus 8B^3 = -1 carries no line
         with pytest.raises(NotOnLocus):
-            verify_branch_factorization(t, t.eq(0), t.eq(b))
+            verify_branch_factorization(t, 0, b)
 
 
 def test_branch_factorization_b_zero(towers):
     t = towers[5]
     for a in range(5):
-        rep = verify_branch_factorization(t, t.eq(a), t.eq(0))
+        rep = verify_branch_factorization(t, a, 0)
         assert rep.check("b_zero_monomial").verified
 
 
 def test_branch_factorization_not_on_locus(towers):
     t = towers[5]
     with pytest.raises(NotOnLocus):
-        verify_branch_factorization(t, t.eq(2), t.eq(2))
+        verify_branch_factorization(t, 2, 2)
 
 
 def test_scalar_on_locus_never_zero(towers):
@@ -191,7 +187,7 @@ def test_scalar_on_locus_never_zero(towers):
         for a in range(q):
             for b in range(q):
                 try:
-                    rep = verify_branch_factorization(t, t.eq(a), t.eq(b))
+                    rep = verify_branch_factorization(t, a, b)
                 except NotOnLocus:
                     continue
                 for c in rep.checks:
@@ -201,30 +197,30 @@ def test_scalar_on_locus_never_zero(towers):
 
 def test_find_linear_factors_examples(towers):
     t = towers[5]
-    lines = find_linear_factors(build_F_det(t, t.eq(1), t.eq(1)))
+    lines = find_linear_factors(build_F_det(t, 1, 1))
     assert LineFactor((1, 1, 1), 1) in lines
-    lines = find_linear_factors(build_F_det(t, t.eq(2), t.eq(1)))
+    lines = find_linear_factors(build_F_det(t, 2, 1))
     assert len(lines) == 3 and all(lf.ext == 1 for lf in lines)
-    assert find_linear_factors(build_F_det(t, t.eq(2), t.eq(2))) == []
+    assert find_linear_factors(build_F_det(t, 2, 2)) == []
 
 
 def test_find_linear_factors_coordinate_lines(towers):
     t = towers[5]
-    lines = find_linear_factors(build_F_det(t, t.eq(3), t.eq(0)))
+    lines = find_linear_factors(build_F_det(t, 3, 0))
     assert {lf.coeffs for lf in lines} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_find_linear_factors_zero_rejected(towers):
     t = towers[3]  # A = 2: A^3 = -1, the cubic vanishes identically
     with pytest.raises(ValueError):
-        find_linear_factors(build_F_det(t, t.eq(2), t.eq(0)))
+        find_linear_factors(build_F_det(t, 2, 0))
 
 
 def test_find_linear_factors_quadratic_extension(towers):
     # q = 5: -3 = 2 is a non-square, so the alpha lines of a conic-locus pair
     # live over F_25; (1, 2) carries the trace line plus a conjugate pair
     t = towers[5]
-    lines = find_linear_factors(build_F_det(t, t.eq(1), t.eq(2)))
+    lines = find_linear_factors(build_F_det(t, 1, 2))
     by_ext = {}
     for lf in lines:
         by_ext.setdefault(lf.ext, []).append(lf)
@@ -247,7 +243,7 @@ def test_find_linear_factors_cubic_extension(towers):
     t = towers[5]
     f3 = t.fq3
     xi = find_normal_element(t)
-    x0, x1, x2 = xi.code, f3.frob(xi.code, 1), f3.frob(xi.code, 2)
+    x0, x1, x2 = xi, f3.frob(xi, 1), f3.frob(xi, 2)
     P3 = triple_product(f3, (x0, x1, x2), (x1, x2, x0), (x2, x0, x1))
     assert all(c < t.q for c in P3.coeffs)
     P = TernaryCubic(t.fq, P3.coeffs)
@@ -263,12 +259,12 @@ def test_oracle_matches_factorization_reports(towers):
     # wherever the branch verifier certifies a full split over F_q, the
     # oracle finds exactly those lines (they are distinct unless degenerate)
     t = towers[7]
-    rep = verify_branch_factorization(t, t.eq(4), t.eq(2))  # A = B^2
+    rep = verify_branch_factorization(t, 4, 2)  # A = B^2
     split = rep.check("square_split")
     from planarq.curves import _normalize_line
 
     expected = {_normalize_line(t.fq, l) for l in split.lines}
-    got = {lf.coeffs for lf in find_linear_factors(build_F_det(t, t.eq(4), t.eq(2)))}
+    got = {lf.coeffs for lf in find_linear_factors(build_F_det(t, 4, 2))}
     assert expected == got
 
 
@@ -335,7 +331,7 @@ def test_find_linear_factors_complete(towers):
         t = towers[q]
         for a in range(q):
             for b in range(q):
-                F = build_F_det(t, t.eq(a), t.eq(b))
+                F = build_F_det(t, a, b)
                 if not F.is_zero():
                     cases.append((F, max_ext))
     # products of three lines at q = 3: random F_3 lines, a vertical line
@@ -357,7 +353,7 @@ def test_find_linear_factors_complete(towers):
     f27 = standard_extension(t.fq, 3)
     ext3_lines = [l for l in _all_lines(f27) if any(c >= 3 for c in l)]
     xi = find_normal_element(t)
-    x0, x1, x2 = xi.code, f27.frob(xi.code, 1), f27.frob(xi.code, 2)
+    x0, x1, x2 = xi, f27.frob(xi, 1), f27.frob(xi, 2)
     for line in [(x0, x1, x2)] + rng.sample(ext3_lines, 3):
         cases.append((_over_base(f27, t.fq, *_conjugates(f27, line)), 3))
     for line in rng.sample(ext_lines, 2):
@@ -380,7 +376,7 @@ def test_find_linear_factors_split_cubic_searches_only_fq(towers, monkeypatch):
         return standard_extension(base, degree)
 
     monkeypatch.setattr(curves, "standard_extension", spy)
-    assert find_linear_factors(build_F_det(t, t.eq(4), t.eq(2))) == [LineFactor((1, 2, 4), 1)]
+    assert find_linear_factors(build_F_det(t, 4, 2)) == [LineFactor((1, 2, 4), 1)]
     assert degrees and all(d < 2 for d in degrees)
 
 
@@ -390,10 +386,10 @@ def test_transform_H_properties(towers):
         xi = find_normal_element(t)
         rng = random.Random(q)
         for _ in range(25):
-            A, B = t.eq(rng.randrange(q)), t.eq(rng.randrange(q))
+            A, B = rng.randrange(q), rng.randrange(q)
             H = transform_H(t, A, B, xi)
             assert H.field == t.fq
-            roots = np.count_nonzero(det_sweep(t, A.code, B.code) == 0)
+            roots = np.count_nonzero(det_sweep(t, A, B) == 0)
             assert count_nonzero_fq_zeros(H) == roots
 
 
@@ -406,34 +402,33 @@ def test_transform_H_equals_the_substitution(towers, q):
     def conjugates(c):
         return c, f3.frob(c, 1), f3.frob(c, 2)
 
-    first = find_normal_element(t).code
+    first = find_normal_element(t)
     second = next(c for c in range(first + 1, f3.order)
                   if det3(t.fq, [f3.coords(x) for x in conjugates(c)]))
     for a in range(q):
         for b in range(q):
-            A, B = t.eq(a), t.eq(b)
-            G = build_F_det(t, A, B).in_field(f3)
+            G = build_F_det(t, a, b).in_field(f3)
             for xi in (first, second):  # alternating, so each reads its own matrix
                 x0, x1, x2 = conjugates(xi)
                 oracle = G.substitute_linear(((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
                 assert max(oracle.coeffs) < q
-                assert transform_H(t, A, B, t.eq3(xi)) == TernaryCubic(t.fq, oracle.coeffs)
+                assert transform_H(t, a, b, xi) == TernaryCubic(t.fq, oracle.coeffs)
 
 
 def test_F_det_cache_keeps_the_last_pair(towers):
     t = towers[7]
     for a in range(7):
         for b in range(7):
-            F = build_F_det(t, t.eq(a), t.eq(b))
-            assert build_F_det(t, t.eq(a), t.eq(b)) is F
+            F = build_F_det(t, a, b)
+            assert build_F_det(t, a, b) is F
     assert t.fq._cache["F_det"] == ((6, 6), F)
 
 
 def test_point_count_examples(towers):
     t = towers[5]
     xi = find_normal_element(t)
-    assert count_nonzero_fq_zeros(transform_H(t, t.eq(2), t.eq(1), xi)) == 0
-    assert count_nonzero_fq_zeros(transform_H(t, t.eq(2), t.eq(2), xi)) > 0
+    assert count_nonzero_fq_zeros(transform_H(t, 2, 1, xi)) == 0
+    assert count_nonzero_fq_zeros(transform_H(t, 2, 2, xi)) > 0
 
 
 def _grid_count(P):
@@ -449,7 +444,7 @@ def test_point_count_matches_the_full_grid(towers, q):
     xi = find_normal_element(t)
     for a in range(q):
         for b in range(q):
-            H = transform_H(t, t.eq(a), t.eq(b), xi)
+            H = transform_H(t, a, b, xi)
             assert count_nonzero_fq_zeros(H) == _grid_count(H)
     zero = TernaryCubic(t.fq, [0] * 10)
     assert count_nonzero_fq_zeros(zero) == _grid_count(zero) == q ** 3 - 1
@@ -463,10 +458,10 @@ def test_irreducible_nonplanar_curves_have_points(towers):
     for r in rep.pairs:
         if r.verdicts["theorem"]:
             continue
-        F = build_F_det(t, t.eq(r.A), t.eq(r.B))
+        F = build_F_det(t, r.A, r.B)
         if F.is_zero() or find_linear_factors(F):
             continue
-        assert count_nonzero_fq_zeros(transform_H(t, t.eq(r.A), t.eq(r.B), xi)) > 0
+        assert count_nonzero_fq_zeros(transform_H(t, r.A, r.B, xi)) > 0
 
 
 def test_fq_line_with_kernel_blocks_planarity(towers):
@@ -478,13 +473,13 @@ def test_fq_line_with_kernel_blocks_planarity(towers):
     t = towers[7]
     for a in range(7):
         for b in range(7):
-            F = build_F_det(t, t.eq(a), t.eq(b))
+            F = build_F_det(t, a, b)
             if F.is_zero():
                 continue
             for lf in find_linear_factors(F, max_ext=1):
                 u, v, w = lf.coeffs
-                if has_nonzero_root_subfield_coeffs(t.eq(w), t.eq(v), t.eq(u)):
-                    assert not is_planar_det(t, t.eq(a), t.eq(b))[0]
+                if has_nonzero_root_subfield_coeffs(t.fq, w, v, u):
+                    assert not is_planar_det(t, a, b)[0]
 
 
 @pytest.mark.parametrize("q", (3, 5, 9, 25))
@@ -494,8 +489,8 @@ def test_coefficient_arrays_match_the_single_pair_cubics(towers, q):
     det = np.stack(np.broadcast_arrays(*_det_coeffs(t.fq, A, B)), axis=1)
     paper = np.stack(np.broadcast_arrays(*_paper_coeffs(t.fq, A, B)), axis=1)
     for a, b, d, p in zip(A.tolist(), B.tolist(), det.tolist(), paper.tolist()):
-        assert tuple(d) == build_F_det(t, t.eq(a), t.eq(b)).coeffs
-        assert tuple(p) == build_F_paper(t, t.eq(a), t.eq(b)).coeffs
+        assert tuple(d) == build_F_det(t, a, b).coeffs
+        assert tuple(p) == build_F_paper(t, a, b).coeffs
 
 
 def test_array_coefficient_evaluation_matches_evaluate(towers):

@@ -21,7 +21,10 @@ from planarq import (
     standard_extension,
 )
 from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
-from planarq.planarity import classify_pair
+from planarq.curves import build_F_det, build_F_paper, transform_H, verify_branch_factorization
+from planarq.linearized import (brute_kernel, dickson_matrix, difference_matrix_direct,
+                                difference_triple)
+from planarq.planarity import classify_pair, f_poly, is_planar_det, prop1_necessary
 
 
 def test_build_tower_orders():
@@ -99,11 +102,47 @@ def test_field_ops_on_codes_and_level_mismatch():
     assert f.div(f.mul(a, b), b) == a
     assert f.neg(f.neg(a)) == a
     assert f.pow(a, 0) == 1
-    assert len({t.eq(3), 3}) == 1  # equal to its int code, so hashed alike
     with pytest.raises(LevelMismatch):
-        classify_pair(t, t.eq3(a), t.eq(2))
+        classify_pair(t, a, 2)  # a code of F_{q^3} outside F_q
     with pytest.raises(DivisionByZero):
         f.inv(0)
+
+
+# every entry point that takes the pair (a, b) of F_q codes; c is a code of
+# F_{q^3}, the shift or the normal element where the entry point takes one
+_PAIR_ENTRY_POINTS = {
+    "f_poly": lambda t, a, b, c: f_poly(t, a, b),
+    "classify_pair": lambda t, a, b, c: classify_pair(t, a, b),
+    "is_planar_det": lambda t, a, b, c: is_planar_det(t, a, b),
+    "prop1_necessary": lambda t, a, b, c: prop1_necessary(t, a, b),
+    "build_F_det": lambda t, a, b, c: build_F_det(t, a, b),
+    "build_F_paper": lambda t, a, b, c: build_F_paper(t, a, b),
+    "verify_branch_factorization": lambda t, a, b, c: verify_branch_factorization(t, a, b),
+    "transform_H": lambda t, a, b, c: transform_H(t, a, b, c),
+    "difference_triple": lambda t, a, b, c: difference_triple(t, a, b, c),
+    "difference_matrix_direct": lambda t, a, b, c: difference_matrix_direct(t, a, b, c),
+    "dickson_matrix": lambda t, a, b, c: dickson_matrix(difference_triple(t, a, b, c)),
+    "brute_kernel": lambda t, a, b, c: brute_kernel(difference_triple(t, a, b, c)),
+}
+_SHIFT_ENTRY_POINTS = ("transform_H", "difference_triple", "difference_matrix_direct")
+
+
+@pytest.mark.parametrize("name", _PAIR_ENTRY_POINTS)
+def test_pair_entry_points_check_code_levels(towers, name):
+    t = towers[5]
+    call = _PAIR_ENTRY_POINTS[name]
+    xi = find_normal_element(t)
+    # (1, 1) lies on the trace line and is not planar, so every entry point
+    # has a result, and is_planar_det a witness
+    want = call(t, 1, 1, xi)
+    assert call(t, np.int64(1), np.int64(1), np.int64(xi)) == want
+    for a, b in ((t.q, 1), (1, t.q), (-1, 1), (1, t.order_top - 1)):
+        with pytest.raises(LevelMismatch):
+            call(t, a, b, xi)
+    if name in _SHIFT_ENTRY_POINTS:
+        for c in (t.order_top, -1):
+            with pytest.raises(LevelMismatch):
+                call(t, 1, 1, c)
 
 
 def test_encode_decode_roundtrip():
@@ -127,12 +166,6 @@ def test_chunk_tables_add_and_sub_like_the_field(p, c, n):
     pairs = list(zip(_decode(u, radix, chunks), _decode(v, radix, chunks)))
     assert np.array_equal(_encode([add[x, y] for x, y in pairs], radix), f.add_vec(u, v))
     assert np.array_equal(_encode([sub[x, y] for x, y in pairs], radix), f.sub_vec(u, v))
-
-
-def test_enumeration_sizes():
-    t = build_tower(3, 2)
-    assert len({t.eq(c).code for c in range(t.fq.order)}) == 9
-    assert len({t.eq3(c).code for c in range(t.fq3.order)}) == 729
 
 
 def test_find_irreducible_examples():
@@ -264,13 +297,9 @@ def test_frobenius_properties(towers):
     for code in range(t.q):
         assert f.frob(code, 1) == code
         assert f.frob(code, 2) == code
-
-
-def test_frobenius_elt_wrapper(towers):
-    t = towers[9]
-    x = t.eq3(500)
-    assert t.fq3.frob(x.code, 1) == t.fq3.pow(x.code, t.q)
-    assert t.fq3.frob(x.code, 3) == x.code
+    f9 = towers[9].fq3  # the nested tower, m = 2
+    assert f9.frob(500, 1) == f9.pow(500, 9)
+    assert f9.frob(500, 3) == 500
 
 
 def test_fixed_field_size(towers):
@@ -294,11 +323,11 @@ def test_normal_element(towers):
         t = towers[q]
         xi = find_normal_element(t)
         assert xi == find_normal_element(t)  # deterministic
-        assert xi.code >= t.q  # subfield elements can never be normal
+        assert xi >= t.q  # subfield elements can never be normal
         # independent oracle: the conjugates span, checked by enumerating all
         # q^3 F_q-combinations through generic exponentiation
         f = t.fq3
-        conj = [xi.code, f.pow(xi.code, t.q), f.pow(xi.code, t.q ** 2)]
+        conj = [xi, f.pow(xi, t.q), f.pow(xi, t.q ** 2)]
         span = set()
         for c0 in range(t.q):
             for c1 in range(t.q):
@@ -307,7 +336,7 @@ def test_normal_element(towers):
                     span.add(f.add(base, f.mul(c2, conj[2])))
         assert len(span) == t.order_top
         # first-in-code-order contract
-        for code in range(xi.code):
+        for code in range(xi):
             cj = [code, f.pow(code, t.q), f.pow(code, t.q ** 2)]
             vecs = [f.coords(c) for c in cj]
             assert det3(t.fq, vecs) == 0
@@ -323,7 +352,7 @@ def test_normal_element_is_first_nonzero_det_over_the_field(p, m):
     codes = np.arange(f.order)
     vecs = [f.coords(codes), f.coords(f.pow_vec(codes, t.q)),
             f.coords(f.pow_vec(codes, t.q ** 2))]
-    assert find_normal_element(t).code == np.flatnonzero(det3(t.fq, vecs))[0]
+    assert find_normal_element(t) == np.flatnonzero(det3(t.fq, vecs))[0]
 
 
 def test_sqrt_examples():
@@ -348,14 +377,6 @@ def test_sqrt_full_properties(towers):
                     other = fq.neg(r)
                     assert r <= other  # smaller root by canonical code
         assert squares == (q - 1) // 2 + 1
-
-
-def test_embed_is_identity_on_codes(towers):
-    t = towers[9]
-    for code in range(t.q):
-        emb = t.embed(t.eq(code))
-        assert emb.code == code
-        assert t.fq3.frob(emb.code, 1) == emb.code
 
 
 def test_tower_pickles_to_same_tower(towers):

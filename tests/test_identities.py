@@ -50,13 +50,12 @@ def test_swap_battery_reports_perturbed_pairs(towers, monkeypatch, pairs):
 
 @pytest.mark.parametrize("triples", _TRIPLES)
 def test_root_battery_reports_flipped_criteria(towers, monkeypatch, triples):
-    original = identities._cubic_sum
+    original = identities.has_nonzero_root_subfield_coeffs
 
     def flipped(f, a, b, g):
-        s = original(f, a, b, g)
-        return np.where(_hit(triples, a, b, g), np.where(s == 0, 1, 0), s)
+        return original(f, a, b, g) ^ _hit(triples, a, b, g)
 
-    monkeypatch.setattr(identities, "_cubic_sum", flipped)
+    monkeypatch.setattr(identities, "has_nonzero_root_subfield_coeffs", flipped)
     r = battery_root_criterion(towers[5], samples=0, rng=random.Random(0))
     assert not r.passed and r.checked == 125
     assert r.failures == tuple(sorted(triples)[:5])

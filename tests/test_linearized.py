@@ -5,12 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from planarq import Elt, LevelMismatch
+from planarq import LevelMismatch
 from planarq.gf import det3
 import planarq.linearized as linearized
 from planarq.linearized import (
     LinTriple,
-    _cubic_sum,
     brute_kernel,
     dickson_matrix,
     difference_matrix_direct,
@@ -21,7 +20,7 @@ from planarq.linearized import (
 
 
 def _triple(t, c0, c1, c2):
-    return LinTriple(t.eq3(c0), t.eq3(c1), t.eq3(c2))
+    return LinTriple(t.fq3, c0, c1, c2)
 
 
 def test_matrix_of_subfield_triple(towers):
@@ -44,8 +43,8 @@ def test_matrix_matches_direct_transcription(towers):
         t = towers[q]
         rng = random.Random(3)
         for _ in range(100):
-            A, B = t.eq(rng.randrange(t.q)), t.eq(rng.randrange(t.q))
-            C = t.eq3(rng.randrange(t.order_top))
+            A, B = rng.randrange(t.q), rng.randrange(t.q)
+            C = rng.randrange(t.order_top)
             L = difference_triple(t, A, B, C)
             assert dickson_matrix(L) == difference_matrix_direct(t, A, B, C)
 
@@ -63,7 +62,7 @@ def test_det3_hand_value(towers):
     # difference matrix at (A, B, C) = (2, 1, 1) over q = 5 reduces to the
     # integer matrix [[0,2,1],[1,0,2],[2,1,0]], determinant 9 = 4 mod 5
     t = towers[5]
-    L = difference_triple(t, t.eq(2), t.eq(1), t.eq3(1))
+    L = difference_triple(t, 2, 1, 1)
     assert det3(t.fq3, dickson_matrix(L)) == 4
 
 
@@ -72,8 +71,8 @@ def test_determinant_lies_in_subfield(towers):
     f = t.fq3
     rng = random.Random(5)
     for _ in range(200):
-        A, B = t.eq(rng.randrange(5)), t.eq(rng.randrange(5))
-        C = t.eq3(rng.randrange(125))
+        A, B = rng.randrange(5), rng.randrange(5)
+        C = rng.randrange(125)
         d = int(det3(f, dickson_matrix(difference_triple(t, A, B, C))))
         assert f.frob(d, 1) == d
         assert d < t.q
@@ -103,8 +102,8 @@ def test_kernel_structure(towers):
     t = towers[5]
     ker = brute_kernel(_triple(t, 1, 1, 1))
     assert len(ker) == t.q ** 2  # trace kernel
-    assert ker[0].code == 0
-    assert brute_kernel(_triple(t, 1, 0, 0)) == [t.eq3(0)]
+    assert ker[0] == 0
+    assert brute_kernel(_triple(t, 1, 0, 0)) == [0]
     rng = random.Random(1)
     for _ in range(40):
         L = _triple(t, rng.randrange(125), rng.randrange(125), rng.randrange(125))
@@ -114,8 +113,8 @@ def test_kernel_structure(towers):
 
 def test_root_criterion_examples(towers):
     t = towers[5]
-    assert has_nonzero_root_subfield_coeffs(t.eq(1), t.eq(1), t.eq(1))
-    assert not has_nonzero_root_subfield_coeffs(t.eq(1), t.eq(0), t.eq(0))
+    assert has_nonzero_root_subfield_coeffs(t.fq, 1, 1, 1)
+    assert not has_nonzero_root_subfield_coeffs(t.fq, 1, 0, 0)
 
 
 def test_root_criterion_squared_pattern(towers):
@@ -125,7 +124,7 @@ def test_root_criterion_squared_pattern(towers):
         fq = t.fq
         for a in range(q):
             a2 = fq.mul(a, a)
-            crit = has_nonzero_root_subfield_coeffs(t.eq(a2), t.eq(1), t.eq(a))
+            crit = has_nonzero_root_subfield_coeffs(t.fq, a2, 1, a)
             assert crit == (fq.pow(a, 3) == 1)
 
 
@@ -135,17 +134,17 @@ def test_root_criterion_vs_kernel_exhaustive_q3(towers):
     for a in range(3):
         for b in range(3):
             for g in range(3):
-                crit = has_nonzero_root_subfield_coeffs(t.eq(a), t.eq(b), t.eq(g))
-                L = LinTriple(Elt(f, g), Elt(f, b), Elt(f, a))
+                crit = has_nonzero_root_subfield_coeffs(t.fq, a, b, g)
+                L = LinTriple(f, g, b, a)
                 assert crit == (len(brute_kernel(L)) > 1)
 
 
 def test_lintriple_level_checks(towers):
     t = towers[5]
     with pytest.raises(LevelMismatch):
-        LinTriple(t.eq(1), t.eq(0), t.eq(0))
+        LinTriple(t.fq, 1, 0, 0)  # coefficients of F_q, not of F_{q^3}
     with pytest.raises(LevelMismatch):
-        difference_triple(t, t.eq3(1), t.eq(0), t.eq3(1))
+        LinTriple(t.fq3, 1, 0, t.order_top)
 
 
 @pytest.mark.parametrize("q", (3, 5, 9))
@@ -164,11 +163,11 @@ def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeyp
     rng = np.random.default_rng(11)
     c0, c1, c2 = rng.integers(0, t.fq3.order, size=(3, 60))
     c1[:20] = 0  # maps with repeated and zero coefficients
-    diffs = [difference_triple(t, t.eq(a), t.eq(b), t.eq3(c))
+    diffs = [difference_triple(t, a, b, c)
              for a, b, c in ((1, 1, 1), (2, 1, 7), (0, 0, 3))]
-    c0 = np.concatenate([c0, [L.c0.code for L in diffs]])
-    c1 = np.concatenate([c1, [L.c1.code for L in diffs]])
-    c2 = np.concatenate([c2, [L.c2.code for L in diffs]])
+    c0 = np.concatenate([c0, [L.c0 for L in diffs]])
+    c1 = np.concatenate([c1, [L.c1 for L in diffs]])
+    c2 = np.concatenate([c2, [L.c2 for L in diffs]])
     sizes = kernel_sizes(t.fq3, c0, c1, c2)
     want = [len(brute_kernel(_triple(t, *map(int, c)))) for c in zip(c0, c1, c2)]
     assert sizes.tolist() == want
@@ -178,6 +177,6 @@ def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeyp
 def test_cubic_sum_on_arrays_matches_the_criterion(towers):
     t = towers[7]
     a, b, g = np.unravel_index(np.arange(343), (7, 7, 7))
-    zero = _cubic_sum(t.fq, a, b, g) == 0
-    assert zero.tolist() == [has_nonzero_root_subfield_coeffs(t.eq(x), t.eq(y), t.eq(z))
+    zero = has_nonzero_root_subfield_coeffs(t.fq, a, b, g)
+    assert zero.tolist() == [has_nonzero_root_subfield_coeffs(t.fq, x, y, z)
                              for x, y, z in zip(a.tolist(), b.tolist(), g.tolist())]
