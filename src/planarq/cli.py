@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .errors import Disagreement, NotOnLocus, PlanarqError
 from .families import FAMILIES, FamilySpec, family_report
-from .gf import build_tower, det3, find_normal_element
+from .gf import build_tower, find_normal_element
 from .identities import run_identities
 from .planarity import (
     ALL_METHODS,
@@ -166,6 +166,8 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     from .curves import (
+        _evaluate,
+        _normalize_line,
         build_F_det,
         count_nonzero_fq_zeros,
         find_linear_factors,
@@ -191,11 +193,10 @@ def cmd_verify(args) -> int:
 
     clock = time.perf_counter()
     F = build_F_det(tower, A, B)
-    degenerate = F.is_zero()
-    factors = None if degenerate else [
-        {"coeffs": list(lf.coeffs), "ext": lf.ext}
-        for lf in find_linear_factors(F)
-    ]
+    degenerate = not any(F)
+    lines = None if degenerate else find_linear_factors(tower.fq, F)
+    factors = None if degenerate else [{"coeffs": list(lf.coeffs), "ext": lf.ext}
+                                       for lf in lines]
     timings["lines"] = time.perf_counter() - clock
     try:
         branch_report = verify_branch_factorization(tower, A, B)
@@ -213,7 +214,7 @@ def cmd_verify(args) -> int:
     xi = find_normal_element(tower)
     timings["normal"] = time.perf_counter() - clock
     clock = time.perf_counter()
-    point_count = count_nonzero_fq_zeros(transform_H(tower, A, B, xi))
+    point_count = count_nonzero_fq_zeros(tower.fq, transform_H(tower, A, B, xi))
     timings["points"] = time.perf_counter() - clock
 
     inconsistencies = []
@@ -228,10 +229,15 @@ def cmd_verify(args) -> int:
         inconsistencies.append("point count contradicts the determinant sweep")
     if branch_report is not None and not branch_report.ok:
         inconsistencies.append("a claimed factorization failed to verify")
+    if lines is not None and branch_report is not None:
+        found = {lf.coeffs for lf in lines if lf.ext == 1}
+        if any(_normalize_line(tower.fq, line) not in found
+               for c in branch_report.checks if c.verified for line in c.lines):
+            inconsistencies.append("a verified branch line is missing from the line oracle")
     if witness is not None:
-        from .linearized import dickson_matrix, difference_triple
-
-        if det3(tower.fq3, dickson_matrix(difference_triple(tower, A, B, witness))) != 0:
+        # the Leibniz cubic at (w, w^q, w^(q^2)), independent of the determinant sweep
+        f3 = tower.fq3
+        if _evaluate(f3, F, witness, f3.frob(witness, 1), f3.frob(witness, 2)) != 0:
             inconsistencies.append("witness does not kill the determinant")
 
     dossier = {

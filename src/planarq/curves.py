@@ -14,13 +14,15 @@ restrictions of the cubic, and each candidate is confirmed at four points of
 the line.  It also carries the normal-basis change of variables H plus F_q
 point counting that replaces the curve-theoretic existence argument for roots.
 
-The pair (A, B) and the normal element xi are passed as codes, each checked
-against its field by ``gf._codes_in``.  Coefficients are codes, and
-``TernaryCubic.evaluate`` takes codes: ints or int64 arrays that broadcast
-together.  The cores under the single-pair objects take codes the same way:
-``_det_coeffs`` and ``_paper_coeffs`` expand the cubics of whole arrays of
-pairs, and ``_evaluate`` accepts arrays of coefficients, which is how the
-identity batteries check every pair at once.
+A cubic is its ten coefficient codes in ``MONOMIALS`` order, a tuple passed
+with its field.  The pair (A, B) and the normal element xi are passed as
+codes, and so are a cubic's coefficients at the entry points that take one
+(``find_linear_factors``, ``count_nonzero_fq_zeros``, ``divides``,
+``substitute_linear``), each checked against its field by ``gf._codes_in``.
+The cores take codes as ints or arrays: ``_det_coeffs`` and
+``_paper_coeffs`` expand the cubics of whole arrays of pairs, and
+``_evaluate`` evaluates a cubic at points that broadcast with its
+coefficients, which is how the identity batteries check every pair at once.
 """
 
 from __future__ import annotations
@@ -59,80 +61,36 @@ _PRODUCT_SLOT = tuple(tuple(tuple(_MIDX[tuple((i1, i2, i3).count(v) for v in ran
                                   for i3 in range(3)) for i2 in range(3)) for i1 in range(3))
 
 
-class TernaryCubic:
-    """Dense homogeneous cubic in (X, Y, T): ten coefficient codes plus a field."""
+def _cubic_codes(field: Field, coeffs) -> tuple[int, ...]:
+    """The ten coefficient codes of a cubic as ints, each checked to be a code
+    of ``field``."""
+    if len(coeffs) != 10:
+        raise ValueError("a ternary cubic has 10 coefficients")
+    return _codes_in(field, *coeffs)
 
-    def __init__(self, field: Field, coeffs):
-        if isinstance(coeffs, dict):
-            vec = [0] * 10
-            for mon, c in coeffs.items():
-                vec[_MIDX[tuple(mon)]] = int(c)
-        else:
-            vec = [int(c) for c in coeffs]
-            if len(vec) != 10:
-                raise ValueError("need 10 coefficients")
-        if any(not 0 <= c < field.order for c in vec):
-            raise ValueError("coefficient code out of range")
-        self.field = field
-        self.coeffs = tuple(vec)
 
-    def __eq__(self, other):
-        return (isinstance(other, TernaryCubic) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __repr__(self):
-        bits = []
-        for mon, c in zip(MONOMIALS, self.coeffs):
-            if c:
-                names = "".join(n * e for n, e in zip("XYT", mon))
-                bits.append(f"{c}*{names}")
-        return "TernaryCubic(" + (" + ".join(bits) or "0") + ")"
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def scale(self, c: int) -> "TernaryCubic":
-        f = self.field
-        return TernaryCubic(f, [f.mul(c, x) for x in self.coeffs])
-
-    def add(self, other: "TernaryCubic") -> "TernaryCubic":
-        f = self.field
-        return TernaryCubic(f, [f.add(x, y) for x, y in zip(self.coeffs, other.coeffs)])
-
-    def swap_xy(self) -> "TernaryCubic":
-        """Relabel (X, Y, T) -> (Y, X, T)."""
-        return TernaryCubic(self.field, [self.coeffs[n] for n in _SWAP_XY])
-
-    def in_field(self, field: Field) -> "TernaryCubic":
-        """Reinterpret the coefficients in an extension (codes embed as-is)."""
-        return TernaryCubic(field, self.coeffs)
-
-    def evaluate(self, X, Y, T):
-        """The cubic at codes X, Y, T (ints or arrays, broadcast together)."""
-        return _evaluate(self.field, self.coeffs, X, Y, T)
-
-    def substitute_linear(self, forms) -> "TernaryCubic":
-        """Plug linear forms in for (X, Y, T): P(L0, L1, L2), expanded."""
-        f = self.field
-        acc = TernaryCubic(f, [0] * 10)
-        L0, L1, L2 = forms
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            if c == 0:
-                continue
-            picks = [L0] * i + [L1] * j + [L2] * k
-            acc = acc.add(triple_product(f, *picks).scale(c))
-        return acc
+def substitute_linear(field: Field, coeffs, forms) -> tuple[int, ...]:
+    """Plug linear forms (u, v, w) ~ uX + vY + wT in for (X, Y, T) in the
+    cubic with coefficient codes ``coeffs``: P(L0, L1, L2), expanded."""
+    acc = [0] * 10
+    ops = (field.mul, field.add, field.sub)
+    for (i, j, k), c in zip(MONOMIALS, _cubic_codes(field, coeffs)):
+        if c:
+            first, *rest = [forms[0]] * i + [forms[1]] * j + [forms[2]] * k
+            _expand_product(ops, [field.mul(c, x) for x in first], *rest, acc)
+    return tuple(acc)
 
 
 def _evaluate(f: Field, coeffs, X, Y, T):
     """The cubic with the ten coefficient codes ``coeffs`` (MONOMIALS order)
     at codes X, Y, T; coefficients and points are ints or arrays, and all of
-    them broadcast together."""
+    them broadcast together.  On ints alone it runs the scalar kernels and
+    returns an int."""
+    mul, add, _ = _ops(f, X, Y, T, *coeffs)
     pw = {}
     for name, base in (("X", X), ("Y", Y), ("T", T)):
-        base = np.asarray(base, dtype=np.int64)
-        sq = f.mul_vec(base, base)
-        pw[name] = (None, base, sq, f.mul_vec(sq, base))
+        sq = mul(base, base)
+        pw[name] = (None, base, sq, mul(sq, base))
     acc = None
     for (i, j, k), c in zip(MONOMIALS, coeffs):
         scalar = not isinstance(c, np.ndarray)
@@ -142,10 +100,10 @@ def _evaluate(f: Field, coeffs, X, Y, T):
         for name, e in (("X", i), ("Y", j), ("T", k)):
             if e:
                 p = pw[name][e]
-                term = p if term is None else f.mul_vec(term, p)
+                term = p if term is None else mul(term, p)
         if not (scalar and c == 1):
-            term = f.mul_vec(c, term)
-        acc = term if acc is None else f.add_vec(acc, term)
+            term = mul(c, term)
+        acc = term if acc is None else add(acc, term)
     if acc is None:
         shape = np.broadcast(np.asarray(X), np.asarray(Y), np.asarray(T)).shape
         return np.zeros(shape, dtype=np.int64)
@@ -171,11 +129,11 @@ def _expand_product(ops, f1, f2, f3, acc, sign: int = 1) -> None:
                 acc[slots[i3]] = put(acc[slots[i3]], mul(ab, c))
 
 
-def triple_product(field: Field, f1, f2, f3) -> TernaryCubic:
+def triple_product(field: Field, f1, f2, f3) -> tuple[int, ...]:
     """Expand the product of three linear forms (u, v, w) ~ uX + vY + wT."""
     out = [0] * 10
     _expand_product((field.mul, field.add, field.sub), f1, f2, f3, out)
-    return TernaryCubic(field, out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +144,9 @@ _PERMS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
           (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1))
 
 
-def build_F_det(tower: FieldTower, A, B) -> TernaryCubic:
+def build_F_det(tower: FieldTower, A, B) -> tuple[int, ...]:
     """The determinant of the difference-map matrix of the F_q codes (A, B),
-    as a cubic in (X, Y, T).
+    as the ten coefficient codes of a cubic in (X, Y, T).
 
     Built by Leibniz expansion (:func:`_det_coeffs`).  By construction
     F(C, C^q, C^(q^2)) = det for every C.  F_q keeps the cubic of the most
@@ -199,7 +157,7 @@ def build_F_det(tower: FieldTower, A, B) -> TernaryCubic:
     key = _codes_in(fq, A, B)
     last = fq._cache.get("F_det")
     if last is None or last[0] != key:
-        last = fq._cache["F_det"] = (key, TernaryCubic(fq, _det_coeffs(fq, *key)))
+        last = fq._cache["F_det"] = (key, tuple(_det_coeffs(fq, *key)))
     return last[1]
 
 
@@ -229,7 +187,7 @@ def _det_coeffs(fq: Field, a, b) -> list:
     return acc
 
 
-def build_F_paper(tower: FieldTower, A, B) -> TernaryCubic:
+def build_F_paper(tower: FieldTower, A, B) -> tuple[int, ...]:
     """Verbatim transcription of the published bivariate cubic of the F_q
     codes (A, B), homogenized.
 
@@ -238,7 +196,7 @@ def build_F_paper(tower: FieldTower, A, B) -> TernaryCubic:
     X and Y turns this into ``build_F_det`` (the pinned erratum relation).
     """
     fq = tower.fq
-    return TernaryCubic(fq, _paper_coeffs(fq, *_codes_in(fq, A, B)))
+    return tuple(_paper_coeffs(fq, *_codes_in(fq, A, B)))
 
 
 def _paper_coeffs(fq: Field, a, b) -> list:
@@ -292,9 +250,10 @@ class FactorReport:
         raise KeyError(name)
 
 
-def divides(P: TernaryCubic, line) -> bool:
-    """Whether the projective line uX + vY + wT divides the cubic."""
-    f = P.field
+def divides(field: Field, coeffs, line) -> bool:
+    """Whether the projective line uX + vY + wT divides the cubic with
+    coefficient codes ``coeffs``, both over ``field``."""
+    f = field
     u, v, w = line
     if w != 0:
         inv = f.inv(w)
@@ -306,14 +265,13 @@ def divides(P: TernaryCubic, line) -> bool:
         forms = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
     else:
         raise ValueError("zero line")
-    return P.substitute_linear(forms).is_zero()
+    return not any(substitute_linear(f, coeffs, forms))
 
 
-def _match_up_to_scalar(P: TernaryCubic, Q: TernaryCubic) -> int | None:
-    """Scalar lam with P == lam * Q, or None."""
-    f = P.field
+def _match_up_to_scalar(f: Field, P, Q) -> int | None:
+    """Scalar lam with P == lam * Q for the coefficient codes P, Q, or None."""
     lam = None
-    for cp, cq in zip(P.coeffs, Q.coeffs):
+    for cp, cq in zip(P, Q):
         if cq == 0:
             if cp != 0:
                 return None
@@ -347,8 +305,9 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
 
     # B = 0: the cubic collapses to 2*(A^3 + 1)*XYT
     if b == 0:
-        expected = TernaryCubic(fq, {(1, 1, 1): fq.mul(two, fq.add(a3, 1))})
-        rep.checks.append(BranchCheck("b_zero_monomial", True, F == expected,
+        expected = [0] * 10
+        expected[_MIDX[(1, 1, 1)]] = fq.mul(two, fq.add(a3, 1))
+        rep.checks.append(BranchCheck("b_zero_monomial", True, F == tuple(expected),
                                       note="F == 2*(A^3+1)*XYT"))
         return rep
 
@@ -356,7 +315,7 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
     on1 = (fq.add(fq.sub(a, fq.mul(two, b)), 1) == 0
            or (a == 1 and b in (1, fq.neg(fq.inv(two)))))
     if on1:
-        ok = divides(F, (1, 1, 1))
+        ok = divides(fq, F, (1, 1, 1))
         rep.checks.append(BranchCheck("trace_line", True, ok, lines=((1, 1, 1),)))
 
     # cubic branch: A^3 - 2AB + 1 = 0, A^3 != -1; full split, lam = 2B/A^2
@@ -397,7 +356,7 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
             line = (two, fq.sub(alpha, 1), fq.neg(fq.add(1, alpha)))
             for variant, oriented in (("as printed", line),
                                       ("X<->Y", (line[1], line[0], line[2]))):
-                if divides(F, oriented):
+                if divides(fq, F, oriented):
                     found = BranchCheck(name, True, True, alpha=alpha,
                                         lines=(oriented,), note=variant)
                     break
@@ -411,7 +370,7 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
         on3 = fq.mul(fq.from_int(8), fq.pow(b, 3)) == 1
         if on3:
             line = (fq.mul(two, b), fq.mul(fq.from_int(4), fq.mul(b, b)), 1)
-            rep.checks.append(BranchCheck("a_zero_line", True, divides(F, line),
+            rep.checks.append(BranchCheck("a_zero_line", True, divides(fq, F, line),
                                           lines=(line,)))
 
     if not rep.on_any_locus:
@@ -427,7 +386,7 @@ def _verify_split(F, fq, lines, lam_formula, name) -> BranchCheck:
     for variant, ls in (("as printed", lines),
                         ("X<->Y", tuple((v, u, w) for (u, v, w) in lines))):
         prod = triple_product(fq, *ls)
-        lam = _match_up_to_scalar(F, prod)
+        lam = _match_up_to_scalar(fq, F, prod)
         if lam is not None:
             note = variant
             if lam != lam_formula:
@@ -464,9 +423,9 @@ def _horner_vec(field: Field, coeffs, codes):
     return vals
 
 
-def _coordinate_factors(P: TernaryCubic):
+def _coordinate_factors(coeffs):
     """Divide out X, Y, T factors; returns (residual term dict, lines)."""
-    terms = {mon: c for mon, c in zip(MONOMIALS, P.coeffs) if c}
+    terms = {mon: c for mon, c in zip(MONOMIALS, coeffs) if c}
     lines = []
     for axis, line in ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))):
         while terms and all(mon[axis] >= 1 for mon in terms):
@@ -476,8 +435,9 @@ def _coordinate_factors(P: TernaryCubic):
     return terms, lines
 
 
-def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
-    """All projective lines over F_{q^k}, k <= max_ext, dividing the cubic.
+def find_linear_factors(field: Field, coeffs, max_ext: int = 3) -> list[LineFactor]:
+    """All projective lines over F_{q^k}, k <= max_ext, dividing the cubic with
+    coefficient codes ``coeffs`` over F_q = ``field``.
 
     Coordinate-line factors are divided out first.  The residual R, of degree
     d <= 3, is then divisible by none of X, Y, T, so R(1, a, 0), R(0, b, 1)
@@ -505,12 +465,13 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
     already found over F_q; the search would only repeat lines that
     :func:`_dedupe_lines` drops.
     """
-    if P.is_zero():
+    fq = field
+    coeffs = _cubic_codes(fq, coeffs)
+    if not any(coeffs):
         raise ValueError("the zero cubic is divisible by every line")
     if not 1 <= max_ext <= 3:
         raise ValueError("max_ext must be 1, 2, or 3")
-    fq = P.field
-    terms, coord_lines = _coordinate_factors(P)
+    terms, coord_lines = _coordinate_factors(coeffs)
     found: list[LineFactor] = [LineFactor(line, 1) for line in coord_lines]
     d = max((sum(m) for m in terms), default=0)
     vertical = not terms.get((0, d, 0))  # lines X = cT need R(0, 1, 0) = 0
@@ -541,7 +502,7 @@ def find_linear_factors(P: TernaryCubic, max_ext: int = 3) -> list[LineFactor]:
         p1 = np.array([c[2] for c in cands], dtype=np.int64)
         # (x:t) = (1:0), (0:1), (1:1), (1:-1) on every candidate line
         pts = np.stack([p0, p1, f.add_vec(p0, p1), f.sub_vec(p0, p1)], axis=1)
-        vals = P.in_field(f).evaluate(pts[..., 0], pts[..., 1], pts[..., 2])
+        vals = _evaluate(f, coeffs, pts[..., 0], pts[..., 1], pts[..., 2])
         for (line, _, _), zero in zip(cands, ~vals.any(axis=1)):
             if zero:
                 found.append(LineFactor(_normalize_line(f, line), ext))
@@ -578,7 +539,7 @@ def _dedupe_lines(found, q: int) -> list[LineFactor]:
 # normal-basis transform and point counting
 # ---------------------------------------------------------------------------
 
-def transform_H(tower: FieldTower, A, B, xi) -> TernaryCubic:
+def transform_H(tower: FieldTower, A, B, xi) -> tuple[int, ...]:
     """Change variables by the conjugate basis of xi, a code of F_{q^3}, in
     the cubic of the F_q codes (A, B); coefficients drop to F_q.
 
@@ -591,26 +552,26 @@ def transform_H(tower: FieldTower, A, B, xi) -> TernaryCubic:
     """
     f3 = tower.fq3
     (xi,) = _codes_in(f3, xi)
-    G = np.array(build_F_det(tower, A, B).coeffs, dtype=np.int64)
+    G = np.array(build_F_det(tower, A, B), dtype=np.int64)
     M = _substitution_matrix(f3, xi)
     H = functools.reduce(f3.add_vec, f3.mul_vec(M, G).T).tolist()
     q = tower.fq.order
     for c in H:
         if c >= q:
             raise CoefficientNotInSubfield(f"coefficient code {c} is not in F_{q}")
-    return TernaryCubic(tower.fq, H)
+    return tuple(H)
 
 
 def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:
     """10 x 10 codes whose column n is the cubic that monomial n becomes under
     (X, Y, T) -> the conjugate-basis forms of xi, as in
-    ``TernaryCubic.substitute_linear``.  It depends on F_{q^3} and xi only,
+    :func:`substitute_linear`.  It depends on F_{q^3} and xi only,
     so it is built once per xi and kept on F_{q^3}."""
     key = ("H_matrix", xi)
     if key not in f3._cache:
         x1, x2 = f3.frob(xi, 1), f3.frob(xi, 2)
         L0, L1, L2 = (xi, x1, x2), (x1, x2, xi), (x2, xi, x1)
-        cols = [triple_product(f3, *([L0] * i + [L1] * j + [L2] * k)).coeffs
+        cols = [triple_product(f3, *([L0] * i + [L1] * j + [L2] * k))
                 for i, j, k in MONOMIALS]
         matrix = np.array(cols, dtype=np.int64).T
         matrix.setflags(write=False)
@@ -618,16 +579,17 @@ def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:
     return f3._cache[key]
 
 
-def count_nonzero_fq_zeros(P: TernaryCubic) -> int:
-    """Number of (x, y, t) in F_q^3 minus the origin with P(x, y, t) = 0.
+def count_nonzero_fq_zeros(field: Field, coeffs) -> int:
+    """Number of (x, y, t) in F_q^3 minus the origin where the cubic with
+    coefficient codes ``coeffs`` over F_q = ``field`` vanishes.
 
-    P is homogeneous, so P(lam*v) = lam^3 * P(v) and its zeros are unions of
-    F_q^* orbits of q - 1 points each.  P is evaluated at the q^2 + q + 1
-    orbit representatives of ``orbit_reps``, read as base-q digit triples.
+    The cubic P is homogeneous, so P(lam*v) = lam^3 * P(v) and its zeros are
+    unions of F_q^* orbits of q - 1 points each.  P is evaluated at the
+    q^2 + q + 1 orbit representatives of ``orbit_reps``, read as base-q digit
+    triples.
     """
-    f = P.field
-    q = f.order
+    coeffs = _cubic_codes(field, coeffs)
+    q = field.order
     _check_enumerable(q ** 3, "point count")
     X, Y, T = _decode(orbit_reps(q, q ** 3), q, 3)
-    return (q - 1) * int(np.count_nonzero(P.evaluate(X, Y, T) == 0))
-
+    return (q - 1) * int(np.count_nonzero(_evaluate(field, coeffs, X, Y, T) == 0))

@@ -33,11 +33,14 @@ only, so the same body runs on plain Python ints (the scalar methods, which
 return ints) and on int64 numpy arrays (the ``*_vec`` methods, which accept
 anything ``np.asarray`` handles and broadcast like ordinary numpy ufuncs).
 Array entry points refuse a field whose digit products could pass 2^63.
-:func:`det3` and the evaluations built on this module (linearized maps,
-ternary cubics) take codes the same way, an int or an array, and go through
-the ``*_vec`` entry points, so that guard covers them too; code that runs the
-scalar kernels on ints takes its operations from :func:`_ops`, which hands it
-the ``*_vec`` entry points as soon as an operand is an array.
+Above this module a linearized map is its three coefficient codes and a
+ternary cubic its ten, each passed with its field.  :func:`det3` and the
+evaluations built on this module (the determinant sweep, ``brute_kernel``,
+a cubic's ``curves._evaluate``) take codes the same way, an int or an array,
+and go through the ``*_vec`` entry points, so that guard covers them too;
+code that runs the scalar kernels on ints takes its operations from
+:func:`_ops`, which hands it the ``*_vec`` entry points as soon as an operand
+is an array.
 
 Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field and the cache key, so a tower can be

@@ -12,7 +12,10 @@ an oracle of its own:
   with X and Y exchanged, as coefficient arrays over all q^2 pairs;
 * the nonzero-kernel criterion against brute kernel enumeration
   (``linearized.kernel_sizes``, every map evaluated at every x);
-* the matrix convention, pair by pair.
+* the matrix convention, triple by triple: ``dickson_matrix`` of
+  ``difference_triple``, the matrix whose ``gf.det3`` the determinant
+  decider takes (both wrap the cores that ``_dets_at`` runs on arrays),
+  against the entry-by-entry transcription ``difference_matrix_direct``.
 
 A single seeded stream drives all sampling, so runs are reproducible from
 (config, seed).
@@ -125,7 +128,7 @@ def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Rando
     count = min(samples, 256)
     for _ in range(count):
         a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(n)
-        if dickson_matrix(difference_triple(tower, a, b, c)) != \
+        if dickson_matrix(tower.fq3, *difference_triple(tower, a, b, c)) != \
                 difference_matrix_direct(tower, a, b, c):
             failures.append((a, b, c))
     return BatteryResult("matrix convention", not failures, count, tuple(failures[:5]))

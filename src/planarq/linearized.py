@@ -4,17 +4,19 @@ A map of this shape is F_q-linear, so bijectivity is decided by a 3x3
 coefficient matrix built from Frobenius twists of (c0, c1, c2); the map is a
 permutation of F_{q^3} exactly when that matrix is nonsingular
 (``gf.det3`` of ``dickson_matrix``).  The brute kernel enumeration is kept
-alongside as the independent oracle.  Maps are evaluated and matrices are
-written on codes: a ``LinTriple`` holds its field and three coefficient
-codes, ``LinTriple.apply`` takes an int or an array of codes, the matrices
-are 3x3 nested tuples of codes, and ``brute_kernel`` lists the kernel's
-codes.  ``kernel_sizes`` counts the kernels of many maps at once, in bounded
-chunks.
+alongside as the independent oracle.  A map is its three coefficient codes
+(c0, c1, c2), passed with its field: ``dickson_matrix`` and ``brute_kernel``
+check that the field is a cubic extension and the codes lie in it, the
+matrices are 3x3 nested tuples of codes, and ``brute_kernel`` lists the
+kernel's codes.  ``kernel_sizes`` counts the kernels of many maps at once,
+in bounded chunks.
+
+The determinant decider (``planarity._dets_at``) is ``gf.det3`` of the same
+matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
+``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,39 +25,28 @@ from .gf import Field, FieldTower, _check_enumerable, _codes_in, _ops
 
 _KERNEL_CHUNK = 1 << 14  # (map, x) cells per whole-array step of kernel_sizes
 
-
-@dataclass(frozen=True)
-class LinTriple:
-    """Coefficients of x -> c0*x + c1*x^q + c2*x^(q^2): three codes of the
-    cubic extension ``field``."""
-
-    field: Field
-    c0: int
-    c1: int
-    c2: int
-
-    def __post_init__(self):
-        if self.field.degree != 3:
-            raise LevelMismatch("LinTriple coefficients must live in a cubic extension")
-        _codes_in(self.field, self.c0, self.c1, self.c2)
-
-    def apply(self, x):
-        """L(x) for codes x (an int or an array), Frobenius read from ``frob_table``."""
-        f = self.field
-        x = np.asarray(x, dtype=np.int64)
-        acc = f.mul_vec(self.c0, x)
-        acc = f.add_vec(acc, f.mul_vec(self.c1, f.frob_table(1)[x]))
-        return f.add_vec(acc, f.mul_vec(self.c2, f.frob_table(2)[x]))
-
-
 Matrix3 = tuple  # 3x3 nested tuples of codes
 
 
-def dickson_matrix(L: LinTriple) -> Matrix3:
-    """entry(i, j) = c_((j - i) mod 3) ^ (q^i)."""
-    f = L.field
-    cs = (L.c0, L.c1, L.c2)
-    return tuple(tuple(f.frob(cs[(j - i) % 3], i) for j in range(3)) for i in range(3))
+def _map_codes(field: Field, *coeffs) -> tuple[int, ...]:
+    """The coefficient codes of a linearized map as ints, once ``field`` is
+    checked to be a cubic extension and each code to lie in it."""
+    if field.degree != 3:
+        raise LevelMismatch("linearized-map coefficients must live in a cubic extension")
+    return _codes_in(field, *coeffs)
+
+
+def _dickson(f: Field, c0, c1, c2) -> Matrix3:
+    """entry(i, j) = c_((j - i) mod 3) ^ (q^i), for codes that are ints or arrays."""
+    cs = (c0, c1, c2)
+    frob = f.frob_vec if any(isinstance(c, np.ndarray) for c in cs) else f.frob
+    return tuple(tuple(frob(cs[(j - i) % 3], i) for j in range(3)) for i in range(3))
+
+
+def dickson_matrix(field: Field, c0, c1, c2) -> Matrix3:
+    """The coefficient matrix of x -> c0*x + c1*x^q + c2*x^(q^2), for codes of
+    the cubic extension ``field``: entry(i, j) = c_((j - i) mod 3) ^ (q^i)."""
+    return _dickson(field, *_map_codes(field, c0, c1, c2))
 
 
 def has_nonzero_root_subfield_coeffs(field: Field, a, b, g):
@@ -70,11 +61,16 @@ def has_nonzero_root_subfield_coeffs(field: Field, a, b, g):
     return sub(acc, mul(field.from_int(3), mul(mul(a, b), g))) == 0
 
 
-def brute_kernel(L: LinTriple) -> list[int]:
-    """The codes x with L(x) = 0, by exhaustive evaluation, in code order."""
-    f = L.field
+def brute_kernel(field: Field, c0, c1, c2) -> list[int]:
+    """The codes x with c0*x + c1*x^q + c2*x^(q^2) = 0, for codes of the cubic
+    extension ``field``, by evaluating the map at every x; in code order."""
+    c0, c1, c2 = _map_codes(field, c0, c1, c2)
+    f = field
     _check_enumerable(f.order, "kernel enumeration")
-    return np.flatnonzero(L.apply(np.arange(f.order)) == 0).tolist()
+    image = f.add_vec(f.add_vec(f.mul_vec(c0, np.arange(f.order)),
+                                f.mul_vec(c1, f.frob_table(1))),
+                      f.mul_vec(c2, f.frob_table(2)))
+    return np.flatnonzero(image == 0).tolist()
 
 
 def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
@@ -108,19 +104,25 @@ def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
     return sizes
 
 
-def difference_triple(tower: FieldTower, A, B, C) -> LinTriple:
+def _difference_coeffs(f: Field, a, b, c):
+    """(c0, c1, c2) of the difference map at shift c, for codes a, b of F_q and
+    c of F_{q^3} = f (subfield codes are F_{q^3} codes as they stand): ints,
+    or arrays that broadcast."""
+    mul, add, _ = _ops(f, a, b, c)
+    frob = f.frob_vec if any(isinstance(x, np.ndarray) for x in (a, b, c)) else f.frob
+    return add(frob(c, 2), add(mul(a, frob(c, 1)), mul(add(b, b), c))), mul(a, c), c
+
+
+def difference_triple(tower: FieldTower, A, B, C) -> tuple[int, int, int]:
     """Linearized difference map of the engine's quadratic family at shift C,
-    for codes A, B of F_q and C of F_{q^3}.
+    for codes A, B of F_q and C of F_{q^3}, as its codes (c0, c1, c2).
 
     For f(x) = x*(x^(q^2) + A*x^q + B*x) the map x -> f(x+C) - f(x) - f(C)
     equals C*x^(q^2) + A*C*x^q + (C^(q^2) + A*C^q + 2*B*C)*x.
     """
-    a, b = _codes_in(tower.fq, A, B)  # subfield codes are F_{q^3} codes as they stand
+    a, b = _codes_in(tower.fq, A, B)
     (c,) = _codes_in(tower.fq3, C)
-    f = tower.fq3
-    twob = tower.fq.add(b, b)
-    c0 = f.add(f.frob(c, 2), f.add(f.mul(a, f.frob(c, 1)), f.mul(twob, c)))
-    return LinTriple(f, c0, f.mul(a, c), c)
+    return _difference_coeffs(tower.fq3, a, b, c)
 
 
 def difference_matrix_direct(tower: FieldTower, A, B, C) -> Matrix3:

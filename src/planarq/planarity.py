@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import Disagreement
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
-                 _mult_order, orbit_reps)
-from .linearized import has_nonzero_root_subfield_coeffs
+                 _mult_order, det3, orbit_reps)
+from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
+
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
 BRANCH_SQUARE = "BranchSquare"
@@ -178,26 +179,14 @@ def brute_is_planar(poly: SparsePoly) -> bool:
 def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     """Difference-matrix determinants, fully vectorized over (A, B, C) triples.
 
-    Frobenius is applied to the arrays in hand, so no whole-field table is built.
+    ``gf.det3`` of ``dickson_matrix`` of ``difference_triple``, through their
+    code-level cores on arrays; Frobenius is applied to the arrays in hand, so
+    no whole-field table is built.
     """
     f = tower.fq3
     _check_enumerable(f.order, "determinant sweep")
-    X = np.asarray(c_codes, dtype=np.int64)
-    Y = f.frob_vec(X, 1)
-    T = f.frob_vec(X, 2)
-    a = np.asarray(a_codes, dtype=np.int64)
-    twob = tower.fq.add_vec(b_codes, b_codes)
-    c0 = f.add_vec(T, f.add_vec(f.mul_vec(a, Y), f.mul_vec(twob, X)))
-    c1 = f.mul_vec(a, X)
-    c2 = X
-    c0q, c1q, c2q = f.frob_vec(c0, 1), f.frob_vec(c1, 1), Y
-    c0q2, c1q2, c2q2 = f.frob_vec(c0, 2), f.frob_vec(c1, 2), T
-    # rows: (c0, c1, c2), (c2q, c0q, c1q), (c1q2, c2q2, c0q2)
-    m1 = f.sub_vec(f.mul_vec(c0q, c0q2), f.mul_vec(c1q, c2q2))
-    m2 = f.sub_vec(f.mul_vec(c2q, c0q2), f.mul_vec(c1q, c1q2))
-    m3 = f.sub_vec(f.mul_vec(c2q, c2q2), f.mul_vec(c0q, c1q2))
-    det = f.sub_vec(f.mul_vec(c0, m1), f.mul_vec(c1, m2))
-    return f.add_vec(det, f.mul_vec(c2, m3))
+    a, b, c = (np.asarray(x, dtype=np.int64) for x in (a_codes, b_codes, c_codes))
+    return det3(f, _dickson(f, *_difference_coeffs(f, a, b, c)))
 
 
 def _checked_dets(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:

@@ -465,10 +465,15 @@ _VERIFY_TRIPS = [
                  "brute force disagrees with determinant sweep", id="brute"),
     pytest.param((2, 1), lambda mp: mp.setattr(cli, "prop1_necessary", lambda t, A, B: False),
                  "planar pair fails the necessary bijectivity condition", id="prop1"),
-    pytest.param((2, 1), lambda mp: mp.setattr(curves, "count_nonzero_fq_zeros", lambda H: 4),
+    pytest.param((2, 1), lambda mp: mp.setattr(curves, "count_nonzero_fq_zeros",
+                                                lambda field, H: 4),
                  "point count contradicts the determinant sweep", id="point-count"),
     pytest.param((2, 1), _fail_factorizations,
                  "a claimed factorization failed to verify", id="factorization"),
+    # (2, 1) is on the cubic branch: three verified F_5 lines that the oracle now misses
+    pytest.param((2, 1), lambda mp: mp.setattr(curves, "find_linear_factors",
+                                                lambda field, F: []),
+                 "a verified branch line is missing from the line oracle", id="line-oracle"),
     pytest.param((1, 1), _non_root_witness,
                  "witness does not kill the determinant", id="witness"),
 ]

@@ -21,7 +21,9 @@ from planarq import (
     standard_extension,
 )
 from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
-from planarq.curves import build_F_det, build_F_paper, transform_H, verify_branch_factorization
+from planarq.curves import (build_F_det, build_F_paper, count_nonzero_fq_zeros, divides,
+                            find_linear_factors, substitute_linear, transform_H,
+                            verify_branch_factorization)
 from planarq.linearized import (brute_kernel, dickson_matrix, difference_matrix_direct,
                                 difference_triple)
 from planarq.planarity import classify_pair, f_poly, is_planar_det, prop1_necessary
@@ -121,8 +123,8 @@ _PAIR_ENTRY_POINTS = {
     "transform_H": lambda t, a, b, c: transform_H(t, a, b, c),
     "difference_triple": lambda t, a, b, c: difference_triple(t, a, b, c),
     "difference_matrix_direct": lambda t, a, b, c: difference_matrix_direct(t, a, b, c),
-    "dickson_matrix": lambda t, a, b, c: dickson_matrix(difference_triple(t, a, b, c)),
-    "brute_kernel": lambda t, a, b, c: brute_kernel(difference_triple(t, a, b, c)),
+    "dickson_matrix": lambda t, a, b, c: dickson_matrix(t.fq3, *difference_triple(t, a, b, c)),
+    "brute_kernel": lambda t, a, b, c: brute_kernel(t.fq3, *difference_triple(t, a, b, c)),
 }
 _SHIFT_ENTRY_POINTS = ("transform_H", "difference_triple", "difference_matrix_direct")
 
@@ -143,6 +145,30 @@ def test_pair_entry_points_check_code_levels(towers, name):
         for c in (t.order_top, -1):
             with pytest.raises(LevelMismatch):
                 call(t, 1, 1, c)
+
+
+# every entry point that takes a cubic's ten coefficient codes over F_q
+_CUBIC_ENTRY_POINTS = {
+    "find_linear_factors": find_linear_factors,
+    "count_nonzero_fq_zeros": count_nonzero_fq_zeros,
+    "divides": lambda field, coeffs: divides(field, coeffs, (1, 1, 1)),
+    "substitute_linear": lambda field, coeffs: substitute_linear(
+        field, coeffs, ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", _CUBIC_ENTRY_POINTS)
+def test_cubic_entry_points_check_code_levels(towers, name):
+    t = towers[5]
+    call = _CUBIC_ENTRY_POINTS[name]
+    F = build_F_det(t, 1, 1)  # on the trace line: nonzero, with F_q points and lines
+    want = call(t.fq, F)
+    assert call(t.fq, tuple(np.int64(c) for c in F)) == want
+    for bad in (t.q, -1, t.order_top - 1):
+        with pytest.raises(LevelMismatch):
+            call(t.fq, F[:9] + (bad,))
+    with pytest.raises(ValueError):
+        call(t.fq, F[:9])
 
 
 def test_encode_decode_roundtrip():

@@ -11,6 +11,7 @@ import planarq.identities as identities
 import planarq.planarity as planarity
 from planarq.identities import (
     battery_det_identity,
+    battery_matrix_convention,
     battery_root_criterion,
     battery_swap_relation,
 )
@@ -73,6 +74,34 @@ def test_det_battery_reports_altered_determinants(towers, monkeypatch, shifts):
     r = battery_det_identity(towers[3], samples=0, rng=random.Random(0))
     assert not r.passed and r.checked == 9 * 27
     assert r.failures == tuple(sorted(shifts)[:5])
+
+
+def _sampled_shifts(seed, count, q, n):
+    rng = random.Random(seed)
+    return [(rng.randrange(q), rng.randrange(q), rng.randrange(n)) for _ in range(count)]
+
+
+# indices into the battery's sample sequence: one, then six out of order
+_SAMPLED = ([4], [30, 2, 17, 9, 25, 11])
+
+
+@pytest.mark.parametrize("picks", _SAMPLED)
+def test_matrix_battery_reports_altered_transcriptions(towers, monkeypatch, picks):
+    t = towers[5]
+    sampled = _sampled_shifts(7, 40, t.q, t.order_top)
+    points = {sampled[i] for i in picks}
+    original = identities.difference_matrix_direct
+
+    def altered(tower, a, b, c):
+        (m00, *row0), *rows = original(tower, a, b, c)
+        if (a, b, c) in points:
+            m00 = tower.fq3.add(m00, 1)
+        return ((m00, *row0), *rows)
+
+    monkeypatch.setattr(identities, "difference_matrix_direct", altered)
+    r = battery_matrix_convention(t, samples=40, rng=random.Random(7))
+    assert not r.passed and r.checked == 40
+    assert r.failures == tuple(s for s in sampled if s in points)[:5]
 
 
 def test_batteries_pass_and_time_themselves(towers):

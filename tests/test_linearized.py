@@ -9,7 +9,6 @@ from planarq import LevelMismatch
 from planarq.gf import det3
 import planarq.linearized as linearized
 from planarq.linearized import (
-    LinTriple,
     brute_kernel,
     dickson_matrix,
     difference_matrix_direct,
@@ -19,22 +18,18 @@ from planarq.linearized import (
 )
 
 
-def _triple(t, c0, c1, c2):
-    return LinTriple(t.fq3, c0, c1, c2)
-
-
 def test_matrix_of_subfield_triple(towers):
     # all-subfield coefficients (gamma, beta, alpha) give the circulant-style
     # pattern (g b a / a g b / b a g)
     t = towers[5]
     g, b, a = 1, 2, 3
-    M = dickson_matrix(_triple(t, g, b, a))
+    M = dickson_matrix(t.fq3, g, b, a)
     assert M == ((g, b, a), (a, g, b), (b, a, g))
 
 
 def test_matrix_identity_map(towers):
     t = towers[5]
-    M = dickson_matrix(_triple(t, 1, 0, 0))
+    M = dickson_matrix(t.fq3, 1, 0, 0)
     assert M == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -46,7 +41,7 @@ def test_matrix_matches_direct_transcription(towers):
             A, B = rng.randrange(t.q), rng.randrange(t.q)
             C = rng.randrange(t.order_top)
             L = difference_triple(t, A, B, C)
-            assert dickson_matrix(L) == difference_matrix_direct(t, A, B, C)
+            assert dickson_matrix(t.fq3, *L) == difference_matrix_direct(t, A, B, C)
 
 
 def test_det3_basics(towers):
@@ -63,7 +58,7 @@ def test_det3_hand_value(towers):
     # integer matrix [[0,2,1],[1,0,2],[2,1,0]], determinant 9 = 4 mod 5
     t = towers[5]
     L = difference_triple(t, 2, 1, 1)
-    assert det3(t.fq3, dickson_matrix(L)) == 4
+    assert det3(t.fq3, dickson_matrix(t.fq3, *L)) == 4
 
 
 def test_determinant_lies_in_subfield(towers):
@@ -73,17 +68,16 @@ def test_determinant_lies_in_subfield(towers):
     for _ in range(200):
         A, B = rng.randrange(5), rng.randrange(5)
         C = rng.randrange(125)
-        d = int(det3(f, dickson_matrix(difference_triple(t, A, B, C))))
+        d = int(det3(f, dickson_matrix(f, *difference_triple(t, A, B, C))))
         assert f.frob(d, 1) == d
         assert d < t.q
 
 
 def test_is_permutation_examples(towers):
     t = towers[5]
-    L = _triple(t, 1, 0, 0)
-    assert det3(L.field, dickson_matrix(L)) != 0
-    L = _triple(t, 1, 1, 1)  # trace map onto F_q
-    assert det3(L.field, dickson_matrix(L)) == 0
+    f = t.fq3
+    assert det3(f, dickson_matrix(f, 1, 0, 0)) != 0
+    assert det3(f, dickson_matrix(f, 1, 1, 1)) == 0  # trace map onto F_q
 
 
 def test_permutation_matches_image_count(towers):
@@ -91,23 +85,25 @@ def test_permutation_matches_image_count(towers):
     f = t.fq3
     rng = random.Random(9)
     for _ in range(60):
-        L = _triple(t, rng.randrange(27), rng.randrange(27), rng.randrange(27))
-        image = np.unique(L.apply(np.arange(f.order)))
-        nonsingular = det3(f, dickson_matrix(L)) != 0
+        c0, c1, c2 = rng.randrange(27), rng.randrange(27), rng.randrange(27)
+        image = np.unique(f.add_vec(f.add_vec(f.mul_vec(c0, np.arange(f.order)),
+                                              f.mul_vec(c1, f.frob_table(1))),
+                                    f.mul_vec(c2, f.frob_table(2))))
+        nonsingular = det3(f, dickson_matrix(f, c0, c1, c2)) != 0
         assert nonsingular == (len(image) == f.order)
-        assert nonsingular == (len(brute_kernel(L)) == 1)
+        assert nonsingular == (len(brute_kernel(f, c0, c1, c2)) == 1)
 
 
 def test_kernel_structure(towers):
     t = towers[5]
-    ker = brute_kernel(_triple(t, 1, 1, 1))
+    f = t.fq3
+    ker = brute_kernel(f, 1, 1, 1)
     assert len(ker) == t.q ** 2  # trace kernel
     assert ker[0] == 0
-    assert brute_kernel(_triple(t, 1, 0, 0)) == [0]
+    assert brute_kernel(f, 1, 0, 0) == [0]
     rng = random.Random(1)
     for _ in range(40):
-        L = _triple(t, rng.randrange(125), rng.randrange(125), rng.randrange(125))
-        n = len(brute_kernel(L))
+        n = len(brute_kernel(f, rng.randrange(125), rng.randrange(125), rng.randrange(125)))
         assert n in (1, t.q, t.q ** 2, t.q ** 3)
 
 
@@ -135,16 +131,19 @@ def test_root_criterion_vs_kernel_exhaustive_q3(towers):
         for b in range(3):
             for g in range(3):
                 crit = has_nonzero_root_subfield_coeffs(t.fq, a, b, g)
-                L = LinTriple(f, g, b, a)
-                assert crit == (len(brute_kernel(L)) > 1)
+                assert crit == (len(brute_kernel(f, g, b, a)) > 1)
 
 
-def test_lintriple_level_checks(towers):
+def test_map_entry_points_check_code_levels(towers):
     t = towers[5]
-    with pytest.raises(LevelMismatch):
-        LinTriple(t.fq, 1, 0, 0)  # coefficients of F_q, not of F_{q^3}
-    with pytest.raises(LevelMismatch):
-        LinTriple(t.fq3, 1, 0, t.order_top)
+    for entry in (dickson_matrix, brute_kernel):
+        want = entry(t.fq3, 1, 7, 124)
+        assert entry(t.fq3, np.int64(1), np.int64(7), np.int64(124)) == want
+        with pytest.raises(LevelMismatch):
+            entry(t.fq, 1, 0, 0)  # coefficients of F_q, not of F_{q^3}
+        for c in (t.order_top, -1):
+            with pytest.raises(LevelMismatch):
+                entry(t.fq3, 1, 0, c)
 
 
 @pytest.mark.parametrize("q", (3, 5, 9))
@@ -153,7 +152,7 @@ def test_kernel_sizes_match_brute_kernel_on_every_subfield_triple(towers, q):
     alpha, beta, gamma = np.unravel_index(np.arange(q ** 3), (q, q, q))
     sizes = kernel_sizes(t.fq3, gamma, beta, alpha)
     for a, b, g, size in zip(alpha.tolist(), beta.tolist(), gamma.tolist(), sizes.tolist()):
-        assert size == len(brute_kernel(_triple(t, g, b, a)))
+        assert size == len(brute_kernel(t.fq3, g, b, a))
 
 
 def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeypatch):
@@ -165,11 +164,9 @@ def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeyp
     c1[:20] = 0  # maps with repeated and zero coefficients
     diffs = [difference_triple(t, a, b, c)
              for a, b, c in ((1, 1, 1), (2, 1, 7), (0, 0, 3))]
-    c0 = np.concatenate([c0, [L.c0 for L in diffs]])
-    c1 = np.concatenate([c1, [L.c1 for L in diffs]])
-    c2 = np.concatenate([c2, [L.c2 for L in diffs]])
+    c0, c1, c2 = (np.concatenate([c, d]) for c, d in zip((c0, c1, c2), zip(*diffs)))
     sizes = kernel_sizes(t.fq3, c0, c1, c2)
-    want = [len(brute_kernel(_triple(t, *map(int, c)))) for c in zip(c0, c1, c2)]
+    want = [len(brute_kernel(t.fq3, *c)) for c in zip(c0, c1, c2)]
     assert sizes.tolist() == want
     assert max(want) > 1
 

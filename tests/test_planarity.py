@@ -61,10 +61,12 @@ def test_difference_map_is_the_linearized_triple(towers):
         A, B = rng.randrange(5), rng.randrange(5)
         C = rng.randrange(1, 125)
         tab = f_poly(t, A, B).value_table()
-        L = difference_triple(t, A, B, C)
+        c0, c1, c2 = difference_triple(t, A, B, C)
         xs = np.arange(f.order)
         lhs = f.sub_vec(f.sub_vec(tab[f.add_vec(xs, C)], tab), tab[C])
-        assert np.array_equal(lhs, L.apply(xs))
+        rhs = f.add_vec(f.add_vec(f.mul_vec(c0, xs), f.mul_vec(c1, f.frob_table(1))),
+                        f.mul_vec(c2, f.frob_table(2)))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_brute_examples(towers):
@@ -191,9 +193,9 @@ _ENUMERATIONS = {
     "is_planar_det": lambda t: is_planar_det(t, 2, 1),
     "frob_table": lambda t: t.fq3.frob_table(1),
     "sqrt_code": lambda t: t.fq.sqrt_code(4),
-    "brute_kernel": lambda t: brute_kernel(difference_triple(t, 1, 1, 1)),
-    "find_linear_factors": lambda t: find_linear_factors(build_F_det(t, 1, 1)),
-    "point_count": lambda t: count_nonzero_fq_zeros(build_F_det(t, 1, 1)),
+    "brute_kernel": lambda t: brute_kernel(t.fq3, *difference_triple(t, 1, 1, 1)),
+    "find_linear_factors": lambda t: find_linear_factors(t.fq, build_F_det(t, 1, 1)),
+    "point_count": lambda t: count_nonzero_fq_zeros(t.fq, build_F_det(t, 1, 1)),
 }
 
 
@@ -310,7 +312,7 @@ def test_scan_witnesses_kill_determinant(towers):
     for r in rep.pairs:
         if r.witness is not None:
             L = difference_triple(t, r.A, r.B, r.witness)
-            assert det3(t.fq3, dickson_matrix(L)) == 0
+            assert det3(t.fq3, dickson_matrix(t.fq3, *L)) == 0
         assert (r.witness is None) == r.verdicts["det"]
 
 
