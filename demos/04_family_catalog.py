@@ -1,5 +1,6 @@
 """The catalog of known planar families: validation, instantiation, checking.
 
+Every step goes through ``family_report``, the one route into the catalog.
 Side conditions are implemented exactly as published; exhaustive planarity
 checking at small sizes is the arbiter, and a validating instance that fails
 it is flagged rather than patched.
@@ -7,14 +8,7 @@ it is flagged rather than patched.
 Run:  python demos/04_family_catalog.py
 """
 
-from planarq.families import (
-    FAMILIES,
-    FamilySpec,
-    ambient_field,
-    family_report,
-    instantiate_family,
-    validate_family,
-)
+from planarq.families import FAMILIES, FamilySpec, family_report
 
 print("catalog:")
 for fam in FAMILIES.values():
@@ -29,13 +23,12 @@ for spec in (FamilySpec("T2.3", {"n": 5}), FamilySpec("T2.6", {"n": 5, "k": 3}),
 
 # Violated conditions are named one by one.
 bad = FamilySpec("T2.2", {"p": 3, "n": 4, "k": 2})
-print(f"\nT2.2 with (p, n, k) = (3, 4, 2): violations {validate_family(bad)}")
+print(f"\nT2.2 with (p, n, k) = (3, 4, 2): violations {family_report(bad)['violations']}")
 
 # Element parameters are searched deterministically when not supplied.
-spec = FamilySpec("T2.5", {"p": 3, "k": 1, "s": 4})
-resolved = FamilySpec(spec.id, family_report(spec, brute=False)["params"])
-print(f"\nT2.5 resolved parameters: {resolved.params}")
-print(f"instance: {instantiate_family(resolved, ambient_field(spec))}")
+rep = family_report(FamilySpec("T2.5", {"p": 3, "k": 1, "s": 4}), brute=False)
+print(f"\nT2.5 resolved parameters: {rep['params']}")
+print(f"instance: {rep['polynomial']}")
 
 # The one known trouble spot: the published side conditions for T3.2 admit
 # p = 3 instances that are not planar; the report flags the discrepancy.

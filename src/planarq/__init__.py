@@ -3,16 +3,13 @@
 __version__ = "0.1.0"
 
 from .errors import (
-    CoefficientNotInSubfield,
     Disagreement,
     DivisionByZero,
-    FieldMismatch,
     LevelMismatch,
     NotOddPrime,
     NotOnLocus,
     PlanarqError,
     SizeLimit,
-    SquareRootUnavailable,
     ValidationFailed,
 )
 from .gf import (

@@ -41,8 +41,11 @@ DISAGREE_EXIT = 2
 # brute decider joins a verify dossier automatically up to this field size
 _AUTO_BRUTE_MAX = 4096
 
-# integer parameters a catalog family may take (`families check --<name>`)
-_FAMILY_PARAMS = ("p", "n", "k", "s", "e", "m", "u", "v", "omega", "beta")
+# integer parameters a catalog family may take (`families check --<name>`):
+# the integer parameters of every entry, then its element parameters
+_FAMILY_PARAMS = tuple(dict.fromkeys(
+    [name for fam in FAMILIES.values() for name, _ in fam.int_params]
+    + [elem.name for fam in FAMILIES.values() for elem in fam.elem_params]))
 
 
 class _Parser(argparse.ArgumentParser):

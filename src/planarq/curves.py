@@ -32,11 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (
-    CoefficientNotInSubfield,
-    NotOnLocus,
-    SquareRootUnavailable,
-)
+from .errors import Disagreement, NotOnLocus
 from .gf import (
     Field,
     FieldTower,
@@ -334,12 +330,13 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
         rep.checks.append(entry)
 
     # sqrt(-3) lines: the conic locus and the A^2 + A + 1 = 0 locus; -3 being
-    # a square is part of the published locus condition
+    # a square is part of the published locus condition.  When it is not
+    # (so p != 3), A^2 + A + 1 has no root, and the conic, whose discriminant
+    # in A is -3(2B + 1)^2, meets F_q^2 only at (1, -1/2), on the trace line
     root = fq.sqrt_code(fq.neg(fq.from_int(3)))
     conic = fq.add(fq.add(fq.add(fq.mul(a, a), fq.mul(two, fq.mul(a, b))), fq.neg(a)),
                    fq.add(fq.add(fq.mul(fq.from_int(4), fq.mul(b, b)), fq.mul(two, b)), 1))
     unit = fq.add(fq.add(fq.mul(a, a), a), 1)
-    sans_root = False
     for name, quadric_holds in (("alpha_line_conic", conic == 0),
                                 ("alpha_line_unit_cubic",
                                  unit == 0 and b in (fq.mul(a, a),
@@ -347,7 +344,6 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
         if not quadric_holds:
             continue
         if root is None:
-            sans_root = True
             rep.checks.append(BranchCheck(name, False, None,
                                           note="-3 is a non-square in F_q"))
             continue
@@ -374,10 +370,6 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
                                           lines=(line,)))
 
     if not rep.on_any_locus:
-        if sans_root:
-            raise SquareRootUnavailable(
-                f"(A, B) = ({a}, {b}) satisfies an alpha-line quadric but -3 is a "
-                f"non-square in F_{fq.order}")
         raise NotOnLocus(f"(A, B) = ({a}, {b}) lies on no reducibility locus")
     return rep
 
@@ -558,7 +550,7 @@ def transform_H(tower: FieldTower, A, B, xi) -> tuple[int, ...]:
     q = tower.fq.order
     for c in H:
         if c >= q:
-            raise CoefficientNotInSubfield(f"coefficient code {c} is not in F_{q}")
+            raise Disagreement(f"coefficient code {c} is not in F_{q}")
     return tuple(H)
 
 

@@ -25,21 +25,10 @@ class NotOnLocus(PlanarqError):
     """(A, B) lies on none of the reducibility loci handled by the verifier."""
 
 
-class SquareRootUnavailable(PlanarqError):
-    """A branch needs a square root of -3 but -3 is a non-square in F_q."""
-
-
 class Disagreement(PlanarqError):
     """Two computations that must agree did not: a mathematical disagreement."""
 
 
-class CoefficientNotInSubfield(PlanarqError):
-    """A coefficient expected to land in F_q did not; indicates a bug."""
-
-
 class ValidationFailed(PlanarqError):
-    """A family instantiation was requested with violated side conditions."""
-
-
-class FieldMismatch(PlanarqError):
-    """The supplied field does not match the one a family lives in."""
+    """A family instance names no element where it needs one: a supplied
+    code outside its field, or no element that meets a condition."""

@@ -5,11 +5,12 @@ integer parameters and ambient-field shape F_{p^n}; its published integer
 conditions; its element parameters, each a rule giving the condition a field
 code must meet, the violation message and the search description; T3.3's set
 condition, which needs the whole field enumerated; and the exponent ->
-coefficient terms of its sparse polynomial.  One pass serves every entry:
-check the integer conditions, build the ambient field, check the supplied
-elements and the set condition, fill each missing element with the first code
-in code order that satisfies it, build the polynomial and brute-check it, each
-stage once.
+coefficient terms of its sparse polynomial.  ``family_report`` is the one
+route into the catalog, and one pass of it serves every entry: check the
+integer conditions, build the ambient field, check the supplied elements and
+the set condition, fill each missing element with the first code in code
+order that satisfies it, build the polynomial and brute-check it
+(``brute_check_family``), each stage once.
 
 Conditions are implemented exactly as published, even the two suspicious
 ones (the mod-4 congruence in T3.2 and the garbled set condition in T3.3,
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .errors import FieldMismatch, SizeLimit, ValidationFailed
+from .errors import ValidationFailed
 from .gf import Field, _fits, _is_prime, _mult_order, max_enumeration_order, prime_ext_field
 from .planarity import SparsePoly, brute_is_planar
 
@@ -300,25 +301,18 @@ def _name_violations(fam: Family, params: dict) -> list[str]:
                if name not in params])
 
 
-def _conditions(spec: FamilySpec) -> list[str]:
-    """The violations that need no field: id, parameter names, integer conditions."""
-    if spec.id not in FAMILIES:
-        return [f"unknown family id {spec.id!r}"]
-    fam = FAMILIES[spec.id]
-    out = _name_violations(fam, spec.params)
+def _conditions(fam: Family, params: dict) -> list[str]:
+    """The violations that need no field: parameter names, integer conditions."""
+    out = _name_violations(fam, params)
     if out:
         return out
-    x = SimpleNamespace(**spec.params)
+    x = SimpleNamespace(**params)
     for cond in fam.conditions:
         if not cond.holds(x):
             out.append(cond.message)
             if cond.guard:
                 break
     return out
-
-
-def _supplied(fam: Family, params: dict) -> bool:
-    return any(e.name in params for e in fam.elem_params)
 
 
 def _elem_violations(fam: Family, params: dict, field: Field) -> list[str]:
@@ -365,34 +359,6 @@ def _build(fam: Family, params: dict, field: Field) -> SparsePoly:
 
 # -- public entry points ------------------------------------------------------
 
-def ambient_field(spec: FamilySpec) -> Field:
-    """The F_{p^n} the instance lives in, deterministic modulus."""
-    fam = FAMILIES[spec.id]
-    bad = _name_violations(fam, spec.params)
-    if bad:
-        raise ValidationFailed("; ".join(bad))
-    return prime_ext_field(*fam.field_shape(spec.params))
-
-
-def validate_family(spec: FamilySpec, field: Field | None = None) -> list[str]:
-    """Violated conditions, named one by one; empty when the instance is valid.
-
-    Integer conditions are always checked.  Element conditions are checked for
-    explicitly supplied elements; conditions that need field enumeration are
-    skipped when the field exceeds the budget (structural-only validation).
-    """
-    out = _conditions(spec)
-    if out:
-        return out
-    fam = FAMILIES[spec.id]
-    if field is None:
-        if not (_supplied(fam, spec.params)
-                or (fam.set_condition is not None and desk_verifiable(spec))):
-            return []  # structural-only: nothing field-dependent to check
-        field = ambient_field(spec)
-    return _elem_violations(fam, spec.params, field)
-
-
 def desk_verifiable(spec: FamilySpec) -> bool:
     """Whether p^n is within the enumeration budget, decided without forming a
     huge p^n."""
@@ -400,39 +366,26 @@ def desk_verifiable(spec: FamilySpec) -> bool:
     return _fits(p, n, max_enumeration_order())
 
 
-def instantiate_family(spec: FamilySpec, field: Field) -> SparsePoly:
-    """Explicit sparse polynomial of the instance over the given field."""
-    fam = FAMILIES[spec.id]
-    p, n = fam.field_shape(spec.params)
-    if field.char != p or n > field.order.bit_length() or field.order != p ** n:
-        raise FieldMismatch(f"{spec.id} lives in F_{p}^{n}, got F_{field.order}")
-    violations = validate_family(spec, field)
-    if violations:
-        raise ValidationFailed("; ".join(violations))
-    return _build(fam, _resolve(fam, spec.params, field), field)
-
-
-def brute_check_family(spec: FamilySpec, field: Field | None = None,
-                       poly: SparsePoly | None = None) -> bool:
-    """Planarity of the instance by the definition-level exhaustive check.
-
-    ``poly`` is the instance's polynomial when the caller has built it already.
-    """
-    if poly is None:
-        poly = instantiate_family(spec, ambient_field(spec) if field is None else field)
+def brute_check_family(poly: SparsePoly) -> bool:
+    """Planarity of an instance's polynomial by the definition-level
+    exhaustive check."""
     return brute_is_planar(poly)
 
 
 def family_report(spec: FamilySpec, brute: bool = True) -> dict:
-    """Validation + instantiation + brute outcome for one instance."""
+    """Validation + instantiation + brute outcome for one instance.
+
+    ``spec.id`` must name a catalog entry; ``families check`` turns any other
+    id away before calling this.
+    """
     fam = FAMILIES[spec.id]
     report: dict = {"id": spec.id, "formula": fam.formula, "params": dict(spec.params),
-                    "violations": _conditions(spec), "desk_verifiable": None,
+                    "violations": _conditions(fam, spec.params), "desk_verifiable": None,
                     "planar": None, "flagged": False}
     if report["violations"]:
         return report
     desk = desk_verifiable(spec)
-    if desk or _supplied(fam, spec.params):
+    if desk or any(e.name in spec.params for e in fam.elem_params):
         field = prime_ext_field(*fam.field_shape(spec.params))
         report["violations"] = _elem_violations(fam, spec.params, field)
         if report["violations"]:
@@ -445,10 +398,7 @@ def family_report(spec: FamilySpec, brute: bool = True) -> dict:
     report["params"] = params
     report["polynomial"] = repr(poly)
     if brute:
-        try:
-            report["planar"] = brute_check_family(FamilySpec(spec.id, params), field, poly)
-        except SizeLimit:
-            report["planar"] = None
-        else:
-            report["flagged"] = report["planar"] is False
+        # within the bound desk_verifiable checks, so the value table fits
+        report["planar"] = brute_check_family(poly)
+        report["flagged"] = report["planar"] is False
     return report

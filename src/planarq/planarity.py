@@ -82,10 +82,6 @@ class SparsePoly:
         self.field = field
         self.terms = dict(sorted(reduced.items()))
 
-    def __eq__(self, other):
-        return (isinstance(other, SparsePoly) and other.field == self.field
-                and other.terms == self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "SparsePoly(0)"

@@ -503,6 +503,23 @@ def test_tampering_leaves_nothing_in_shared_caches(monkeypatch, capsys, pair, ta
     assert capsys.readouterr().out == clean
 
 
+def test_H_coefficient_outside_fq_exits_two(monkeypatch, capsys):
+    # every substitution column times q, a code of F_125 outside F_5: each
+    # nonzero coefficient of H leaves F_5
+    argv = ("verify", "--p", "5", "--A", "2", "--B", "1")
+    assert run_cli(*argv) == 0
+    clean = capsys.readouterr().out
+    original = curves._substitution_matrix
+    with monkeypatch.context() as mp:
+        mp.setattr(curves, "_substitution_matrix",
+                   lambda f3, xi: f3.mul_vec(original(f3, xi), 5))
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: coefficient code \d+ is not in F_5\n", err)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == clean
+
+
 # at q = 23 and 9: (1, 4) searches F_{q^2} for lines, (2, 1) is planar
 _SHARED_ARGVS = [("verify", "--p", p, "--m", m, "--A", a, "--B", b)
                  for a, b in (("1", "4"), ("2", "1")) for p, m in (("23", "1"), ("3", "2"))]

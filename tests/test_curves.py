@@ -7,7 +7,7 @@ import pytest
 from conftest import det_sweep
 
 import planarq.curves as curves
-from planarq import NotOnLocus, find_normal_element, standard_extension
+from planarq import NotOnLocus, build_tower, find_normal_element, standard_extension
 from planarq.curves import (
     MONOMIALS,
     _det_coeffs,
@@ -161,6 +161,24 @@ def test_branch_factorization_alpha_lines(towers):
     rep = verify_branch_factorization(t, 2, 5)
     entry = rep.check("alpha_line_conic")
     assert entry.verified and entry.alpha in (2, 5)
+
+
+@pytest.mark.parametrize("p", [5, 11, 17, 23])
+def test_non_square_minus_three_leaves_no_pair_off_every_locus(p):
+    # -3 is a non-square mod p = 2 (mod 3): the conic A^2 + 2AB - A + 4B^2 +
+    # 2B + 1 (discriminant -3(2B+1)^2 in A) holds only at (1, -1/2), which is
+    # on the trace line, and A^2 + A + 1 has no root
+    t = build_tower(p, 1)
+    assert t.fq.sqrt_code(p - 3) is None
+    half = (p - 1) // 2  # -1/2 mod p
+    conic = [(a, b) for a in range(p) for b in range(p)
+             if (a * a + 2 * a * b - a + 4 * b * b + 2 * b + 1) % p == 0]
+    assert conic == [(1, half)]
+    assert all((a * a + a + 1) % p for a in range(p))
+    rep = verify_branch_factorization(t, 1, half)
+    assert rep.check("trace_line").verified
+    entry = rep.check("alpha_line_conic")
+    assert not entry.on_locus and entry.note == "-3 is a non-square in F_q"
 
 
 def test_branch_factorization_a_zero_line(towers):

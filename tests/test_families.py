@@ -7,18 +7,13 @@ import time
 
 import pytest
 
-from planarq import FieldMismatch, ValidationFailed, prime_ext_field
+from planarq import prime_ext_field
 from planarq.cli import main
-from planarq.families import (
-    FAMILIES,
-    FamilySpec,
-    ambient_field,
-    brute_check_family,
-    desk_verifiable,
-    family_report,
-    instantiate_family,
-    validate_family,
-)
+from planarq.families import FAMILIES, FamilySpec, desk_verifiable, family_report
+
+
+def _violations(spec):
+    return family_report(spec, brute=False)["violations"]
 
 
 def test_catalog_has_eleven_entries():
@@ -30,54 +25,43 @@ def test_catalog_has_eleven_entries():
 
 def test_validate_t22_even_quotient():
     spec = FamilySpec("T2.2", {"p": 3, "n": 4, "k": 2})
-    assert validate_family(spec) == ["n/gcd(k, n) must be odd"]
+    assert _violations(spec) == ["n/gcd(k, n) must be odd"]
 
 
 def test_validate_t26_and_t35():
-    assert validate_family(FamilySpec("T2.6", {"n": 5, "k": 3})) == []
-    assert validate_family(FamilySpec("T3.5", {})) == []
+    assert _violations(FamilySpec("T2.6", {"n": 5, "k": 3})) == []
+    assert _violations(FamilySpec("T3.5", {})) == []
 
 
-def test_validate_unknown_and_missing():
-    assert validate_family(FamilySpec("T9.9", {})) == ["unknown family id 'T9.9'"]
-    out = validate_family(FamilySpec("T2.2", {"p": 3}))
+def test_validate_unknown_and_missing(capsys):
+    # an unknown id never reaches the catalog: the command rejects it first
+    assert main(["families", "check", "--id", "T9.9"]) == 1
+    assert "unknown family id 'T9.9'" in capsys.readouterr().err
+    out = _violations(FamilySpec("T2.2", {"p": 3}))
     assert any("missing parameter" in v for v in out)
-    out = validate_family(FamilySpec("T3.5", {"bogus": 1}))
+    out = _violations(FamilySpec("T3.5", {"bogus": 1}))
     assert any("unknown parameter" in v for v in out)
 
 
 def test_instantiate_trinomials():
-    field = prime_ext_field(3, 5)
-    p23 = instantiate_family(FamilySpec("T2.3", {"n": 5}), field)
-    assert p23.terms == {10: 1, 6: 1, 2: 2}
-    p24 = instantiate_family(FamilySpec("T2.4", {"n": 5}), field)
-    assert p24.terms == {10: 1, 6: 2, 2: 2}
-    p35 = instantiate_family(FamilySpec("T3.5", {}), field)
-    assert p35.terms == {2: 1, 90: 1}
-    p26 = instantiate_family(FamilySpec("T2.6", {"n": 5, "k": 3}), field)
-    assert p26.terms == {14: 1}
+    # coefficient codes over F_3^5: 2 is -1
+    for spec, poly in ((FamilySpec("T2.3", {"n": 5}), "SparsePoly(x^10 + x^6 + 2*x^2)"),
+                       (FamilySpec("T2.4", {"n": 5}), "SparsePoly(x^10 + 2*x^6 + 2*x^2)"),
+                       (FamilySpec("T3.5", {}), "SparsePoly(x^90 + x^2)"),
+                       (FamilySpec("T2.6", {"n": 5, "k": 3}), "SparsePoly(x^14)")):
+        assert family_report(spec, brute=False)["polynomial"] == poly
 
 
 def test_instantiate_x2_anywhere():
     for p, n in ((3, 1), (7, 2), (5, 3)):
-        field = prime_ext_field(p, n)
-        poly = instantiate_family(FamilySpec("T2.1", {"p": p, "n": n}), field)
-        assert poly.terms == {2: 1}
-        assert brute_check_family(FamilySpec("T2.1", {"p": p, "n": n}), field)
-
-
-def test_field_mismatch_and_validation_failed():
-    field = prime_ext_field(3, 5)
-    with pytest.raises(FieldMismatch):
-        instantiate_family(FamilySpec("T2.3", {"n": 7}), field)
-    with pytest.raises(ValidationFailed):
-        instantiate_family(FamilySpec("T2.2", {"p": 3, "n": 4, "k": 2}),
-                           prime_ext_field(3, 4))
+        rep = family_report(FamilySpec("T2.1", {"p": p, "n": n}))
+        assert rep["polynomial"] == "SparsePoly(x^2)"
+        assert rep["planar"] is True
 
 
 def test_element_search_is_deterministic():
     spec = FamilySpec("T2.5", {"p": 3, "k": 1, "s": 4})
-    field = ambient_field(spec)
+    field = prime_ext_field(*FAMILIES[spec.id].field_shape(spec.params))
     r1 = family_report(spec, brute=False)["params"]
     assert family_report(spec, brute=False)["params"] == r1
     u = r1["u"]
@@ -91,9 +75,9 @@ def test_element_search_is_deterministic():
 
 def test_supplied_element_params_are_validated():
     spec = FamilySpec("T2.5", {"p": 3, "k": 1, "s": 4, "u": 1})  # 1 is not primitive
-    assert validate_family(spec) == ["u must be primitive"]
+    assert _violations(spec) == ["u must be primitive"]
     spec = FamilySpec("T3.1", {"p": 3, "k": 1, "s": 2, "v": 2})
-    assert validate_family(spec) == ["v must have multiplicative order 13"]
+    assert _violations(spec) == ["v must have multiplicative order 13"]
 
 
 def test_brute_checks_small_instances():
@@ -105,16 +89,15 @@ def test_brute_checks_small_instances():
         FamilySpec("T3.4", {"p": 3, "e": 1, "k": 0}),
     ]
     for spec in cases:
-        assert brute_check_family(spec), spec
+        assert family_report(spec)["planar"] is True, spec
 
 
 def test_t34_small_instances_expand_correctly():
     # k = 0 collapses to 2x^2 over F_9
-    field = prime_ext_field(3, 2)
-    poly = instantiate_family(FamilySpec("T3.4", {"p": 3, "e": 1, "k": 0}), field)
-    assert poly.terms == {2: 2}
+    rep = family_report(FamilySpec("T3.4", {"p": 3, "e": 1, "k": 0}), brute=False)
+    assert rep["polynomial"] == "SparsePoly(2*x^2)"
     # k = 1 over F_3^6 stays planar
-    assert brute_check_family(FamilySpec("T3.4", {"p": 3, "e": 1, "k": 1}))
+    assert family_report(FamilySpec("T3.4", {"p": 3, "e": 1, "k": 1}))["planar"] is True
 
 
 def test_t32_flagged_discrepancy():
@@ -136,14 +119,14 @@ def test_t32_good_instance_at_p5():
 
 def test_t33_set_condition_excludes_bad_s():
     # s = 1 makes {a != 0 : a^(p^m) = -a = a^(p^s)} nonempty over F_9
-    out = validate_family(FamilySpec("T3.3", {"p": 3, "m": 1, "s": 1}))
+    out = _violations(FamilySpec("T3.3", {"p": 3, "m": 1, "s": 1}))
     assert any("nonempty" in v for v in out)
-    assert validate_family(FamilySpec("T3.3", {"p": 3, "m": 1, "s": 2})) == []
+    assert _violations(FamilySpec("T3.3", {"p": 3, "m": 1, "s": 2})) == []
 
 
 def test_structural_only_validation_for_large_fields():
     spec = FamilySpec("T2.6", {"n": 25, "k": 7})
-    assert validate_family(spec) == []
+    assert _violations(spec) == []
     assert not desk_verifiable(spec)
     rep = family_report(spec)
     assert rep["desk_verifiable"] is False and rep["planar"] is None

@@ -113,7 +113,7 @@ def test_field_ops_on_codes_and_level_mismatch():
 # every entry point that takes the pair (a, b) of F_q codes; c is a code of
 # F_{q^3}, the shift or the normal element where the entry point takes one
 _PAIR_ENTRY_POINTS = {
-    "f_poly": lambda t, a, b, c: f_poly(t, a, b),
+    "f_poly": lambda t, a, b, c: (lambda poly: (poly.field, poly.terms))(f_poly(t, a, b)),
     "classify_pair": lambda t, a, b, c: classify_pair(t, a, b),
     "is_planar_det": lambda t, a, b, c: is_planar_det(t, a, b),
     "prop1_necessary": lambda t, a, b, c: prop1_necessary(t, a, b),
