@@ -14,7 +14,6 @@ from .errors import (
 )
 from .gf import (
     DEFAULT_MAX_Q3,
-    ExtensionField,
     Field,
     FieldTower,
     PrimeField,

@@ -284,10 +284,6 @@ def cmd_families(args) -> int:
             print(f"{fam.id}: {fam.formula}")
             print(f"    parameters: {', '.join(names) if names else '(none)'}")
         return 0
-    if args.id not in FAMILIES:
-        print(f"error: unknown family id {args.id!r}; see `planarq families list`",
-              file=sys.stderr)
-        return USAGE_EXIT
     params = {name: getattr(args, name) for name in _FAMILY_PARAMS
               if getattr(args, name) is not None}
     report = family_report(FamilySpec(args.id, params), brute=not args.no_brute)

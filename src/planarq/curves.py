@@ -427,8 +427,8 @@ def _coordinate_factors(coeffs):
     return terms, lines
 
 
-def find_linear_factors(field: Field, coeffs, max_ext: int = 3) -> list[LineFactor]:
-    """All projective lines over F_{q^k}, k <= max_ext, dividing the cubic with
+def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
+    """All projective lines over F_{q^k}, k <= 3, dividing the cubic with
     coefficient codes ``coeffs`` over F_q = ``field``.
 
     Coordinate-line factors are divided out first.  The residual R, of degree
@@ -444,7 +444,7 @@ def find_linear_factors(field: Field, coeffs, max_ext: int = 3) -> list[LineFact
     p is odd.  The cubic restricted to the line is a binary form of degree
     <= 3, and one with four projective zeros is zero, so the check is exact.
     A line defined over F_{q^k} and no smaller field comes with k distinct
-    conjugate lines dividing R, so k <= d, and max_ext = 3 is complete.
+    conjugate lines dividing R, so k <= d, and k <= 3 is complete.
 
     F_q decides which extensions need a search.  The F_q roots of each
     restriction come from the search over F_q; dividing them out with
@@ -461,8 +461,6 @@ def find_linear_factors(field: Field, coeffs, max_ext: int = 3) -> list[LineFact
     coeffs = _cubic_codes(fq, coeffs)
     if not any(coeffs):
         raise ValueError("the zero cubic is divisible by every line")
-    if not 1 <= max_ext <= 3:
-        raise ValueError("max_ext must be 1, 2, or 3")
     terms, coord_lines = _coordinate_factors(coeffs)
     found: list[LineFactor] = [LineFactor(line, 1) for line in coord_lines]
     d = max((sum(m) for m in terms), default=0)
@@ -474,7 +472,7 @@ def find_linear_factors(field: Field, coeffs, max_ext: int = 3) -> list[LineFact
     if vertical:
         polys.append([terms.get((j, 0, d - j), 0) for j in range(d + 1)])
     left = set()  # degrees e of the restrictions with their F_q roots divided out
-    for ext in range(1, min(max_ext, d) + 1):
+    for ext in range(1, d + 1):
         if ext > 1 and ext not in left:
             continue
         _check_enumerable(fq.order ** ext, "line search")

@@ -30,5 +30,6 @@ class Disagreement(PlanarqError):
 
 
 class ValidationFailed(PlanarqError):
-    """A family instance names no element where it needs one: a supplied
-    code outside its field, or no element that meets a condition."""
+    """A family instance names no catalog entry or no element where it needs
+    one: an unknown family id, a supplied code outside its field, or no
+    element that meets a condition."""

@@ -375,10 +375,11 @@ def brute_check_family(poly: SparsePoly) -> bool:
 def family_report(spec: FamilySpec, brute: bool = True) -> dict:
     """Validation + instantiation + brute outcome for one instance.
 
-    ``spec.id`` must name a catalog entry; ``families check`` turns any other
-    id away before calling this.
+    An id that names no catalog entry raises ValidationFailed.
     """
-    fam = FAMILIES[spec.id]
+    fam = FAMILIES.get(spec.id)
+    if fam is None:
+        raise ValidationFailed(f"unknown family id {spec.id!r}; see `planarq families list`")
     report: dict = {"id": spec.id, "formula": fam.formula, "params": dict(spec.params),
                     "violations": _conditions(fam, spec.params), "desk_verifiable": None,
                     "planar": None, "flagged": False}

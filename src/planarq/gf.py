@@ -6,7 +6,7 @@ a degree-d extension over a base field of order s has a coordinate vector
 the generator) and its code is the little-endian packing sum(code(c_i) * s^i).
 Consequences used throughout the package:
 
-  * codes are reproducible across runs and machines once the moduli are fixed,
+  * codes are reproducible across runs and machines, the moduli being fixed,
   * embedding a subfield element into the extension is the identity on codes,
   * ``code < s`` tests membership in the base field.
 
@@ -22,11 +22,11 @@ computed once at construction from the base field and the modulus, and
 builds the F_p matrix of each Frobenius power on first use; no operation goes
 back through the base field.
 
-Moduli are chosen deterministically (lexicographically smallest monic
-irreducible, see :func:`find_irreducible`) unless explicit moduli are passed
-for cross-checking against external tables.  :func:`standard_extension`
-builds each deterministic extension once per base field, so the tower's
-F_{q^3} is the same object the line oracle searches in.
+Fields come from :func:`PrimeField` and :func:`standard_extension`, whose
+moduli are chosen deterministically (lexicographically smallest monic
+irreducible, see :func:`find_irreducible`), so a tower is determined by
+(p, m).  :func:`standard_extension` builds each extension once per base
+field, so the tower's F_{q^3} is the same object the line oracle searches in.
 
 Each operation is one kernel written with ``divmod``, ``+``, ``*`` and ``%``
 only, so the same body runs on plain Python ints (the scalar methods, which
@@ -45,10 +45,11 @@ is an array.
 Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field and the cache key, so a tower can be
 shared freely across worker processes or threads.  :func:`PrimeField`
-returns one object per p, so every tower over p in a process shares its
-fields and their caches.  The one size policy, the enumeration bound of
-:func:`max_enumeration_order`, is read from the environment at each check,
-before any cached result is returned, and is never stored on a field.
+returns one object per p, so every tower over p in a process, an unpickled
+one included, shares its fields and their caches.  The one size policy, the
+enumeration bound of :func:`max_enumeration_order`, is read from the
+environment at each check, before any cached result is returned, and is
+never stored on a field.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ def _chunk_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 class Field:
-    """F_{p^n} on flat base-p digits; built by PrimeField or ExtensionField.
+    """F_{p^n} on flat base-p digits; F_p from PrimeField, an extension of
+    ``base`` by the monic irreducible ``modulus`` from standard_extension.
 
     ``base`` and ``modulus`` record how the field was built.  They fix
     ``coords``/``encode`` (coordinates over the immediate base), equality and
@@ -327,7 +329,7 @@ class Field:
     def __reduce__(self):
         if self.base is None:
             return (PrimeField, (self.char,))
-        return (ExtensionField, (self.base, self.modulus))
+        return (Field, (self.char, self.base, self.modulus))
 
     # -- kernels: one body for Python ints and int64 arrays ------------------
     def _add(self, a, b):
@@ -523,20 +525,6 @@ def _prime_field(p: int) -> Field:
     return Field(p)
 
 
-def ExtensionField(base: Field, modulus) -> Field:
-    """Degree-d extension of an existing field by a monic irreducible modulus."""
-    modulus = tuple(int(c) for c in modulus)
-    if len(modulus) < 3:
-        raise ValueError("extension degree must be >= 2")
-    if any(not 0 <= c < base.order for c in modulus):
-        raise ValueError("modulus coefficients out of range")
-    if modulus[-1] != 1:
-        raise ValueError("modulus must be monic")
-    if not is_irreducible(base, modulus):
-        raise ValueError(f"modulus {modulus} is reducible over {base!r}")
-    return Field(base.char, base, modulus)
-
-
 def standard_extension(base: Field, degree: int) -> Field:
     """The degree-d extension of base by :func:`find_irreducible`, built once per base.
 
@@ -565,36 +553,45 @@ def prime_ext_field(p: int, n: int) -> Field:
 # ---------------------------------------------------------------------------
 
 class FieldTower:
-    """Immutable description of F_p < F_q = F_{p^m} < F_{q^3}."""
+    """Immutable description of F_p < F_q = F_{p^m} < F_{q^3}, determined by (p, m).
 
-    def __init__(self, p, m, fp, fq, fq3, mid_modulus, top_modulus):
+    The fields are the process's shared ones from :func:`standard_extension`,
+    and a tower pickles as (p, m), so an unpickled tower shares them too.
+    """
+
+    def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
         self.q = p ** m
         self.order_top = self.q ** 3
-        self.fp = fp
-        self.fq = fq
-        self.fq3 = fq3
-        self.mid_modulus = mid_modulus
-        self.top_modulus = top_modulus
+        self.fq = standard_extension(PrimeField(p), m)
+        self.fq3 = standard_extension(self.fq, 3)
+
+    @property
+    def mid_modulus(self) -> tuple[int, ...]:
+        """The modulus of F_q over F_p; (0, 1), the polynomial t, when m = 1."""
+        return self.fq.modulus if self.m > 1 else (0, 1)
+
+    @property
+    def top_modulus(self) -> tuple[int, ...]:
+        """The modulus of F_{q^3} over F_q."""
+        return self.fq3.modulus
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q})"
 
     def __eq__(self, other):
-        return (isinstance(other, FieldTower) and other.p == self.p and other.m == self.m
-                and other.mid_modulus == self.mid_modulus
-                and other.top_modulus == self.top_modulus)
+        return isinstance(other, FieldTower) and (other.p, other.m) == (self.p, self.m)
 
     def __hash__(self):
-        return hash((self.p, self.m, self.mid_modulus, self.top_modulus))
+        return hash((self.p, self.m))
 
     def __reduce__(self):
-        return (build_tower, (self.p, self.m, self.mid_modulus, self.top_modulus))
+        return (build_tower, (self.p, self.m))
 
 
-def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> FieldTower:
-    """Construct the tower with deterministic (or explicitly supplied) moduli."""
+def build_tower(p: int, m: int = 1) -> FieldTower:
+    """The tower over F_p with F_q = F_{p^m}, its moduli the deterministic ones."""
     p, m = int(p), int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -602,30 +599,7 @@ def build_tower(p: int, m: int = 1, mid_modulus=None, top_modulus=None) -> Field
     # size first, so a huge p or m fails at once, before the primality test
     if p > 1 and not _fits(p, 3 * m, limit):
         raise SizeLimit(f"q^3 = {p}^{3 * m} exceeds the enumeration bound {limit}")
-    fp = PrimeField(p)  # rejects p = 2 and composites
-    if m == 1:
-        fq = fp
-        if mid_modulus is None:
-            mid_modulus = (0, 1)
-        mid_modulus = tuple(int(c) % p for c in mid_modulus)
-        if len(mid_modulus) != 2 or mid_modulus[1] != 1:
-            raise ValueError("mid modulus must be monic of degree 1 when m = 1")
-    elif mid_modulus is None:
-        fq = standard_extension(fp, m)
-        mid_modulus = fq.modulus
-    else:
-        mid_modulus = tuple(int(c) for c in mid_modulus)
-        if len(mid_modulus) != m + 1:
-            raise ValueError(f"mid modulus must have degree {m}")
-        fq = ExtensionField(fp, mid_modulus)
-    if top_modulus is None:
-        fq3 = standard_extension(fq, 3)
-    else:
-        top_modulus = tuple(int(c) for c in top_modulus)
-        if len(top_modulus) != 4:
-            raise ValueError("top modulus must have degree 3")
-        fq3 = ExtensionField(fq, top_modulus)
-    return FieldTower(p, m, fp, fq, fq3, mid_modulus, fq3.modulus)
+    return FieldTower(p, m)  # PrimeField rejects p = 2 and composites
 
 
 def find_normal_element(tower: FieldTower) -> int:

@@ -431,14 +431,6 @@ class ScanReport:
         }
 
 
-def _authority(methods) -> str:
-    # definition-level methods outrank the closed form when counting
-    for m in (METHOD_BRUTE, METHOD_DET, METHOD_THEOREM):
-        if m in methods:
-            return m
-    raise ValueError("no methods given")
-
-
 def _scan_chunk(args):
     tower, pairs, methods = args
     out = []
@@ -520,7 +512,8 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
         if hard:
             disagreements.append((r.A, r.B))
 
-    authority = _authority(methods)
+    # definition-level methods outrank the closed form when counting
+    authority = next(m for m in (METHOD_BRUTE, METHOD_DET, METHOD_THEOREM) if m in methods)
     planar_count = sum(1 for r in records if r.verdicts[authority])
     return ScanReport(
         p=tower.p, m=tower.m, q=q, methods=methods, pairs=records,

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from planarq import prime_ext_field
+from planarq import ValidationFailed, prime_ext_field
 from planarq.cli import main
 from planarq.families import FAMILIES, FamilySpec, desk_verifiable, family_report
 
@@ -33,8 +33,14 @@ def test_validate_t26_and_t35():
     assert _violations(FamilySpec("T3.5", {})) == []
 
 
+def test_family_report_rejects_an_unknown_id():
+    with pytest.raises(ValidationFailed) as exc:
+        family_report(FamilySpec("T9.9", {}))
+    assert str(exc.value) == "unknown family id 'T9.9'; see `planarq families list`"
+
+
 def test_validate_unknown_and_missing(capsys):
-    # an unknown id never reaches the catalog: the command rejects it first
+    # the command reports the catalog's rejection of an unknown id
     assert main(["families", "check", "--id", "T9.9"]) == 1
     assert "unknown family id 'T9.9'" in capsys.readouterr().err
     out = _violations(FamilySpec("T2.2", {"p": 3}))

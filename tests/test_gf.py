@@ -1,6 +1,8 @@
 """Tower construction, element arithmetic, Frobenius, moduli, square roots."""
 
+import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from planarq import (
     DivisionByZero,
-    ExtensionField,
+    Field,
     LevelMismatch,
     NotOddPrime,
     PrimeField,
@@ -18,7 +20,6 @@ from planarq import (
     find_irreducible,
     find_normal_element,
     prime_ext_field,
-    standard_extension,
 )
 from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
 from planarq.curves import (build_F_det, build_F_paper, count_nonzero_fq_zeros, divides,
@@ -67,10 +68,6 @@ def test_prime_fields_are_shared():
     # one F_p per process, so the extensions cached on it are shared too
     assert PrimeField(7) is PrimeField(7)
     assert build_tower(7, 2).fq3 is build_tower(7, 2).fq3
-    # a field with an explicit modulus is built anew
-    f9 = ExtensionField(PrimeField(3), (1, 0, 1))
-    assert f9 == standard_extension(PrimeField(3), 2)
-    assert f9 is not standard_extension(PrimeField(3), 2)
 
 
 def test_prime_field_arith():
@@ -262,16 +259,6 @@ def test_is_irreducible_matches_trial_division(p, m, degrees):
             assert is_irreducible(base, poly) == _trial_division_irreducible(base, poly), poly
 
 
-def test_explicit_moduli_override():
-    t = build_tower(3, 2, mid_modulus=(2, 2, 1))  # t^2 + 2t + 2, irreducible
-    assert t.mid_modulus == (2, 2, 1)
-    f = t.fq3
-    for code in (1, 5, 100):
-        assert f.pow(code, f.order - 1) == 1
-    with pytest.raises(ValueError):
-        build_tower(3, 2, mid_modulus=(0, 0, 1))  # t^2 is reducible
-
-
 def test_field_axioms_exhaustive_small():
     # exhaustive triples over F_{q^3} for q = 3, vectorized per fixed c
     f = build_tower(3, 1).fq3
@@ -406,12 +393,20 @@ def test_sqrt_full_properties(towers):
 
 
 def test_tower_pickles_to_same_tower(towers):
-    import pickle
-
     t = towers[9]
     t2 = pickle.loads(pickle.dumps(t))
     assert t2 == t
-    assert t2.fq3.mul(17, 23) == t.fq3.mul(17, 23)
+    # a field on its own pickles by value
+    f = pickle.loads(pickle.dumps(t.fq3))
+    assert f == t.fq3 and f.mul(17, 23) == t.fq3.mul(17, 23)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 2)])
+def test_unpickled_tower_shares_the_process_fields(p, m):
+    t = build_tower(p, m)
+    t2 = pickle.loads(pickle.dumps(t))
+    assert t2 == t and hash(t2) == hash(t)
+    assert t2.fq is t.fq and t2.fq3 is t.fq3
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,8 @@ def _digits(x, radix, count):
 
 
 def _nested_mul(t, a, b):
-    """fq3 product of codes (ints or arrays) in F_p[t]/(mid)[s]/(top)."""
+    """fq3 product of codes (ints or arrays) in F_p[t]/(mid)[s]/(top), the
+    moduli read from t: a tower, or a namespace with p, m, q and the moduli."""
     p, m, q = t.p, t.m, t.q
 
     def fp_add(x, y):
@@ -506,24 +502,23 @@ def test_frobenius_is_power_q(p, m):
             assert np.array_equal(f.frob_table(k), f.pow_vec(codes, t.q ** k))
 
 
-def _towers():
-    """Small towers with moduli drawn at random, rejected until irreducible."""
-    def build(p, m, mid, top):
-        try:
-            return build_tower(p, m, mid_modulus=mid if m > 1 else None,
-                               top_modulus=top)
-        except ValueError:
-            return None
+def _monic(s, d):
+    """Monic polynomials of degree d with coefficient codes below s."""
+    return st.tuples(*[st.integers(0, s - 1)] * d).map(lambda c: c + (1,))
 
-    def moduli(pm):
-        p, m = pm
-        q = p ** m
-        mid = st.tuples(*[st.integers(0, p - 1)] * m).map(lambda c: c + (1,))
-        top = st.tuples(*[st.integers(0, q - 1)] * 3).map(lambda c: c + (1,))
-        return st.builds(build, st.just(p), st.just(m), mid, top)
 
-    pm = st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
-    return pm.flatmap(moduli).filter(lambda t: t is not None)
+@st.composite
+def _towers(draw):
+    """Small towers with moduli drawn at random, rejected until irreducible,
+    as namespaces holding what :func:`_nested_mul` reads and F_{q^3}."""
+    p, m = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]))
+    q, fq, mid = p ** m, PrimeField(p), (0, 1)
+    if m > 1:
+        mid = draw(_monic(p, m).filter(lambda f: is_irreducible(fq, f)))
+        fq = Field(p, fq, mid)
+    top = draw(_monic(q, 3).filter(lambda f: is_irreducible(fq, f)))
+    return SimpleNamespace(p=p, m=m, q=q, mid_modulus=mid, top_modulus=top,
+                           fq3=Field(p, fq, top))
 
 
 @settings(max_examples=40, deadline=None)
