@@ -24,8 +24,9 @@ f, a, b = tower.fq3, 500, 123
 print(f"\na + b = {f.add(a, b)}, a * b = {f.mul(a, b)}, a / b = {f.div(a, b)}")
 print(f"a^(|F|-1) = {f.pow(a, f.order - 1)}  (unit group order)")
 
-# The q-power Frobenius acts as a precomputed 3x3 matrix over F_9; its fixed
-# field is exactly the embedded F_9.
+# The q-power Frobenius is F_3-linear: the field applies a 6x6 matrix over
+# F_3 to the six flat digits of a code, built on first use.  Its fixed field
+# is exactly the embedded F_9.
 y = tower.fq3.frob(x, 1)
 print(f"\nx^q = {y}; x^(q^3) = {tower.fq3.frob(x, 3)} (back to x)")
 fixed = [c for c in range(729) if tower.fq3.frob(c, 1) == c]

@@ -144,17 +144,11 @@ def build_F_det(tower: FieldTower, A, B) -> tuple[int, ...]:
     """The determinant of the difference-map matrix of the F_q codes (A, B),
     as the ten coefficient codes of a cubic in (X, Y, T).
 
-    Built by Leibniz expansion (:func:`_det_coeffs`).  By construction
-    F(C, C^q, C^(q^2)) = det for every C.  F_q keeps the cubic of the most
-    recent pair only, which serves the several calls one dossier makes
-    without letting a long-lived field collect one cubic per pair.
+    Built by Leibniz expansion (:func:`_det_coeffs`) on every call, and not
+    cached.  By construction F(C, C^q, C^(q^2)) = det for every C.
     """
     fq = tower.fq
-    key = _codes_in(fq, A, B)
-    last = fq._cache.get("F_det")
-    if last is None or last[0] != key:
-        last = fq._cache["F_det"] = (key, tuple(_det_coeffs(fq, *key)))
-    return last[1]
+    return tuple(_det_coeffs(fq, *_codes_in(fq, A, B)))
 
 
 def _det_coeffs(fq: Field, a, b) -> list:

@@ -43,13 +43,15 @@ code that runs the scalar kernels on ints takes its operations from
 is an array.
 
 Fields are immutable after construction apart from internal caches, which
-hold only values fixed by the field and the cache key, so a tower can be
-shared freely across worker processes or threads.  :func:`PrimeField`
+hold only values fixed by the field's construction: the F_p matrix of each
+Frobenius power, each extension built on it, and the 10 x 10 substitution
+matrix of each normal element given to ``curves.transform_H``.  No cache
+holds a whole-field table or a value that depends on one pair, so a tower can
+be shared freely across worker processes or threads.  :func:`PrimeField`
 returns one object per p, so every tower over p in a process, an unpickled
 one included, shares its fields and their caches.  The one size policy, the
 enumeration bound of :func:`max_enumeration_order`, is read from the
-environment at each check, before any cached result is returned, and is
-never stored on a field.
+environment at each check and is never stored on a field.
 """
 
 from __future__ import annotations
@@ -450,16 +452,12 @@ class Field:
     def frob_vec(self, a, k: int = 1):
         return self._frob(self._arr(a), k)
 
-    # -- cached tables ---------------------------------------------------------
+    # -- whole-field enumerations ---------------------------------------------
     def frob_table(self, k: int = 1):
-        """Permutation array code -> code^(s^k) over the whole field."""
-        k %= self.degree
-        # checked on every call: a cached table must not outlive a lower bound
+        """Permutation array code -> code^(s^k) over the whole field, built on
+        each call; array callers apply :meth:`frob_vec` to the codes they hold."""
         _check_enumerable(self.order, "Frobenius table")
-        tabs = self._cache.setdefault("frobtab", {})
-        if k not in tabs:
-            tabs[k] = self._frob(self._arr(np.arange(self.order)), k)
-        return tabs[k]
+        return self.frob_vec(np.arange(self.order), k)
 
     def sqrt_code(self, a: int) -> int | None:
         """Smaller square root by code, or None when a is a non-square."""

@@ -80,7 +80,7 @@ def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) ->
     lhs = _dets_at(tower, A, B, C)
     # every triple's own pair cubic, as coefficient arrays, at its shift
     rhs = _evaluate(f3, _det_coeffs(tower.fq, A, B), C,
-                    f3.frob_table(1)[C], f3.frob_table(2)[C])
+                    f3.frob_vec(C, 1), f3.frob_vec(C, 2))
     bad = np.flatnonzero((lhs != rhs) | (rhs >= tower.q))
     failures = [triples[i] for i in bad[:5]]
     return BatteryResult("determinant identity", not failures, len(triples),
@@ -136,7 +136,10 @@ def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Rando
 
 def run_identities(tower: FieldTower, samples: int = 1000, seed: int = 0) -> list[BatteryResult]:
     """Run every battery with one seeded stream; returns per-battery results,
-    each with its wall time in ``seconds``."""
+    each with its wall time in ``seconds``.  ``samples`` must be at least 1,
+    so that no sampled battery passes on zero checks."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     _check_enumerable(samples, "identity samples")
     rng = random.Random(seed)
     batteries = (

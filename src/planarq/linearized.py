@@ -79,28 +79,31 @@ def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
 
     The whole-array form of :func:`brute_kernel`: it counts the x with
     c0*x + c1*x^q = -c2*x^(q^2), so it uses neither F_q-linearity nor the
-    coefficient matrix.  For each slice of x it multiplies every distinct
-    coefficient of a slot by the slice once, however many maps share it, and
-    then reads each map's terms from those product rows.  No step holds more
-    than ``_KERNEL_CHUNK`` cells.
+    coefficient matrix.  It takes x, x^q and x^(q^2) from ``frob_vec`` one
+    block of x at a time.  For each slice of a block it multiplies every
+    distinct coefficient of a slot by the slice once, however many maps share
+    it, and then reads each map's terms from those product rows.  No block
+    and no step holds more than ``_KERNEL_CHUNK`` codes or cells.
     """
     f = field
     _check_enumerable(f.order, "kernel enumeration")
-    images = (np.arange(f.order), f.frob_table(1), f.frob_table(2))
     slots = [np.unique(np.asarray(c, dtype=np.int64), return_inverse=True)
              for c in (c0, c1, f.sub_vec(0, c2))]
     width = min(f.order, max(1, _KERNEL_CHUNK // max(1, *(len(u) for u, _ in slots))))
     step = max(1, _KERNEL_CHUNK // width)
     maps = len(slots[0][1])
     sizes = np.zeros(maps, dtype=np.int64)
-    for lo in range(0, f.order, width):
-        (r0, w0), (r1, w1), (r2, w2) = [
-            (f.mul_vec(u[:, None], image[None, lo:lo + width]), which)
-            for (u, which), image in zip(slots, images)]
-        for m in range(0, maps, step):
-            part = slice(m, m + step)
-            lhs = f.add_vec(r0[w0[part]], r1[w1[part]])
-            sizes[part] += np.count_nonzero(lhs == r2[w2[part]], axis=1)
+    for start in range(0, f.order, width * step):
+        xs = np.arange(start, min(start + width * step, f.order))
+        images = (xs, f.frob_vec(xs, 1), f.frob_vec(xs, 2))
+        for lo in range(0, len(xs), width):
+            (r0, w0), (r1, w1), (r2, w2) = [
+                (f.mul_vec(u[:, None], image[None, lo:lo + width]), which)
+                for (u, which), image in zip(slots, images)]
+            for m in range(0, maps, step):
+                part = slice(m, m + step)
+                lhs = f.add_vec(r0[w0[part]], r1[w1[part]])
+                sizes[part] += np.count_nonzero(lhs == r2[w2[part]], axis=1)
     return sizes
 
 

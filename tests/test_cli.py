@@ -20,6 +20,8 @@ import planarq.gf as gf
 import planarq.planarity as planarity
 from planarq import build_tower
 from planarq.cli import main
+from planarq.identities import run_identities
+from planarq.linearized import brute_kernel, difference_triple
 
 
 def run_cli(*argv):
@@ -518,6 +520,23 @@ def test_H_coefficient_outside_fq_exits_two(monkeypatch, capsys):
         assert out == "" and re.fullmatch(r"error: coefficient code \d+ is not in F_5\n", err)
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == clean
+
+
+def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
+    assert run_cli("verify", "--p", "5", "--A", "1", "--B", "4") == 0
+    run_identities(build_tower(5, 2), samples=10)
+    t = build_tower(5, 1)
+    brute_kernel(t.fq3, *difference_triple(t, 1, 1, 1))
+    # every field over F_5 is reached through the ("ext", d) entries
+    fields, kinds = [gf.PrimeField(5)], set()
+    while fields:
+        f = fields.pop()
+        for key, value in f._cache.items():
+            kind = key[0] if isinstance(key, tuple) else key
+            kinds.add(kind)
+            if kind == "ext":
+                fields.append(value)
+    assert kinds == {"frob", "ext", "H_matrix"}
 
 
 # at q = 23 and 9: (1, 4) searches F_{q^2} for lines, (2, 1) is planar

@@ -440,15 +440,6 @@ def test_transform_H_equals_the_substitution(towers, q):
                 assert transform_H(t, a, b, xi) == oracle
 
 
-def test_F_det_cache_keeps_the_last_pair(towers):
-    t = towers[7]
-    for a in range(7):
-        for b in range(7):
-            F = build_F_det(t, a, b)
-            assert build_F_det(t, a, b) is F
-    assert t.fq._cache["F_det"] == ((6, 6), F)
-
-
 def test_point_count_examples(towers):
     t = towers[5]
     xi = find_normal_element(t)

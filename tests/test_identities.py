@@ -108,3 +108,10 @@ def test_batteries_pass_and_time_themselves(towers):
     results = identities.run_identities(towers[9], samples=50, seed=3)
     assert [r.passed for r in results] == [True] * 4
     assert all(r.seconds > 0 for r in results)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_run_identities_refuses_fewer_than_one_sample(towers, samples):
+    # with no samples the sampled batteries would pass on zero checks
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        identities.run_identities(towers[11], samples=samples)

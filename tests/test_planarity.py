@@ -8,9 +8,10 @@ import pytest
 from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import _mult_order, orbit_reps, prime_ext_field
+from planarq.gf import _mult_order, find_normal_element, orbit_reps, prime_ext_field
 from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
-from planarq.linearized import brute_kernel, difference_triple
+from planarq.identities import run_identities
+from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
     _dets_at,
     BRANCH_B_ZERO,
@@ -194,6 +195,10 @@ _ENUMERATIONS = {
     "frob_table": lambda t: t.fq3.frob_table(1),
     "sqrt_code": lambda t: t.fq.sqrt_code(4),
     "brute_kernel": lambda t: brute_kernel(t.fq3, *difference_triple(t, 1, 1, 1)),
+    "kernel_sizes": lambda t: kernel_sizes(t.fq3, [1], [0], [0]),
+    "find_normal_element": find_normal_element,
+    "det_witnesses": det_witnesses,
+    "identities": lambda t: run_identities(t, samples=3),
     "find_linear_factors": lambda t: find_linear_factors(t.fq, build_F_det(t, 1, 1)),
     "point_count": lambda t: count_nonzero_fq_zeros(t.fq, build_F_det(t, 1, 1)),
 }
