@@ -27,6 +27,7 @@ from .gf import build_tower, find_normal_element
 from .identities import run_identities
 from .planarity import (
     ALL_METHODS,
+    METHOD_BRUTE,
     brute_is_planar,
     classify_pair,
     f_poly,
@@ -156,10 +157,11 @@ def cmd_scan(args) -> int:
     report = scan(tower, methods=methods, workers=args.workers)
     rd = report.to_report_dict(seed=args.seed, version=__version__)
     _emit(_json_text(rd) if args.format == "json" else _scan_csv(rd), args.output)
+    work = f" brute shifts {report.brute_shifts}" if METHOD_BRUTE in report.methods else ""
     print(f"scan q={report.q}: planar={report.planar_count} "
           f"expected={report.expected_count} disagreements={len(report.disagreements)} "
           f"(det {report.timings['det']:.2f}s, pairs {report.timings['pairs']:.2f}s, "
-          f"scan {report.timings['scan']:.2f}s)", file=sys.stderr)
+          f"scan {report.timings['scan']:.2f}s){work}", file=sys.stderr)
     if report.disagreements:
         return DISAGREE_EXIT
     if report.q > 3 and report.planar_count != report.expected_count:

@@ -505,6 +505,31 @@ def orbit_reps(s: int, order: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def frob_orbit_reps(field: Field) -> np.ndarray:
+    """One code per orbit of F^* under scaling by F_s^* and x -> x^s, F_s the
+    field ``field`` was built over (F_p for a prime field, where x -> x^p is
+    the identity): the least code of each orbit, in increasing order.
+
+    x -> x^s maps each F_s^* orbit onto one, as (lambda a)^s = lambda a^s for
+    lambda in F_s, so it permutes the codes of :func:`orbit_reps`: the image
+    of a rep, scaled by the inverse of its top nonzero base-s digit, is the
+    rep of the image's orbit.  A rep is kept when it is the least along its
+    cycle of that permutation, whose length divides the field's degree.
+    """
+    s = field._radix
+    reps = orbit_reps(s, field.order)
+    images = field.frob_vec(reps, 1)
+    digits = np.stack(_decode(images, s, field.degree))
+    top = digits[field.degree - 1 - np.argmax(digits[::-1] != 0, axis=0), np.arange(len(reps))]
+    inverses = field.pow_vec(np.arange(s), s - 2)  # inverses in F_s, by code
+    step = np.searchsorted(reps, field.mul_vec(inverses[top], images))
+    least = at = np.arange(len(reps))
+    for _ in range(field.degree - 1):
+        at = step[at]
+        least = np.minimum(least, at)
+    return reps[least == np.arange(len(reps))]
+
+
 def PrimeField(p: int) -> Field:
     """F_p for an odd prime p; codes are the residues 0..p-1.
 

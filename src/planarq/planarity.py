@@ -6,10 +6,15 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
   * ``brute_is_planar`` -- the definition, checked with hit counts; works for
     any sparse polynomial over any field within the enumeration budget.  It
     adds and subtracts codes a chunk of base-p digits at a time through the
-    cached tables of ``gf._chunk_tables``.  A polynomial with
-    f(lambda x) = lambda^2 f(x) for lambda in F_s^*, F_s the field it was
-    built over (F_q for the tower's F_{q^3}), checked on its value table,
-    needs one shift per F_s^* orbit; any other is swept over every shift.
+    cached tables of ``gf._chunk_tables``.  Two gates are checked on the
+    value table, with F_s the field the polynomial's field was built over
+    (F_q for the tower's F_{q^3}): f(lambda x) = lambda^2 f(x) for lambda in
+    F_s^*, and f(x^s) = f(x)^s.  A polynomial passing both needs one shift
+    per orbit of F_s^* scaling and x -> x^s (``gf.frob_orbit_reps``), one
+    passing the first only one per F_s^* orbit, any other every shift.
+    ``scan`` builds the sweep's set-up and the tables of x^(q^2+1), x^(q+1)
+    and x^2 once per chunk of pairs, so a pair's value table is
+    P1 + A P2 + B P3.
   * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
     may kill the determinant of the difference map's coefficient matrix.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import Disagreement
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
-                 _mult_order, det3, orbit_reps)
+                 _mult_order, det3, frob_orbit_reps, orbit_reps)
 from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
 
 BRANCH_B_ZERO = "BranchBZero"
@@ -126,50 +131,83 @@ def brute_is_planar(poly: SparsePoly) -> bool:
     """Definition-level planarity test by exhaustive difference-map checks.
 
     For each swept shift a, tabulates f(x+a) - f(x) over all x and demands
-    all |F| values be distinct; stops at the first failing shift.  Codes are
-    added and subtracted digit-wise a chunk of c base-p digits at a time,
-    through the p^c x p^c tables of ``gf._chunk_tables``.  The codes and the
-    value table are split into their ceil(k/c) chunk planes once (k digits
-    per code), so each shift costs one table gather per chunk to form x + a,
-    then one gather and one table lookup per chunk to form f(x+a) - f(x);
-    chunk j's tables are scaled by p^(cj), so summing over the chunks packs
-    the code again.
+    all |F| values be distinct; stops at the first failing shift.  The set-up
+    of the sweep is ``_BruteSweep``, built once per call.
 
     Let F_s be the field F was built over (s = p for a prime field).  When
     f(lambda x) = lambda^2 f(x) for every lambda in F_s^* (every
     Dembowski-Ostrom polynomial with coefficients in F_s, so every f_{A,B}
     with s = q), the difference map at lambda a is lambda^2 times the one at
-    a composed with x -> x/lambda, so one shift per F_s^* orbit decides: the
-    (|F| - 1)/(s - 1) codes of ``orbit_reps``.  That homogeneity is checked
-    on the value table first, as f(g x) = g^2 f(x) for the least generator g
-    of F_s^* (its code is the same in F), which gives every power of g; a
-    polynomial that fails it is swept over every shift a != 0.
+    a composed with x -> x/lambda, so one shift per F_s^* orbit decides.
+    When f also commutes with sigma: x -> x^s (every f with coefficients in
+    F_s), the map at sigma(a) is sigma composed with the one at a and with
+    sigma^-1, so one shift per orbit of F_s^* scaling and sigma decides.
+    Both are checked on the value table, and a polynomial that fails either
+    is swept over the larger set: the F_s^* orbits, or every shift a != 0.
     """
-    f = poly.field
-    n, p, k = f.order, f.char, f._n
-    base = f.base or f
-    s = base.order
     ftab = poly.value_table()  # raises SizeLimit beyond the enumeration bound
-    codes = np.arange(n, dtype=np.int64)
-    g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
-    homogeneous = np.array_equal(ftab[f.mul_vec(g, codes)], f.mul_vec(f.mul(g, g), ftab))
-    shifts = orbit_reps(s, n) if homogeneous else codes[1:]
-    c, add, sub = _chunk_tables(p)
-    P, m = p ** c, -(-k // c)
-    # flat index j*P*P + u*P + v of add_j is add[u, v] * P^j, and so for sub_j
-    weights = (P ** np.arange(m))[:, None, None]
-    add_j, sub_j = (add * weights).ravel(), (sub * weights).ravel()
-    start = (P * P * np.arange(m))[:, None]  # where table j begins in add_j, sub_j
-    xs = np.stack(_decode(codes, P, m))  # (m, n) chunk planes
-    ys = np.stack(_decode(ftab, P, m))
-    y_rows = ys * P + start
-    a_rows = np.stack(_decode(shifts, P, m), axis=1)[:, :, None] * P + start
-    for rows in a_rows:
-        shifted = add_j[rows + xs].sum(axis=0)  # codes of x + a
-        diffs = sub_j[np.take(y_rows, shifted, axis=1) + ys].sum(axis=0)
-        if np.bincount(diffs, minlength=n).max() != 1:
-            return False
-    return True
+    return _BruteSweep(poly.field).run(ftab)[0]
+
+
+class _BruteSweep:
+    """What a brute sweep over one field needs besides the value table,
+    built once per ``brute_is_planar`` call or scan chunk and never cached on
+    the field.
+
+    Codes are added and subtracted digit-wise a chunk of c base-p digits at a
+    time, through the p^c x p^c tables of ``gf._chunk_tables``.  The codes
+    are split into their ceil(k/c) chunk planes here (k digits per code) and
+    each value table in ``run``, so each shift costs one table gather per
+    chunk to form x + a, then one gather and one table lookup per chunk to
+    form f(x+a) - f(x); chunk j's tables are scaled by p^(cj), so summing over
+    the chunks packs the code again.  The gates read the value table at g x
+    and at x^s, g the least generator of F_s^* (its code is the same in F):
+    f(g x) = g^2 f(x) gives every power of g.
+    """
+
+    def __init__(self, field: Field):
+        f = self.field = field
+        _check_enumerable(f.order, "brute sweep")
+        n, p, k = f.order, f.char, f._n
+        base = f.base or f
+        s = base.order
+        codes = np.arange(n, dtype=np.int64)
+        g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
+        self.g2 = f.mul(g, g)
+        self.scaled = f.mul_vec(g, codes)      # code of g x, by x
+        self.frobenius = f.frob_vec(codes, 1)  # code of x^s, by x (x itself on F_p)
+        c, add, sub = _chunk_tables(p)
+        self.P, self.m = P, m = p ** c, -(-k // c)
+        # flat index j*P*P + u*P + v of add_j is add[u, v] * P^j, and so for sub_j
+        weights = (P ** np.arange(m))[:, None, None]
+        self.add_j, self.sub_j = (add * weights).ravel(), (sub * weights).ravel()
+        self.start = (P * P * np.arange(m))[:, None]  # where table j begins in add_j, sub_j
+        self.xs = np.stack(_decode(codes, P, m))  # (m, n) chunk planes
+        self.orbit_rows = self._rows(frob_orbit_reps(f))
+        self.projective_rows = self._rows(orbit_reps(s, n))
+
+    def _rows(self, shifts):
+        """Each shift's chunk planes, offset into add_j."""
+        return np.stack(_decode(shifts, self.P, self.m), axis=1)[:, :, None] * self.P + self.start
+
+    def run(self, ftab) -> tuple[bool, int]:
+        """(planar, number of shifts swept) for the value table ftab."""
+        f = self.field
+        if not np.array_equal(ftab[self.scaled], f.mul_vec(self.g2, ftab)):
+            a_rows = self._rows(np.arange(1, f.order))
+        elif not np.array_equal(ftab[self.frobenius], f.frob_vec(ftab, 1)):
+            a_rows = self.projective_rows
+        else:
+            a_rows = self.orbit_rows
+        add_j, sub_j, xs = self.add_j, self.sub_j, self.xs
+        ys = np.stack(_decode(ftab, self.P, self.m))
+        y_rows = ys * self.P + self.start
+        for swept, rows in enumerate(a_rows, 1):
+            shifted = add_j[rows + xs].sum(axis=0)  # codes of x + a
+            diffs = sub_j[np.take(y_rows, shifted, axis=1) + ys].sum(axis=0)
+            if np.bincount(diffs, minlength=f.order).max() != 1:
+                return False, swept
+        return True, len(a_rows)
 
 
 def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
@@ -410,6 +448,7 @@ class ScanReport:
     disagreements: list
     beyond_theorem: list
     timings: dict = dc_field(default_factory=dict)
+    brute_shifts: int = 0
 
     def to_report_dict(self, seed: int = 0, version: str = "0") -> dict:
         """Stable-key dict for serialization; excludes wall-clock timings."""
@@ -431,9 +470,28 @@ class ScanReport:
         }
 
 
+def _monomial_tables(tower: FieldTower) -> tuple[np.ndarray, ...]:
+    """x^(q^2+1), x^(q+1) and x^2 for every x of F_{q^3}, indexed by code."""
+    f, q = tower.fq3, tower.q
+    _check_enumerable(f.order, "value table")
+    codes = np.arange(f.order, dtype=np.int64)
+    return tuple(f.pow_vec(codes, e) for e in (q * q + 1, q + 1, 2))
+
+
+def _f_table(tower: FieldTower, monomials, A, B) -> np.ndarray:
+    """The value table of ``f_poly(tower, A, B)`` from ``_monomial_tables``:
+    f is affine in (A, B), so it is P1 + A P2 + B P3 at every x."""
+    f = tower.fq3
+    p1, p2, p3 = monomials
+    return f.add_vec(p1, f.add_vec(f.mul_vec(A, p2), f.mul_vec(B, p3)))
+
+
 def _scan_chunk(args):
+    """The records of the given pairs, and the number of brute shifts swept."""
     tower, pairs, methods = args
-    out = []
+    out, shifts = [], 0
+    if METHOD_BRUTE in methods:
+        sweep, monomials = _BruteSweep(tower.fq3), _monomial_tables(tower)
     for a_code, b_code, witness in pairs:
         verdicts = {}
         branch = None
@@ -444,9 +502,11 @@ def _scan_chunk(args):
         if METHOD_DET in methods:
             verdicts[METHOD_DET] = witness is None
         if METHOD_BRUTE in methods:
-            verdicts[METHOD_BRUTE] = brute_is_planar(f_poly(tower, a_code, b_code))
+            planar, swept = sweep.run(_f_table(tower, monomials, a_code, b_code))
+            verdicts[METHOD_BRUTE] = planar
+            shifts += swept
         out.append(PairRecord(a_code, b_code, verdicts, branch, witness))
-    return out
+    return out, shifts
 
 
 def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
@@ -463,7 +523,11 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     is only required to be a lower bound, and exact-planar pairs it misses
     are reported separately in ``beyond_theorem``.  ``timings`` holds the
     seconds of the incidence pass (``det``), of the per-pair loop
-    (``pairs``) and of the whole scan (``scan``).
+    (``pairs``) and of the whole scan (``scan``), and ``brute_shifts`` the
+    number of shifts the brute sweeps took, summed over the pairs; neither
+    enters the report.  A brute scan builds the sweep set-up and the
+    monomial tables of ``_monomial_tables`` once per chunk of pairs, and
+    reads each pair's value table off them.
     """
     requested = tuple(methods)
     unknown = [m for m in requested if m not in ALL_METHODS]
@@ -485,10 +549,10 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
         chunks = [pairs[i::workers] for i in range(workers)]
         with mp.Pool(workers) as pool:
             results = pool.map(_scan_chunk, [(tower, c, methods) for c in chunks])
-        records = [r for chunk in results for r in chunk]
-        records.sort(key=lambda r: (r.A, r.B))
+        records = sorted((r for chunk, _ in results for r in chunk), key=lambda r: (r.A, r.B))
+        brute_shifts = sum(shifts for _, shifts in results)
     else:
-        records = _scan_chunk((tower, pairs, methods))
+        records, brute_shifts = _scan_chunk((tower, pairs, methods))
     timings["scan"] = time.perf_counter() - start
     timings["pairs"] = timings["scan"] - timings["det"]
 
@@ -519,4 +583,5 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
         p=tower.p, m=tower.m, q=q, methods=methods, pairs=records,
         planar_count=planar_count, expected_count=count_formula(q),
         disagreements=disagreements, beyond_theorem=beyond, timings=timings,
+        brute_shifts=brute_shifts,
     )

@@ -411,8 +411,19 @@ def test_verify_determinant_outside_fq_exits_two(monkeypatch, capsys):
 
 def test_scan_stderr_reports_phase_times(capsys):
     assert run_cli("scan", "--p", "5") == 0
-    assert re.search(r"\(det \d+\.\d\ds, pairs \d+\.\d\ds, scan \d+\.\d\ds\)",
-                     capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(r"\(det \d+\.\d\ds, pairs \d+\.\d\ds, scan \d+\.\d\ds\)", err)
+    assert "brute shifts" not in err
+    # with brute, the shifts its sweeps took, summed over the pairs
+    assert run_cli("scan", "--p", "5", "--methods", "theorem,det,brute") == 0
+    cap = capsys.readouterr()
+    assert re.search(r"\(det \d+\.\d\ds, pairs \d+\.\d\ds, scan \d+\.\d\ds\)", cap.err)
+    t = build_tower(5, 1)
+    shifts = planarity.scan(t, methods=("theorem", "det", "brute")).brute_shifts
+    # each of the 9 planar pairs sweeps all 11 orbits of F_5^* scaling and x -> x^5
+    assert shifts >= 9 * len(gf.frob_orbit_reps(t.fq3)) == 99
+    assert cap.err.endswith(f") brute shifts {shifts}\n")
+    assert "shifts" not in cap.out
 
 
 def test_verify_stderr_reports_phase_times(capsys):

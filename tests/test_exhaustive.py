@@ -34,7 +34,8 @@ def _assert_count_and_agreement(rep):
 
 
 @pytest.mark.exhaustive
-@pytest.mark.parametrize("p, m", [(17, 1), (5, 2)], ids=["q17", "q25"])
+@pytest.mark.parametrize("p, m", [(17, 1), (5, 2), (3, 3), (31, 1)],
+                         ids=["q17", "q25", "q27", "q31"])
 def test_triple_scan_agrees(p, m):
     rep = scan(build_tower(p, m), methods=ALL_METHODS)
     _assert_count_and_agreement(rep)

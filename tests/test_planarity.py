@@ -8,12 +8,16 @@ import pytest
 from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import _mult_order, find_normal_element, orbit_reps, prime_ext_field
+from planarq.gf import (_mult_order, find_normal_element, frob_orbit_reps, orbit_reps,
+                        prime_ext_field)
 from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
 from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
+    ALL_METHODS,
     _dets_at,
+    _f_table,
+    _monomial_tables,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
     BRANCH_SQUARE,
@@ -96,6 +100,29 @@ def test_orbit_reps_cover_every_nonzero_code_once(towers, q, s):
     assert np.array_equal(np.sort(multiples), np.arange(1, f.order))
 
 
+def _orbits(f):
+    """The orbits of F^* under scaling by F_s^* and x -> x^s, F_s the field f
+    was built over, each the union of lambda * sigma^i(a) by ``Field.mul``
+    and ``Field.frob``."""
+    s, d = (f.base or f).order, f.degree
+    seen, orbits = set(), []
+    for a in range(1, f.order):
+        if a not in seen:
+            orbit = {f.mul(lam, f.frob(a, i)) for lam in range(1, s) for i in range(d)}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("q", [3, 5, 9], ids=["F27", "F125", "F729"])
+def test_frob_orbit_reps_are_the_least_code_of_each_orbit(towers, q):
+    f = towers[q].fq3
+    orbits = _orbits(f)
+    assert sum(map(len, orbits)) == f.order - 1  # each nonzero code in exactly one
+    reps = frob_orbit_reps(f)
+    assert reps.tolist() == sorted(min(o) for o in orbits)
+
+
 @pytest.mark.parametrize("q", [5, 9])
 def test_brute_equals_the_full_sweep_on_every_pair(towers, q):
     t = towers[q]
@@ -164,7 +191,7 @@ def test_brute_sweeps_one_shift_per_orbit_when_homogeneous(monkeypatch):
     f = prime_ext_field(3, 7)
     calls = _count_shifts(monkeypatch)
     assert brute_is_planar(SparsePoly(f, {14: 1}))   # T2.6: x^((3^3 + 1)/2)
-    assert len(calls) == (f.order - 1) // 2
+    assert len(calls) == len(_orbits(f)) == 157
 
 
 def test_brute_sweeps_every_shift_when_not_homogeneous(towers, monkeypatch):
@@ -177,15 +204,71 @@ def test_brute_sweeps_every_shift_when_not_homogeneous(towers, monkeypatch):
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_brute_sweeps_one_shift_per_fq_orbit_on_the_tower(towers, q, monkeypatch):
-    # f_{A,B} has coefficients in F_q, so its F_q^* orbits decide: q^2 + q + 1 shifts
+    # f_{A,B} has coefficients in F_q, so the orbits of F_q^* scaling and
+    # x -> x^q decide: 31 shifts at q = 9 and 219 at q = 25
     t = towers[q]
     planar = np.flatnonzero(det_witnesses(t) == 0)
     A, B = planar[-1] // q, planar[-1] % q
     assert A and B
     assert is_planar_det(t, A, B) == (True, None)
+    expected = len(_orbits(t.fq3))
     calls = _count_shifts(monkeypatch)
     assert brute_is_planar(f_poly(t, A, B))
+    assert len(calls) == expected == {9: 31, 25: 219}[q]
+
+
+def test_brute_sweeps_every_fq_orbit_when_a_coefficient_is_outside_fq(towers, monkeypatch):
+    # x -> lam x takes the planar f_{A,B} to lam^(q^2+1) times
+    # x^(q^2+1) + A lam^(q-q^2) x^(q+1) + B lam^(1-q^2) x^2, still planar and
+    # homogeneous over F_q.  For a generator lam of F_{q^3}^* the x^2
+    # coefficient is outside F_q, so the polynomial does not commute with
+    # x -> x^q, and every one of the q^2 + q + 1 F_q^* orbits is swept
+    t = towers[7]
+    f, q = t.fq3, t.q
+    A, B = 2, 3
+    assert is_planar_det(t, A, B) == (True, None)
+    lam = next(c for c in range(2, f.order) if _mult_order(f, c) == f.order - 1)
+    a, b = f.mul(A, f.pow(lam, q - q * q)), f.mul(B, f.pow(lam, 1 - q * q))
+    assert b >= q
+    poly = SparsePoly(f, {q * q + 1: 1, q + 1: a, 2: b})
+    calls = _count_shifts(monkeypatch)
+    assert brute_is_planar(poly)
     assert len(calls) == q * q + q + 1
+
+
+def test_brute_checks_the_frobenius_gate():
+    # homogeneous over F_3 (even exponents) with coefficients outside F_3: not
+    # planar, but every difference map at a rep of frob_orbit_reps is a
+    # bijection, so a sweep of those shifts alone would call it planar
+    f = prime_ext_field(3, 3)
+    poly = SparsePoly(f, {10: 19, 4: 1, 2: 5})
+    tab, codes = poly.value_table(), np.arange(f.order)
+    bijective = [len(set(f.sub_vec(tab[f.add_vec(codes, a)], tab).tolist())) == f.order
+                 for a in range(1, f.order)]
+    assert not all(bijective)
+    assert all(bijective[a - 1] for a in frob_orbit_reps(f))
+    assert not brute_is_planar(poly)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_monomial_tables_give_every_value_table(towers, q):
+    t = towers[q]
+    monomials = _monomial_tables(t)
+    for A in range(q):
+        for B in range(q):
+            assert np.array_equal(_f_table(t, monomials, A, B), f_poly(t, A, B).value_table())
+
+
+def test_only_brute_scans_build_the_sweep_tables(towers, monkeypatch):
+    built = []
+    real = _monomial_tables
+    monkeypatch.setattr("planarq.planarity._monomial_tables",
+                        lambda t: built.append(t) or real(t))
+    scan(towers[5], methods=("theorem", "det"))
+    assert built == []
+    # one chunk of pairs, one set of tables
+    assert scan(towers[5], methods=("det", "brute")).brute_shifts > 0
+    assert built == [towers[5]]
 
 
 # every enumeration of a whole field or point set, given a tower at q = 5
@@ -306,6 +389,14 @@ def test_scan_deterministic_across_workers(towers):
     d1 = json.dumps(r1.to_report_dict(seed=1, version="x"), sort_keys=True)
     d2 = json.dumps(r2.to_report_dict(seed=1, version="x"), sort_keys=True)
     assert d1 == d2
+
+
+def test_brute_scan_is_the_same_across_workers(towers):
+    t = towers[5]
+    r1 = scan(t, methods=ALL_METHODS, workers=1)
+    r2 = scan(t, methods=ALL_METHODS, workers=2)
+    assert r1.to_report_dict() == r2.to_report_dict()
+    assert r1.brute_shifts == r2.brute_shifts
 
 
 def test_scan_witnesses_kill_determinant(towers):
