@@ -63,7 +63,7 @@ print("(the conjugate pair over F_25 appears because -3 is a non-square in F_5)"
 xi = find_normal_element(tower)
 shifts = np.arange(1, f3.order)
 for (a, b) in ((2, 1), (2, 2), (1, 1)):
-    H = transform_H(tower, a, b, xi)
+    H = transform_H(tower, build_F_det(tower, a, b), xi)
     pts = count_nonzero_fq_zeros(tower.fq, H)
     roots = np.count_nonzero(_dets_at(tower, a, b, shifts) == 0)
     print(f"pair ({a}, {b}): determinant roots {roots}, points of H {pts}")

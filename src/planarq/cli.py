@@ -219,7 +219,7 @@ def cmd_verify(args) -> int:
     xi = find_normal_element(tower)
     timings["normal"] = time.perf_counter() - clock
     clock = time.perf_counter()
-    point_count = count_nonzero_fq_zeros(tower.fq, transform_H(tower, A, B, xi))
+    point_count = count_nonzero_fq_zeros(tower.fq, transform_H(tower, F, xi))
     timings["points"] = time.perf_counter() - clock
 
     inconsistencies = []

@@ -523,20 +523,19 @@ def _dedupe_lines(found, q: int) -> list[LineFactor]:
 # normal-basis transform and point counting
 # ---------------------------------------------------------------------------
 
-def transform_H(tower: FieldTower, A, B, xi) -> tuple[int, ...]:
+def transform_H(tower: FieldTower, G, xi) -> tuple[int, ...]:
     """Change variables by the conjugate basis of xi, a code of F_{q^3}, in
-    the cubic of the F_q codes (A, B); coefficients drop to F_q.
+    the cubic G of a pair, ``build_F_det``'s ten F_q codes; they stay in F_q.
 
     Substitutes X*xi + Y*xi^q + T*xi^(q^2) and its two Frobenius twists into
-    the determinant cubic.  Nonzero F_q-points of the result biject with
-    nonzero roots C of the determinant via C = x*xi + y*xi^q + t*xi^(q^2).
-    The substitution is linear in the coefficients, so H = M * G for the
-    coefficient vector G of the cubic and the matrix M of
+    G.  Nonzero F_q-points of the result biject with nonzero roots C of the
+    determinant via C = x*xi + y*xi^q + t*xi^(q^2).  The substitution is
+    linear in the coefficients, so H = M * G for the matrix M of
     :func:`_substitution_matrix`.
     """
     f3 = tower.fq3
     (xi,) = _codes_in(f3, xi)
-    G = np.array(build_F_det(tower, A, B), dtype=np.int64)
+    G = np.array(_cubic_codes(tower.fq, G), dtype=np.int64)
     M = _substitution_matrix(f3, xi)
     H = functools.reduce(f3.add_vec, f3.mul_vec(M, G).T).tolist()
     q = tower.fq.order

@@ -17,17 +17,20 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
     P1 + A P2 + B P3.
   * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
     may kill the determinant of the difference map's coefficient matrix.
-  * ``classify_pair``   -- the closed-form three-branch criterion in F_q.
+  * ``classify_pair``   -- the closed-form three-branch criterion in F_q, the
+    one-pair wrapper of ``_branches``, which runs the same code on ints or
+    on arrays of pairs.
 
-``scan`` runs any subset of the deciders over all q^2 pairs (A, B) and
-reports verdicts, disagreements, and the planar count against the expected
-3q - 2 - 4*gcd(3, q-1).  The determinant is homogeneous of degree 3 over F_q
-in the shift, so both determinant paths look only at the q^2 + q + 1
-projective shifts and name the least killing one as the witness:
-``is_planar_det`` (used by ``verify``) evaluates the determinant there for
-its one pair, and ``scan`` takes every pair's verdict from one incidence pass
-(``det_witnesses``), which reads each pair's killing shifts off a table of
-the F_q roots of monic cubics.
+``scan`` runs any subset of the deciders over all q^2 pairs (A, B), each
+filling one boolean verdict array in code order, and reads disagreements and
+the planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) off those
+arrays; only its brute sweeps go to worker processes.  The determinant is
+homogeneous of degree 3 over F_q in the shift, so both determinant paths look
+only at the q^2 + q + 1 projective shifts and name the least killing one as
+the witness: ``is_planar_det`` (used by ``verify``) evaluates the
+determinant there for its one pair, and ``scan`` takes every pair's verdict
+from one incidence pass (``det_witnesses``), which reads each pair's killing
+shifts off a table of the F_q roots of monic cubics.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ import numpy as np
 
 from .errors import Disagreement
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
-                 _mult_order, det3, frob_orbit_reps, orbit_reps)
+                 _mult_order, _ops, det3, frob_orbit_reps, orbit_reps)
 from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
 
 BRANCH_B_ZERO = "BranchBZero"
 BRANCH_CUBIC = "BranchCubic"
 BRANCH_SQUARE = "BranchSquare"
+BRANCHES = (BRANCH_B_ZERO, BRANCH_CUBIC, BRANCH_SQUARE)
 
 METHOD_THEOREM = "theorem"
 METHOD_DET = "det"
@@ -272,27 +276,30 @@ class PairClass:
         return "Planar" if self.planar else "NotPlanar"
 
 
-def classify_pair(tower: FieldTower, A, B) -> PairClass:
-    """Closed-form decision for the F_q codes (A, B), entirely in F_q.
-
-    Planar exactly when one of the branches holds:
+def _branches(fq: Field, a, b):
+    """The three branch conditions of the closed form at the F_q codes a, b,
+    in ``BRANCHES`` order; ints give bools, arrays that broadcast give bool
+    arrays:
       BranchBZero:  B = 0 and A^3 + 1 != 0
       BranchCubic:  A^3 - 2AB + 1 = 0 and A^3 != 1 and A^3 != -1
       BranchSquare: A = B^2 and B^3 != 1
-    At (0, 0) both BranchBZero and BranchSquare hold; BranchBZero is recorded.
     """
-    fq = tower.fq
-    a, b = _codes_in(fq, A, B)
-    a3 = fq.pow(a, 3)
-    one = 1
-    if b == 0 and fq.add(a3, one) != 0:
-        return PairClass(True, BRANCH_B_ZERO)
-    cubic = fq.add(fq.sub(a3, fq.mul(fq.from_int(2), fq.mul(a, b))), one)
-    if cubic == 0 and a3 != one and a3 != fq.neg(one):
-        return PairClass(True, BRANCH_CUBIC)
-    if a == fq.mul(b, b) and fq.pow(b, 3) != one:
-        return PairClass(True, BRANCH_SQUARE)
-    return PairClass(False)
+    mul, add, sub = _ops(fq, a, b)
+    a3, b2, minus_one = mul(mul(a, a), a), mul(b, b), fq.neg(1)
+    cubic = add(sub(a3, mul(fq.from_int(2), mul(a, b))), 1)
+    return ((b == 0) & (a3 != minus_one),
+            (cubic == 0) & (a3 != 1) & (a3 != minus_one),
+            (a == b2) & (mul(b2, b) != 1))
+
+
+def classify_pair(tower: FieldTower, A, B) -> PairClass:
+    """Closed-form decision for the F_q codes (A, B), entirely in F_q: planar
+    exactly when one of the branches of ``_branches`` holds, and the first
+    that holds is recorded, so (0, 0), where BranchBZero and BranchSquare
+    hold, is BranchBZero."""
+    hits = _branches(tower.fq, *_codes_in(tower.fq, A, B))
+    branch = next((name for name, hit in zip(BRANCHES, hits) if hit), None)
+    return PairClass(branch is not None, branch)
 
 
 def prop1_necessary(tower: FieldTower, A, B) -> bool:
@@ -487,47 +494,35 @@ def _f_table(tower: FieldTower, monomials, A, B) -> np.ndarray:
 
 
 def _scan_chunk(args):
-    """The records of the given pairs, and the number of brute shifts swept."""
-    tower, pairs, methods = args
-    out, shifts = [], 0
-    if METHOD_BRUTE in methods:
-        sweep, monomials = _BruteSweep(tower.fq3), _monomial_tables(tower)
-    for a_code, b_code, witness in pairs:
-        verdicts = {}
-        branch = None
-        if METHOD_THEOREM in methods:
-            cls = classify_pair(tower, a_code, b_code)
-            verdicts[METHOD_THEOREM] = cls.planar
-            branch = cls.branch
-        if METHOD_DET in methods:
-            verdicts[METHOD_DET] = witness is None
-        if METHOD_BRUTE in methods:
-            planar, swept = sweep.run(_f_table(tower, monomials, a_code, b_code))
-            verdicts[METHOD_BRUTE] = planar
-            shifts += swept
-        out.append(PairRecord(a_code, b_code, verdicts, branch, witness))
-    return out, shifts
+    """The brute verdicts of the pairs with the given codes A q + B, and the
+    number of shifts their sweeps took."""
+    tower, codes = args
+    sweep, monomials = _BruteSweep(tower.fq3), _monomial_tables(tower)
+    runs = [sweep.run(_f_table(tower, monomials, *divmod(c, tower.q))) for c in codes]
+    return [planar for planar, _ in runs], sum(swept for _, swept in runs)
 
 
 def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
          workers: int = 1) -> ScanReport:
     """Run the requested deciders on every (A, B) in F_q x F_q.
 
-    The determinant verdicts and witnesses come from one ``det_witnesses``
-    pass in this process; the closed form and brute run per pair.  Pairs are
-    processed in code order (results are merged back into that order
-    whatever the worker count, so reports are bit-stable); at most
-    min(workers, q^2, CPU count) processes run.  Hard
-    disagreements are mismatches between exact deciders anywhere, or between
-    the closed form and an exact decider for q > 3; at q = 3 the closed form
-    is only required to be a lower bound, and exact-planar pairs it misses
-    are reported separately in ``beyond_theorem``.  ``timings`` holds the
-    seconds of the incidence pass (``det``), of the per-pair loop
-    (``pairs``) and of the whole scan (``scan``), and ``brute_shifts`` the
-    number of shifts the brute sweeps took, summed over the pairs; neither
-    enters the report.  A brute scan builds the sweep set-up and the
-    monomial tables of ``_monomial_tables`` once per chunk of pairs, and
-    reads each pair's value table off them.
+    Each decider fills one boolean verdict array over the q^2 pairs in code
+    order A q + B: the closed form in one array pass of ``_branches``, the
+    determinant in one ``det_witnesses`` pass, brute by one sweep per pair.
+    Only the brute sweeps are split over processes: pair i goes to chunk
+    i mod w, w = min(workers, q^2, CPU count), and each chunk's verdicts are
+    put back in place, so reports are bit-stable whatever the worker count.
+    A chunk builds the sweep set-up and the tables of ``_monomial_tables``
+    once and reads each pair's value table off them.
+
+    The summary is read off the verdict arrays.  Hard disagreements are
+    mismatches between exact deciders anywhere, or between the closed form
+    and an exact decider for q > 3; at q = 3 the closed form is only required
+    to be a lower bound, and exact-planar pairs it misses are reported
+    separately in ``beyond_theorem``.  ``timings`` holds the seconds of the
+    incidence pass (``det``), of the rest (``pairs``) and of the whole scan
+    (``scan``), and ``brute_shifts`` the number of shifts the brute sweeps
+    took, summed over the pairs; neither enters the report.
     """
     requested = tuple(methods)
     unknown = [m for m in requested if m not in ALL_METHODS]
@@ -536,52 +531,56 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     methods = tuple(m for m in ALL_METHODS if m in requested)
     if not methods:
         raise ValueError("at least one method required")
-    q = tower.q
+    q, n = tower.q, tower.q ** 2
     start = time.perf_counter()
-    witnesses = det_witnesses(tower).tolist() if METHOD_DET in methods else [0] * (q * q)
+    witnesses = det_witnesses(tower) if METHOD_DET in methods else np.zeros(n, dtype=np.int64)
     timings = {"det": time.perf_counter() - start}
-    pairs = [(a, b, witnesses[a * q + b] or None) for a in range(q) for b in range(q)]
-    # more processes than pairs or CPUs would only wait
-    workers = min(workers, len(pairs), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing as mp
+    verdicts, branches, brute_shifts = {}, [None] * n, 0
+    if METHOD_THEOREM in methods:
+        hits = np.stack(_branches(tower.fq, *np.divmod(np.arange(n), q)))
+        theorem = verdicts[METHOD_THEOREM] = hits.any(axis=0)
+        branches = [BRANCHES[i] if planar else None
+                    for i, planar in zip(hits.argmax(axis=0).tolist(), theorem.tolist())]
+    if METHOD_DET in methods:
+        verdicts[METHOD_DET] = witnesses == 0
+    if METHOD_BRUTE in methods:
+        # more processes than pairs or CPUs would only wait
+        workers = min(workers, n, os.cpu_count() or 1)
+        chunks = [(tower, range(i, n, workers)) for i in range(workers)]
+        if workers > 1:
+            import multiprocessing as mp
 
-        chunks = [pairs[i::workers] for i in range(workers)]
-        with mp.Pool(workers) as pool:
-            results = pool.map(_scan_chunk, [(tower, c, methods) for c in chunks])
-        records = sorted((r for chunk, _ in results for r in chunk), key=lambda r: (r.A, r.B))
-        brute_shifts = sum(shifts for _, shifts in results)
-    else:
-        records, brute_shifts = _scan_chunk((tower, pairs, methods))
-    timings["scan"] = time.perf_counter() - start
-    timings["pairs"] = timings["scan"] - timings["det"]
+            with mp.Pool(workers) as pool:
+                results = pool.map(_scan_chunk, chunks)
+        else:
+            results = map(_scan_chunk, chunks)
+        brute = verdicts[METHOD_BRUTE] = np.empty(n, dtype=bool)
+        for i, (chunk, shifts) in enumerate(results):
+            brute[i::workers] = chunk
+            brute_shifts += shifts
 
-    exact = [m for m in (METHOD_DET, METHOD_BRUTE) if m in methods]
-    disagreements = []
-    beyond = []
-    for r in records:
-        v = r.verdicts
-        hard = False
-        if len(exact) == 2 and v[METHOD_DET] != v[METHOD_BRUTE]:
-            hard = True
-        if METHOD_THEOREM in methods and exact:
-            ex = v[exact[0]]
-            if q > 3 and v[METHOD_THEOREM] != ex:
-                hard = True
-            elif q == 3:
-                if v[METHOD_THEOREM] and not ex:
-                    hard = True
-                elif ex and not v[METHOD_THEOREM]:
-                    beyond.append((r.A, r.B))
-        if hard:
-            disagreements.append((r.A, r.B))
-
+    exact = [verdicts[m] for m in (METHOD_DET, METHOD_BRUTE) if m in verdicts]
+    hard = beyond = np.zeros(n, dtype=bool)
+    if len(exact) == 2:
+        hard = exact[0] != exact[1]
+    if METHOD_THEOREM in methods and exact:
+        claimed, missed = theorem & ~exact[0], exact[0] & ~theorem
+        if q == 3:
+            hard, beyond = hard | claimed, missed
+        else:
+            hard = hard | claimed | missed
     # definition-level methods outrank the closed form when counting
     authority = next(m for m in (METHOD_BRUTE, METHOD_DET, METHOD_THEOREM) if m in methods)
-    planar_count = sum(1 for r in records if r.verdicts[authority])
+    rows = zip(*(v.tolist() for v in verdicts.values()))
+    records = [PairRecord(*divmod(i, q), dict(zip(methods, row)), branch, witness or None)
+               for i, (row, branch, witness) in enumerate(zip(rows, branches, witnesses.tolist()))]
+    timings["scan"] = time.perf_counter() - start
+    timings["pairs"] = timings["scan"] - timings["det"]
     return ScanReport(
         p=tower.p, m=tower.m, q=q, methods=methods, pairs=records,
-        planar_count=planar_count, expected_count=count_formula(q),
-        disagreements=disagreements, beyond_theorem=beyond, timings=timings,
-        brute_shifts=brute_shifts,
+        planar_count=int(np.count_nonzero(verdicts[authority])),
+        expected_count=count_formula(q),
+        disagreements=[divmod(i, q) for i in np.flatnonzero(hard).tolist()],
+        beyond_theorem=[divmod(i, q) for i in np.flatnonzero(beyond).tolist()],
+        timings=timings, brute_shifts=brute_shifts,
     )

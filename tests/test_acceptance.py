@@ -139,7 +139,7 @@ def test_criterion_8_curve_root_correspondence(towers):
         for _ in range(50):
             A, B = rng.randrange(q), rng.randrange(q)
             roots = int(np.count_nonzero(det_sweep(t, A, B) == 0))
-            points = count_nonzero_fq_zeros(t.fq, transform_H(t, A, B, xi))
+            points = count_nonzero_fq_zeros(t.fq, transform_H(t, build_F_det(t, A, B), xi))
             ok &= roots == points
             from planarq.planarity import classify_pair
 
@@ -164,7 +164,7 @@ def test_criterion_9_points_on_irreducible_curves(towers):
             if not any(F) or find_linear_factors(t.fq, F):
                 continue
             checked += 1
-            ok &= count_nonzero_fq_zeros(t.fq, transform_H(t, A, B, xi)) > 0
+            ok &= count_nonzero_fq_zeros(t.fq, transform_H(t, F, xi)) > 0
     _report(9, f"every non-planar pair with a factor-free cubic has F_q points "
                f"({checked} curves at q in (5, 7, 11))", ok)
 

@@ -253,16 +253,27 @@ def test_scan_workers_capped(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     tower = build_tower(3)
-    serial = planarity.scan(tower, workers=1)
+    serial = planarity.scan(tower, methods=("brute",), workers=1)
     for cpus, want in ((4, 4), (64, 9)):  # q^2 = 9 pairs
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        report = planarity.scan(tower, workers=10 ** 9)
+        report = planarity.scan(tower, methods=("brute",), workers=10 ** 9)
         assert sizes[-1] == want
         assert report.pairs == serial.pairs
+        assert report.brute_shifts == serial.brute_shifts
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sizes.clear()
-    assert planarity.scan(tower, workers=10 ** 9).pairs == serial.pairs
+    assert planarity.scan(tower, methods=("brute",), workers=10 ** 9).pairs == serial.pairs
     assert sizes == []  # one CPU: the serial path
+
+
+def test_scan_without_brute_starts_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a theorem,det scan started a worker pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run_cli("scan", "--p", "5", "--methods", "theorem,det", "--workers", "4") == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["disagreements"] == []
 
 
 def test_usage_errors_exit_one(capsys):
@@ -322,16 +333,25 @@ def test_env_var_override(tmp_path, monkeypatch):
 
 # -- the exit-2 tripwire: a wrong decider must fail the run ----------------
 
-def _closed_form_overridden(monkeypatch, module, verdicts):
-    """Make ``module.classify_pair`` answer ``verdicts[(A, B)]`` for the listed pairs."""
-    original = planarity.classify_pair
+def _closed_form_overridden(monkeypatch, verdicts):
+    """Make the closed form answer ``verdicts[(A, B)]`` for the listed pairs.
 
-    def patched(tower, A, B):
-        cls = original(tower, A, B)
-        planar = verdicts.get((A, B), cls.planar)
-        return cls if planar == cls.planar else planarity.PairClass(planar)
+    It patches the core ``planarity._branches``, so ``classify_pair`` and
+    ``scan``'s array pass both see the change; a pair turned planar is put on
+    BranchSquare.
+    """
+    original = planarity._branches
 
-    monkeypatch.setattr(module, "classify_pair", patched)
+    def patched(fq, a, b):
+        hits = [np.array(h) for h in np.broadcast_arrays(*original(fq, a, b))]
+        for (A, B), planar in verdicts.items():
+            flip = (a == A) & (b == B) & (np.any(hits, axis=0) != planar)
+            for h in hits:
+                h[flip] = False
+            hits[-1][flip] = planar
+        return tuple(hits)
+
+    monkeypatch.setattr(planarity, "_branches", patched)
 
 
 def _scan_summary(tmp_path, p, methods, expect_exit, *extra):
@@ -342,20 +362,20 @@ def _scan_summary(tmp_path, p, methods, expect_exit, *extra):
 
 
 def test_scan_flipped_closed_form_exits_two(tmp_path, monkeypatch):
-    _closed_form_overridden(monkeypatch, planarity, {(2, 1): False})
+    _closed_form_overridden(monkeypatch, {(2, 1): False})
     summary = _scan_summary(tmp_path, 5, "theorem,det", 2)
     assert summary["disagreements"] == [[2, 1]]
 
 
 def test_scan_q3_missed_pair_is_beyond_theorem(tmp_path, monkeypatch):
-    _closed_form_overridden(monkeypatch, planarity, {(0, 0): False})
+    _closed_form_overridden(monkeypatch, {(0, 0): False})
     summary = _scan_summary(tmp_path, 3, "theorem,brute", 0)  # lower-bound policy
     assert summary["beyond_theorem"] == [[0, 0]]
     assert summary["disagreements"] == []
 
 
 def test_scan_q3_false_planar_claim_exits_two(tmp_path, monkeypatch):
-    _closed_form_overridden(monkeypatch, planarity, {(1, 1): True})
+    _closed_form_overridden(monkeypatch, {(1, 1): True})
     summary = _scan_summary(tmp_path, 3, "theorem,brute", 2)
     assert summary["disagreements"] == [[1, 1]]
     assert summary["beyond_theorem"] == []
@@ -472,7 +492,7 @@ def _non_root_witness(monkeypatch):
 
 # (A, B) over q = 5, a way to break one check, and the one message it must raise
 _VERIFY_TRIPS = [
-    pytest.param((2, 1), lambda mp: _closed_form_overridden(mp, cli, {(2, 1): False}),
+    pytest.param((2, 1), lambda mp: _closed_form_overridden(mp, {(2, 1): False}),
                  "closed form disagrees with determinant sweep", id="closed-form"),
     pytest.param((2, 1), lambda mp: mp.setattr(cli, "brute_is_planar", lambda poly: False),
                  "brute force disagrees with determinant sweep", id="brute"),

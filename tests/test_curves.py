@@ -412,7 +412,7 @@ def test_transform_H_properties(towers):
         rng = random.Random(q)
         for _ in range(25):
             A, B = rng.randrange(q), rng.randrange(q)
-            H = transform_H(t, A, B, xi)
+            H = transform_H(t, build_F_det(t, A, B), xi)
             assert max(H) < q
             roots = np.count_nonzero(det_sweep(t, A, B) == 0)
             assert count_nonzero_fq_zeros(t.fq, H) == roots
@@ -437,14 +437,14 @@ def test_transform_H_equals_the_substitution(towers, q):
                 x0, x1, x2 = conjugates(xi)
                 oracle = substitute_linear(f3, G, ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
                 assert max(oracle) < q
-                assert transform_H(t, a, b, xi) == oracle
+                assert transform_H(t, G, xi) == oracle
 
 
 def test_point_count_examples(towers):
     t = towers[5]
     xi = find_normal_element(t)
-    assert count_nonzero_fq_zeros(t.fq, transform_H(t, 2, 1, xi)) == 0
-    assert count_nonzero_fq_zeros(t.fq, transform_H(t, 2, 2, xi)) > 0
+    assert count_nonzero_fq_zeros(t.fq, transform_H(t, build_F_det(t, 2, 1), xi)) == 0
+    assert count_nonzero_fq_zeros(t.fq, transform_H(t, build_F_det(t, 2, 2), xi)) > 0
 
 
 def _grid_count(field, P):
@@ -460,7 +460,7 @@ def test_point_count_matches_the_full_grid(towers, q):
     xi = find_normal_element(t)
     for a in range(q):
         for b in range(q):
-            H = transform_H(t, a, b, xi)
+            H = transform_H(t, build_F_det(t, a, b), xi)
             assert count_nonzero_fq_zeros(t.fq, H) == _grid_count(t.fq, H)
     zero = (0,) * 10
     assert count_nonzero_fq_zeros(t.fq, zero) == _grid_count(t.fq, zero) == q ** 3 - 1
@@ -477,7 +477,7 @@ def test_irreducible_nonplanar_curves_have_points(towers):
         F = build_F_det(t, r.A, r.B)
         if not any(F) or find_linear_factors(t.fq, F):
             continue
-        assert count_nonzero_fq_zeros(t.fq, transform_H(t, r.A, r.B, xi)) > 0
+        assert count_nonzero_fq_zeros(t.fq, transform_H(t, F, xi)) > 0
 
 
 def test_fq_line_with_kernel_blocks_planarity(towers):

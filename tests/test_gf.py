@@ -117,13 +117,12 @@ _PAIR_ENTRY_POINTS = {
     "build_F_det": lambda t, a, b, c: build_F_det(t, a, b),
     "build_F_paper": lambda t, a, b, c: build_F_paper(t, a, b),
     "verify_branch_factorization": lambda t, a, b, c: verify_branch_factorization(t, a, b),
-    "transform_H": lambda t, a, b, c: transform_H(t, a, b, c),
     "difference_triple": lambda t, a, b, c: difference_triple(t, a, b, c),
     "difference_matrix_direct": lambda t, a, b, c: difference_matrix_direct(t, a, b, c),
     "dickson_matrix": lambda t, a, b, c: dickson_matrix(t.fq3, *difference_triple(t, a, b, c)),
     "brute_kernel": lambda t, a, b, c: brute_kernel(t.fq3, *difference_triple(t, a, b, c)),
 }
-_SHIFT_ENTRY_POINTS = ("transform_H", "difference_triple", "difference_matrix_direct")
+_SHIFT_ENTRY_POINTS = ("difference_triple", "difference_matrix_direct")
 
 
 @pytest.mark.parametrize("name", _PAIR_ENTRY_POINTS)
@@ -166,6 +165,23 @@ def test_cubic_entry_points_check_code_levels(towers, name):
             call(t.fq, F[:9] + (bad,))
     with pytest.raises(ValueError):
         call(t.fq, F[:9])
+
+
+def test_transform_H_checks_code_levels(towers):
+    # the cubic's codes must lie in F_q and the normal element's in F_{q^3}
+    t = towers[5]
+    xi = find_normal_element(t)
+    F = build_F_det(t, 1, 1)
+    want = transform_H(t, F, xi)
+    assert transform_H(t, tuple(np.int64(c) for c in F), np.int64(xi)) == want
+    for bad in (t.q, -1, t.order_top - 1):
+        with pytest.raises(LevelMismatch):
+            transform_H(t, F[:9] + (bad,), xi)
+    for c in (t.order_top, -1):
+        with pytest.raises(LevelMismatch):
+            transform_H(t, F, c)
+    with pytest.raises(ValueError):
+        transform_H(t, F[:9], xi)
 
 
 def test_encode_decode_roundtrip():

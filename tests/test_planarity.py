@@ -8,8 +8,8 @@ import pytest
 from conftest import det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import (_mult_order, find_normal_element, frob_orbit_reps, orbit_reps,
-                        prime_ext_field)
+from planarq.gf import (PrimeField, _mult_order, find_normal_element, frob_orbit_reps,
+                        orbit_reps, prime_ext_field)
 from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
 from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
@@ -202,6 +202,19 @@ def test_brute_sweeps_every_shift_when_not_homogeneous(towers, monkeypatch):
     assert len(calls) == f.order - 1
 
 
+def test_brute_checks_the_homogeneity_gate():
+    # 4x^4 + x^3 + 2x^2 + 3x over F_5 is not planar, yet its difference map at
+    # 1, the one shift of orbit_reps and frob_orbit_reps on F_5, is a
+    # bijection: a sweep that skipped the homogeneity gate would call it planar
+    f = PrimeField(5)
+    poly = SparsePoly(f, {4: 4, 3: 1, 2: 2, 1: 3})
+    ftab, codes = poly.value_table(), np.arange(5)
+    assert orbit_reps(5, 5).tolist() == frob_orbit_reps(f).tolist() == [1]
+    images = {a: set(f.sub_vec(ftab[f.add_vec(codes, a)], ftab).tolist()) for a in range(1, 5)}
+    assert [a for a in images if len(images[a]) == 5] == [1, 4]
+    assert not brute_is_planar(poly)
+
+
 @pytest.mark.parametrize("q", [9, 25])
 def test_brute_sweeps_one_shift_per_fq_orbit_on_the_tower(towers, q, monkeypatch):
     # f_{A,B} has coefficients in F_q, so the orbits of F_q^* scaling and
@@ -331,6 +344,17 @@ def test_classify_examples(towers):
     assert not classify_pair(t, 1, 1).planar
     assert not classify_pair(t, 4, 0).planar  # 4^3 = -1 mod 5
     assert classify_pair(t, 0, 0).verdict == "Planar"
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25])
+def test_scan_closed_form_is_classify_pair(towers, q):
+    # the array pass of _branches in scan against its one-pair wrapper
+    t = towers[q]
+    rep = scan(t, methods=("theorem",))
+    assert [(r.A, r.B) for r in rep.pairs] == [(a, b) for a in range(q) for b in range(q)]
+    for r in rep.pairs:
+        cls = classify_pair(t, r.A, r.B)
+        assert (r.verdicts["theorem"], r.branch) == (cls.planar, cls.branch)
 
 
 def test_prop_necessary(towers):
