@@ -46,7 +46,7 @@ swapped = tuple(F[MONOMIALS.index((j, i, k))] for i, j, k in MONOMIALS)
 print(f"\nswap relation holds: {build_F_paper(tower, A, B) == swapped}")
 
 # On a branch locus the cubic splits into lines, up to an explicit scalar.
-rep = verify_branch_factorization(tower, A, B)
+rep = verify_branch_factorization(tower, A, B, F)
 for check in rep.checks:
     print(f"locus {check.name}: verified={check.verified} scalar={check.scalar} "
           f"lines={check.lines}")

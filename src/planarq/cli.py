@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
                                        for lf in lines]
     timings["lines"] = time.perf_counter() - clock
     try:
-        branch_report = verify_branch_factorization(tower, A, B)
+        branch_report = verify_branch_factorization(tower, A, B, F)
         factorization = {
             "checks": [{"name": c.name, "verified": c.verified, "scalar": c.scalar,
                         "alpha": c.alpha, "lines": [list(l) for l in c.lines],

@@ -17,8 +17,9 @@ point counting that replaces the curve-theoretic existence argument for roots.
 A cubic is its ten coefficient codes in ``MONOMIALS`` order, a tuple passed
 with its field.  The pair (A, B) and the normal element xi are passed as
 codes, and so are a cubic's coefficients at the entry points that take one
-(``find_linear_factors``, ``count_nonzero_fq_zeros``, ``divides``,
-``substitute_linear``), each checked against its field by ``gf._codes_in``.
+(``verify_branch_factorization``, ``find_linear_factors``, ``transform_H``,
+``count_nonzero_fq_zeros``, ``divides``, ``substitute_linear``), each
+checked against its field by ``gf._codes_in``.
 The cores take codes as ints or arrays: ``_det_coeffs`` and
 ``_paper_coeffs`` expand the cubics of whole arrays of pairs, and
 ``_evaluate`` evaluates a cubic at points that broadcast with its
@@ -68,12 +69,12 @@ def _cubic_codes(field: Field, coeffs) -> tuple[int, ...]:
 def substitute_linear(field: Field, coeffs, forms) -> tuple[int, ...]:
     """Plug linear forms (u, v, w) ~ uX + vY + wT in for (X, Y, T) in the
     cubic with coefficient codes ``coeffs``: P(L0, L1, L2), expanded."""
-    acc = [0] * 10
-    ops = (field.mul, field.add, field.sub)
-    for (i, j, k), c in zip(MONOMIALS, _cubic_codes(field, coeffs)):
+    coeffs = _cubic_codes(field, coeffs)
+    acc, ops = [0] * 10, _ops(field, *coeffs)
+    for (i, j, k), c in zip(MONOMIALS, coeffs):
         if c:
             first, *rest = [forms[0]] * i + [forms[1]] * j + [forms[2]] * k
-            _expand_product(ops, [field.mul(c, x) for x in first], *rest, acc)
+            _expand_product(ops, [ops[0](c, x) for x in first], *rest, acc)
     return tuple(acc)
 
 
@@ -82,7 +83,7 @@ def _evaluate(f: Field, coeffs, X, Y, T):
     at codes X, Y, T; coefficients and points are ints or arrays, and all of
     them broadcast together.  On ints alone it runs the scalar kernels and
     returns an int."""
-    mul, add, _ = _ops(f, X, Y, T, *coeffs)
+    mul, add, _, _ = _ops(f, X, Y, T, *coeffs)
     pw = {}
     for name, base in (("X", X), ("Y", Y), ("T", T)):
         sq = mul(base, base)
@@ -110,10 +111,10 @@ def _expand_product(ops, f1, f2, f3, acc, sign: int = 1) -> None:
     """Add (sign 1) or subtract (sign -1) the expansion of the product of three
     linear forms (u, v, w) ~ uX + vY + wT into the ten coefficient codes acc.
 
-    ``ops`` is a field's (mul, add, sub) from ``gf._ops``; form entries that
-    are 0 (never an array) are skipped.
+    ``ops`` is a field's (mul, add, sub, frob) from ``gf._ops``; form entries
+    that are 0 (never an array) are skipped.
     """
-    mul, add, sub = ops
+    mul, add, sub, _ = ops
     put = add if sign > 0 else sub
     n1, n2, n3 = ([(i, c) for i, c in enumerate(form)
                    if isinstance(c, np.ndarray) or c != 0] for form in (f1, f2, f3))
@@ -128,7 +129,7 @@ def _expand_product(ops, f1, f2, f3, acc, sign: int = 1) -> None:
 def triple_product(field: Field, f1, f2, f3) -> tuple[int, ...]:
     """Expand the product of three linear forms (u, v, w) ~ uX + vY + wT."""
     out = [0] * 10
-    _expand_product((field.mul, field.add, field.sub), f1, f2, f3, out)
+    _expand_product(_ops(field, *f1, *f2, *f3), f1, f2, f3, out)
     return tuple(out)
 
 
@@ -161,7 +162,7 @@ def _det_coeffs(fq: Field, a, b) -> list:
     as an int or an array to match.
     """
     ops = _ops(fq, a, b)
-    twob = ops[1](b, b)  # ops = (mul, add, sub)
+    twob = ops[1](b, b)  # ops = (mul, add, sub, frob)
     # difference-map coefficient forms: c0 = 2B*X + A*Y + T, c1 = A*X, c2 = X
     base = ((twob, a, 1), (a, 0, 0), (1, 0, 0))
 
@@ -192,7 +193,7 @@ def build_F_paper(tower: FieldTower, A, B) -> tuple[int, ...]:
 def _paper_coeffs(fq: Field, a, b) -> list:
     """The ten coefficient codes of the published cubic of the pairs (a, b),
     codes as in :func:`_det_coeffs`."""
-    mul, add, _ = _ops(fq, a, b)
+    mul, add, _, _ = _ops(fq, a, b)
     two, four, eight = fq.from_int(2), fq.from_int(4), fq.from_int(8)
     ab, bb = mul(a, b), mul(b, b)
     c_sym = mul(two, ab)                                      # X^3, Y^3, T^3
@@ -276,9 +277,9 @@ def _match_up_to_scalar(f: Field, P, Q) -> int | None:
     return lam
 
 
-def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
+def verify_branch_factorization(tower: FieldTower, A, B, F) -> FactorReport:
     """Check every reducibility locus that the F_q codes (A, B) lie on
-    against F_det.
+    against F, the pair's cubic: ``build_F_det``'s ten F_q codes.
 
     Full splittings (the cubic and square branches) are verified up to an
     explicitly reported nonzero scalar; single-line loci are verified as exact
@@ -288,7 +289,7 @@ def verify_branch_factorization(tower: FieldTower, A, B) -> FactorReport:
     """
     fq = tower.fq
     a, b = _codes_in(fq, A, B)
-    F = build_F_det(tower, a, b)
+    F = _cubic_codes(fq, F)
     rep = FactorReport(a, b)
     two = fq.from_int(2)
     a3 = fq.pow(a, 3)

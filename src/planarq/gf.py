@@ -34,13 +34,12 @@ return ints) and on int64 numpy arrays (the ``*_vec`` methods, which accept
 anything ``np.asarray`` handles and broadcast like ordinary numpy ufuncs).
 Array entry points refuse a field whose digit products could pass 2^63.
 Above this module a linearized map is its three coefficient codes and a
-ternary cubic its ten, each passed with its field.  :func:`det3` and the
-evaluations built on this module (the determinant sweep, ``brute_kernel``,
-a cubic's ``curves._evaluate``) take codes the same way, an int or an array,
-and go through the ``*_vec`` entry points, so that guard covers them too;
-code that runs the scalar kernels on ints takes its operations from
-:func:`_ops`, which hands it the ``*_vec`` entry points as soon as an operand
-is an array.
+ternary cubic its ten, each passed with its field.  A core that takes codes
+as ints or arrays (:func:`det3`, the determinant sweep's matrix, a cubic's
+``curves._evaluate``) takes its mul, add, sub and frob from :func:`_ops`,
+the one place that chooses: the scalar kernels on ints, so ints give ints,
+and the guarded ``*_vec`` entry points as soon as an operand is an array, so
+the guard covers every array pass.
 
 Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field's construction: the F_p matrix of each
@@ -466,11 +465,12 @@ class Field:
 
 
 def _ops(field: Field, *codes):
-    """The field's (mul, add, sub) for the given codes: the scalar kernels on
-    ints, the guarded ``*_vec`` entry points as soon as one code is an array."""
+    """The field's (mul, add, sub, frob) for the given codes: the scalar
+    kernels on ints, the guarded ``*_vec`` entry points as soon as one code is
+    an array.  This is the one place that chooses between the two."""
     if any(isinstance(c, np.ndarray) for c in codes):
-        return field.mul_vec, field.add_vec, field.sub_vec
-    return field.mul, field.add, field.sub
+        return field.mul_vec, field.add_vec, field.sub_vec, field.frob_vec
+    return field.mul, field.add, field.sub, field.frob
 
 
 def _codes_in(field: Field, *codes) -> tuple[int, ...]:
@@ -648,10 +648,10 @@ def find_normal_element(tower: FieldTower) -> int:
 
 
 def det3(field: Field, rows):
-    """Determinant of a 3x3 matrix of codes (ints or arrays), by cofactor expansion."""
+    """Determinant of a 3x3 matrix of codes by cofactor expansion: ints give an int."""
     (a, b, c), (d, e, g), (h, i, j) = rows
-    mul, sub = field.mul_vec, field.sub_vec
+    mul, add, sub, _ = _ops(field, a, b, c, d, e, g, h, i, j)
     t1 = mul(a, sub(mul(e, j), mul(g, i)))
     t2 = mul(b, sub(mul(d, j), mul(g, h)))
     t3 = mul(c, sub(mul(d, i), mul(e, h)))
-    return field.add_vec(sub(t1, t2), t3)
+    return add(sub(t1, t2), t3)

@@ -12,10 +12,10 @@ an oracle of its own:
   with X and Y exchanged, as coefficient arrays over all q^2 pairs;
 * the nonzero-kernel criterion against brute kernel enumeration
   (``linearized.kernel_sizes``, every map evaluated at every x);
-* the matrix convention, triple by triple: ``dickson_matrix`` of
-  ``difference_triple``, the matrix whose ``gf.det3`` the determinant
-  decider takes (both wrap the cores that ``_dets_at`` runs on arrays),
-  against the entry-by-entry transcription ``difference_matrix_direct``.
+* the matrix convention: ``_dickson`` of ``_difference_coeffs``, the very
+  cores whose ``gf.det3`` the determinant decider ``_dets_at`` takes, run on
+  the arrays of all sampled triples at once, against the entry-by-entry
+  transcription ``_direct_matrix`` on the same arrays.
 
 A single seeded stream drives all sampling, so runs are reproducible from
 (config, seed).
@@ -32,9 +32,9 @@ import numpy as np
 
 from .gf import FieldTower, _check_enumerable
 from .linearized import (
-    dickson_matrix,
-    difference_matrix_direct,
-    difference_triple,
+    _dickson,
+    _difference_coeffs,
+    _direct_matrix,
     has_nonzero_root_subfield_coeffs,
     kernel_sizes,
 )
@@ -121,17 +121,16 @@ def battery_root_criterion(tower: FieldTower, samples: int, rng: random.Random) 
 
 
 def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
-    """dickson_matrix of the difference triple == entry-by-entry transcription."""
-    n = tower.order_top
-    q = tower.q
-    failures = []
+    """The matrix ``_dets_at`` takes the determinant of == the entry-by-entry
+    transcription, on every sampled triple in one array pass."""
+    q, n, f3 = tower.q, tower.order_top, tower.fq3
     count = min(samples, 256)
-    for _ in range(count):
-        a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(n)
-        if dickson_matrix(tower.fq3, *difference_triple(tower, a, b, c)) != \
-                difference_matrix_direct(tower, a, b, c):
-            failures.append((a, b, c))
-    return BatteryResult("matrix convention", not failures, count, tuple(failures[:5]))
+    triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(n)) for _ in range(count)]
+    A, B, C = np.array(triples, dtype=np.int64).T
+    bad = np.any(np.array(_dickson(f3, *_difference_coeffs(f3, A, B, C)))
+                 != np.array(_direct_matrix(f3, A, B, C)), axis=(0, 1))
+    failures = [triples[i] for i in np.flatnonzero(bad)[:5]]
+    return BatteryResult("matrix convention", not failures, count, tuple(failures))
 
 
 def run_identities(tower: FieldTower, samples: int = 1000, seed: int = 0) -> list[BatteryResult]:

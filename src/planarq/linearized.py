@@ -13,7 +13,9 @@ in bounded chunks.
 
 The determinant decider (``planarity._dets_at``) is ``gf.det3`` of the same
 matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
-``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap.
+``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap, as
+``difference_matrix_direct`` wraps the array core ``_direct_matrix``.  Each
+core takes its operations from ``gf._ops``, so it runs on ints and arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ def _map_codes(field: Field, *coeffs) -> tuple[int, ...]:
 
 def _dickson(f: Field, c0, c1, c2) -> Matrix3:
     """entry(i, j) = c_((j - i) mod 3) ^ (q^i), for codes that are ints or arrays."""
-    cs = (c0, c1, c2)
-    frob = f.frob_vec if any(isinstance(c, np.ndarray) for c in cs) else f.frob
+    cs, frob = (c0, c1, c2), _ops(f, c0, c1, c2)[3]
     return tuple(tuple(frob(cs[(j - i) % 3], i) for j in range(3)) for i in range(3))
 
 
@@ -56,7 +57,7 @@ def has_nonzero_root_subfield_coeffs(field: Field, a, b, g):
     field F_q, ints (giving a bool) or arrays that broadcast (giving a bool
     array).
     """
-    mul, add, sub = _ops(field, a, b, g)
+    mul, add, sub, _ = _ops(field, a, b, g)
     acc = add(add(mul(mul(a, a), a), mul(mul(b, b), b)), mul(mul(g, g), g))
     return sub(acc, mul(field.from_int(3), mul(mul(a, b), g))) == 0
 
@@ -111,8 +112,7 @@ def _difference_coeffs(f: Field, a, b, c):
     """(c0, c1, c2) of the difference map at shift c, for codes a, b of F_q and
     c of F_{q^3} = f (subfield codes are F_{q^3} codes as they stand): ints,
     or arrays that broadcast."""
-    mul, add, _ = _ops(f, a, b, c)
-    frob = f.frob_vec if any(isinstance(x, np.ndarray) for x in (a, b, c)) else f.frob
+    mul, add, _, frob = _ops(f, a, b, c)
     return add(frob(c, 2), add(mul(a, frob(c, 1)), mul(add(b, b), c))), mul(a, c), c
 
 
@@ -128,6 +128,18 @@ def difference_triple(tower: FieldTower, A, B, C) -> tuple[int, int, int]:
     return _difference_coeffs(tower.fq3, a, b, c)
 
 
+def _direct_matrix(f: Field, a, b, c) -> Matrix3:
+    """The difference-map matrix written out entry by entry, for codes as in
+    :func:`_difference_coeffs`."""
+    mul, add, _, frob = _ops(f, a, b, c)
+    twob, cq, cq2 = add(b, b), frob(c, 1), frob(c, 2)
+    return (
+        (add(add(mul(a, cq), mul(twob, c)), cq2), mul(a, c), c),
+        (cq, add(add(mul(a, cq2), mul(twob, cq)), c), mul(a, cq)),
+        (mul(a, cq2), cq2, add(add(mul(a, c), mul(twob, cq2)), cq)),
+    )
+
+
 def difference_matrix_direct(tower: FieldTower, A, B, C) -> Matrix3:
     """The difference-map matrix written out entry by entry.
 
@@ -136,19 +148,4 @@ def difference_matrix_direct(tower: FieldTower, A, B, C) -> Matrix3:
     """
     a, b = _codes_in(tower.fq, A, B)
     (c,) = _codes_in(tower.fq3, C)
-    f = tower.fq3
-    twob = tower.fq.add(b, b)
-    cq = f.frob(c, 1)
-    cq2 = f.frob(c, 2)
-
-    def cell(*terms):
-        acc = 0
-        for t in terms:
-            acc = f.add(acc, t)
-        return acc
-
-    return (
-        (cell(f.mul(a, cq), f.mul(twob, c), cq2), cell(f.mul(a, c)), cell(c)),
-        (cell(cq), cell(f.mul(a, cq2), f.mul(twob, cq), c), cell(f.mul(a, cq))),
-        (cell(f.mul(a, cq2)), cell(cq2), cell(f.mul(a, c), f.mul(twob, cq2), cq)),
-    )
+    return _direct_matrix(tower.fq3, a, b, c)

@@ -284,7 +284,7 @@ def _branches(fq: Field, a, b):
       BranchCubic:  A^3 - 2AB + 1 = 0 and A^3 != 1 and A^3 != -1
       BranchSquare: A = B^2 and B^3 != 1
     """
-    mul, add, sub = _ops(fq, a, b)
+    mul, add, sub, _ = _ops(fq, a, b)
     a3, b2, minus_one = mul(mul(a, a), a), mul(b, b), fq.neg(1)
     cubic = add(sub(a3, mul(fq.from_int(2), mul(a, b))), 1)
     return ((b == 0) & (a3 != minus_one),

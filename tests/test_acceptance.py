@@ -119,7 +119,7 @@ def test_criterion_7_branch_factorizations(towers):
         for a in range(q):
             for b in range(q):
                 try:
-                    rep = verify_branch_factorization(t, a, b)
+                    rep = verify_branch_factorization(t, a, b, build_F_det(t, a, b))
                 except NotOnLocus:
                     continue
                 n += 1

@@ -474,8 +474,8 @@ def test_argument_value_errors_exit_one(capsys, argv, message):
 def _fail_factorizations(monkeypatch):
     original = curves.verify_branch_factorization
 
-    def patched(tower, A, B):
-        rep = original(tower, A, B)
+    def patched(tower, A, B, F):
+        rep = original(tower, A, B, F)
         rep.checks = [dataclasses.replace(c, verified=False) for c in rep.checks]
         return rep
 
@@ -602,3 +602,18 @@ def test_second_verify_at_a_tower_builds_no_field(monkeypatch, capsys):
     degrees.clear()
     assert run_cli("verify", "--p", "23", "--A", "1", "--B", "8") == 0
     assert degrees == []
+
+
+def test_one_verify_expands_the_cubic_once(monkeypatch, capsys):
+    calls = []
+    original = curves._det_coeffs
+
+    def spy(fq, a, b):
+        calls.append((a, b))
+        return original(fq, a, b)
+
+    monkeypatch.setattr(curves, "_det_coeffs", spy)
+    # (1, 1) lies on the trace line, so the locus checks run on the cubic too
+    assert run_cli("verify", "--p", "5", "--A", "1", "--B", "1") == 0
+    assert json.loads(capsys.readouterr().out)["factorization"]["ok"]
+    assert calls == [(1, 1)]

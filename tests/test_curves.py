@@ -128,7 +128,7 @@ def test_det_identity_exhaustive_q3_and_random(towers):
 
 def test_branch_factorization_cubic_branch(towers):
     t = towers[5]
-    rep = verify_branch_factorization(t, 2, 1)
+    rep = verify_branch_factorization(t, 2, 1, build_F_det(t, 2, 1))
     entry = rep.check("cubic_split")
     assert entry.verified and entry.scalar == 3  # 2B / A^2 = 2/4 = 3 mod 5
     assert rep.ok
@@ -136,17 +136,17 @@ def test_branch_factorization_cubic_branch(towers):
 
 def test_branch_factorization_trace_line(towers):
     t7 = towers[7]
-    rep = verify_branch_factorization(t7, 3, 2)  # A - 2B + 1 = 0
+    rep = verify_branch_factorization(t7, 3, 2, build_F_det(t7, 3, 2))  # A - 2B + 1 = 0
     assert rep.check("trace_line").verified
     t5 = towers[5]
-    rep = verify_branch_factorization(t5, 1, 1)
+    rep = verify_branch_factorization(t5, 1, 1, build_F_det(t5, 1, 1))
     assert rep.check("trace_line").verified
     assert rep.check("cubic_split").verified  # degenerates to a triple line
 
 
 def test_branch_factorization_square_branch(towers):
     t = towers[5]
-    rep = verify_branch_factorization(t, 4, 2)
+    rep = verify_branch_factorization(t, 4, 2, build_F_det(t, 4, 2))
     entry = rep.check("square_split")
     assert entry.verified and entry.scalar == 2  # 2A / B^2 = 8/4 = 2 mod 5
 
@@ -155,10 +155,10 @@ def test_branch_factorization_alpha_lines(towers):
     # q = 7: alpha^2 = -3 has roots {2, 5}; (2, 4) lies on the unit-cubic
     # locus (A^2+A+1 = 0, B = A^2), (2, 5) on the conic locus
     t = towers[7]
-    rep = verify_branch_factorization(t, 2, 4)
+    rep = verify_branch_factorization(t, 2, 4, build_F_det(t, 2, 4))
     entry = rep.check("alpha_line_unit_cubic")
     assert entry.verified and entry.alpha in (2, 5)
-    rep = verify_branch_factorization(t, 2, 5)
+    rep = verify_branch_factorization(t, 2, 5, build_F_det(t, 2, 5))
     entry = rep.check("alpha_line_conic")
     assert entry.verified and entry.alpha in (2, 5)
 
@@ -175,7 +175,7 @@ def test_non_square_minus_three_leaves_no_pair_off_every_locus(p):
              if (a * a + 2 * a * b - a + 4 * b * b + 2 * b + 1) % p == 0]
     assert conic == [(1, half)]
     assert all((a * a + a + 1) % p for a in range(p))
-    rep = verify_branch_factorization(t, 1, half)
+    rep = verify_branch_factorization(t, 1, half, build_F_det(t, 1, half))
     assert rep.check("trace_line").verified
     entry = rep.check("alpha_line_conic")
     assert not entry.on_locus and entry.note == "-3 is a non-square in F_q"
@@ -185,25 +185,25 @@ def test_branch_factorization_a_zero_line(towers):
     # corrected locus 8B^3 = 1: over F_7 that is B in {1, 2, 4}
     t = towers[7]
     for b in (1, 2, 4):
-        rep = verify_branch_factorization(t, 0, b)
+        rep = verify_branch_factorization(t, 0, b, build_F_det(t, 0, b))
         entry = rep.check("a_zero_line")
         assert entry.verified
     for b in (3, 5, 6):  # the sign-flipped locus 8B^3 = -1 carries no line
         with pytest.raises(NotOnLocus):
-            verify_branch_factorization(t, 0, b)
+            verify_branch_factorization(t, 0, b, build_F_det(t, 0, b))
 
 
 def test_branch_factorization_b_zero(towers):
     t = towers[5]
     for a in range(5):
-        rep = verify_branch_factorization(t, a, 0)
+        rep = verify_branch_factorization(t, a, 0, build_F_det(t, a, 0))
         assert rep.check("b_zero_monomial").verified
 
 
 def test_branch_factorization_not_on_locus(towers):
     t = towers[5]
     with pytest.raises(NotOnLocus):
-        verify_branch_factorization(t, 2, 2)
+        verify_branch_factorization(t, 2, 2, build_F_det(t, 2, 2))
 
 
 def test_scalar_on_locus_never_zero(towers):
@@ -212,7 +212,7 @@ def test_scalar_on_locus_never_zero(towers):
         for a in range(q):
             for b in range(q):
                 try:
-                    rep = verify_branch_factorization(t, a, b)
+                    rep = verify_branch_factorization(t, a, b, build_F_det(t, a, b))
                 except NotOnLocus:
                     continue
                 for c in rep.checks:
@@ -283,7 +283,7 @@ def test_oracle_matches_factorization_reports(towers):
     # wherever the branch verifier certifies a full split over F_q, the
     # oracle finds exactly those lines (they are distinct unless degenerate)
     t = towers[7]
-    rep = verify_branch_factorization(t, 4, 2)  # A = B^2
+    rep = verify_branch_factorization(t, 4, 2, build_F_det(t, 4, 2))  # A = B^2
     split = rep.check("square_split")
     from planarq.curves import _normalize_line
 

@@ -116,7 +116,8 @@ _PAIR_ENTRY_POINTS = {
     "prop1_necessary": lambda t, a, b, c: prop1_necessary(t, a, b),
     "build_F_det": lambda t, a, b, c: build_F_det(t, a, b),
     "build_F_paper": lambda t, a, b, c: build_F_paper(t, a, b),
-    "verify_branch_factorization": lambda t, a, b, c: verify_branch_factorization(t, a, b),
+    "verify_branch_factorization":
+        lambda t, a, b, c: verify_branch_factorization(t, a, b, build_F_det(t, 1, 1)),
     "difference_triple": lambda t, a, b, c: difference_triple(t, a, b, c),
     "difference_matrix_direct": lambda t, a, b, c: difference_matrix_direct(t, a, b, c),
     "dickson_matrix": lambda t, a, b, c: dickson_matrix(t.fq3, *difference_triple(t, a, b, c)),
@@ -150,6 +151,9 @@ _CUBIC_ENTRY_POINTS = {
     "divides": lambda field, coeffs: divides(field, coeffs, (1, 1, 1)),
     "substitute_linear": lambda field, coeffs: substitute_linear(
         field, coeffs, ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+    # the cubic is taken as the pair (1, 1)'s, over the prime field F_q
+    "verify_branch_factorization": lambda field, coeffs: verify_branch_factorization(
+        build_tower(field.order), 1, 1, coeffs),
 }
 
 

@@ -90,15 +90,14 @@ def test_matrix_battery_reports_altered_transcriptions(towers, monkeypatch, pick
     t = towers[5]
     sampled = _sampled_shifts(7, 40, t.q, t.order_top)
     points = {sampled[i] for i in picks}
-    original = identities.difference_matrix_direct
+    original = identities._direct_matrix
 
-    def altered(tower, a, b, c):
-        (m00, *row0), *rows = original(tower, a, b, c)
-        if (a, b, c) in points:
-            m00 = tower.fq3.add(m00, 1)
+    def altered(f3, a, b, c):
+        (m00, *row0), *rows = original(f3, a, b, c)
+        m00 = np.where(_hit(points, a, b, c), f3.add_vec(m00, 1), m00)
         return ((m00, *row0), *rows)
 
-    monkeypatch.setattr(identities, "difference_matrix_direct", altered)
+    monkeypatch.setattr(identities, "_direct_matrix", altered)
     r = battery_matrix_convention(t, samples=40, rng=random.Random(7))
     assert not r.passed and r.checked == 40
     assert r.failures == tuple(s for s in sampled if s in points)[:5]

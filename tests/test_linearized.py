@@ -1,5 +1,6 @@
 """Coefficient matrices, permutation and kernel criteria for linearized maps."""
 
+import itertools
 import random
 
 import numpy as np
@@ -34,14 +35,23 @@ def test_matrix_identity_map(towers):
 
 
 def test_matrix_matches_direct_transcription(towers):
-    for q in (5, 9):
+    # every triple at q = 3, 100 sampled ones at q = 5 and 9
+    for q in (3, 5, 9):
         t = towers[q]
-        rng = random.Random(3)
-        for _ in range(100):
-            A, B = rng.randrange(t.q), rng.randrange(t.q)
-            C = rng.randrange(t.order_top)
-            L = difference_triple(t, A, B, C)
-            assert dickson_matrix(t.fq3, *L) == difference_matrix_direct(t, A, B, C)
+        if q == 3:
+            triples = list(itertools.product(range(3), range(3), range(27)))
+        else:
+            rng = random.Random(3)
+            triples = [(rng.randrange(t.q), rng.randrange(t.q), rng.randrange(t.order_top))
+                       for _ in range(100)]
+        direct = [difference_matrix_direct(t, A, B, C) for A, B, C in triples]
+        for (A, B, C), M in zip(triples, direct):
+            assert dickson_matrix(t.fq3, *difference_triple(t, A, B, C)) == M
+        # the array core, entry by entry, against the int transcription
+        cells = linearized._direct_matrix(t.fq3, *np.array(triples, dtype=np.int64).T)
+        for i in range(3):
+            for j in range(3):
+                assert cells[i][j].tolist() == [M[i][j] for M in direct]
 
 
 def test_det3_basics(towers):
@@ -51,6 +61,13 @@ def test_det3_basics(towers):
     assert det3(f, ident) == 1
     row, other = (7, 11, 2), (1, 3, 9)
     assert det3(f, (row, row, other)) == 0
+    # ints give a Python int, arrays an int64 array of the same values
+    mats = (ident, (row, row, other), (row, other, (4, 0, 5)), dickson_matrix(f, 2, 1, 1))
+    dets = [det3(f, M) for M in mats]
+    assert all(type(d) is int for d in dets)
+    stacked = tuple(tuple(np.array([M[i][j] for M in mats]) for j in range(3)) for i in range(3))
+    got = det3(f, stacked)
+    assert got.dtype == np.int64 and got.tolist() == dets
 
 
 def test_det3_hand_value(towers):
