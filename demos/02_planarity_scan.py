@@ -41,7 +41,7 @@ print(f"\n(1, 1) is planar: {ok}; witness shift C = {witness}, "
 report = scan(tower, methods=("theorem", "det", "brute"))
 print(f"\nscan over q = 5: planar {report.planar_count}, "
       f"expected {report.expected_count} (= 3q - 2 - 4*gcd(3, q-1) = {count_formula(5)})")
-planar = sorted((r.A, r.B) for r in report.pairs if r.verdicts["brute"])
+planar = sorted((r["A"], r["B"]) for r in report.pairs if r["verdicts"]["brute"])
 print(f"planar pairs: {planar}")
 print(f"disagreements: {report.disagreements}")
 
@@ -49,7 +49,7 @@ print(f"disagreements: {report.disagreements}")
 # bound there, so the scan records extras instead of failing.
 t3 = build_tower(3, 1)
 r3 = scan(t3, methods=("theorem", "brute"))
-theorem = [(r.A, r.B) for r in r3.pairs if r.verdicts["theorem"]]
+theorem = [(r["A"], r["B"]) for r in r3.pairs if r["verdicts"]["theorem"]]
 print(f"\nq = 3: closed-form planar set {theorem}")
 print(f"q = 3: brute count {r3.planar_count}, pairs beyond the closed form: "
       f"{r3.beyond_theorem}")

@@ -47,9 +47,9 @@ print(f"\nswap relation holds: {build_F_paper(tower, A, B) == swapped}")
 
 # On a branch locus the cubic splits into lines, up to an explicit scalar.
 rep = verify_branch_factorization(tower, A, B, F)
-for check in rep.checks:
-    print(f"locus {check.name}: verified={check.verified} scalar={check.scalar} "
-          f"lines={check.lines}")
+for check in rep["checks"]:
+    print(f"locus {check['name']}: verified={check['verified']} scalar={check['scalar']} "
+          f"lines={check['lines']}")
 
 # The line oracle searches F_q, F_25, F_125 independently of the loci.
 print(f"\nlines of the (2,1) cubic: {find_linear_factors(tower.fq, F)}")

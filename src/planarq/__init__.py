@@ -7,7 +7,6 @@ from .errors import (
     DivisionByZero,
     LevelMismatch,
     NotOddPrime,
-    NotOnLocus,
     PlanarqError,
     SizeLimit,
     ValidationFailed,

@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import Disagreement, NotOnLocus, PlanarqError
+from .errors import Disagreement, PlanarqError
 from .families import FAMILIES, FamilySpec, family_report
 from .gf import build_tower, find_normal_element
 from .identities import run_identities
@@ -203,17 +203,7 @@ def cmd_verify(args) -> int:
     factors = None if degenerate else [{"coeffs": list(lf.coeffs), "ext": lf.ext}
                                        for lf in lines]
     timings["lines"] = time.perf_counter() - clock
-    try:
-        branch_report = verify_branch_factorization(tower, A, B, F)
-        factorization = {
-            "checks": [{"name": c.name, "verified": c.verified, "scalar": c.scalar,
-                        "alpha": c.alpha, "lines": [list(l) for l in c.lines],
-                        "note": c.note} for c in branch_report.checks],
-            "ok": branch_report.ok,
-        }
-    except NotOnLocus:
-        branch_report = None
-        factorization = {"checks": [], "ok": None}
+    factorization = verify_branch_factorization(tower, A, B, F)
 
     clock = time.perf_counter()
     xi = find_normal_element(tower)
@@ -232,12 +222,12 @@ def cmd_verify(args) -> int:
         inconsistencies.append("planar pair fails the necessary bijectivity condition")
     if (point_count == 0) != det_ok:
         inconsistencies.append("point count contradicts the determinant sweep")
-    if branch_report is not None and not branch_report.ok:
+    if factorization["ok"] is False:
         inconsistencies.append("a claimed factorization failed to verify")
-    if lines is not None and branch_report is not None:
+    if lines is not None:
         found = {lf.coeffs for lf in lines if lf.ext == 1}
         if any(_normalize_line(tower.fq, line) not in found
-               for c in branch_report.checks if c.verified for line in c.lines):
+               for c in factorization["checks"] if c["verified"] for line in c["lines"]):
             inconsistencies.append("a verified branch line is missing from the line oracle")
     if witness is not None:
         # the Leibniz cubic at (w, w^q, w^(q^2)), independent of the determinant sweep

@@ -7,12 +7,14 @@ matrix of linear forms), so no transcribed coefficient is ever trusted; the
 published bivariate form is kept verbatim in ``build_F_paper`` and the two
 are related by an X <-> Y swap (a documented erratum, pinned by tests).
 
-The module also verifies the branch factorizations of the cubic and finds its
-linear components over F_q, F_{q^2}, F_{q^3} (an independent oracle): every
-such line meets the coordinate lines at roots of three one-variable
-restrictions of the cubic, and each candidate is confirmed at four points of
-the line.  It also carries the normal-basis change of variables H plus F_q
-point counting that replaces the curve-theoretic existence argument for roots.
+The module also verifies the branch factorizations of the cubic, returning
+them as the ``factorization`` section of a ``verify`` dossier (plain dicts,
+an empty check list for a pair on no locus), and finds its linear components
+over F_q, F_{q^2}, F_{q^3} (an independent oracle): every such line meets the
+coordinate lines at roots of three one-variable restrictions of the cubic,
+and each candidate is confirmed at four points of the line.  It also carries
+the normal-basis change of variables H plus F_q point counting that replaces
+the curve-theoretic existence argument for roots.
 
 A cubic is its ten coefficient codes in ``MONOMIALS`` order, a tuple passed
 with its field.  The pair (A, B) and the normal element xi are passed as
@@ -29,11 +31,11 @@ coefficients, which is how the identity batteries check every pair at once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disagreement, NotOnLocus
+from .errors import Disagreement
 from .gf import (
     Field,
     FieldTower,
@@ -207,40 +209,6 @@ def _paper_coeffs(fq: Field, a, b) -> list:
 # branch factorizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchCheck:
-    """Outcome of one locus check."""
-
-    name: str
-    on_locus: bool
-    verified: bool | None = None
-    scalar: int | None = None
-    alpha: int | None = None
-    lines: tuple = ()
-    note: str = ""
-
-
-@dataclass
-class FactorReport:
-    A: int
-    B: int
-    checks: list = dc_field(default_factory=list)
-
-    @property
-    def on_any_locus(self) -> bool:
-        return any(c.on_locus for c in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.verified for c in self.checks if c.on_locus)
-
-    def check(self, name: str) -> BranchCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 def divides(field: Field, coeffs, line) -> bool:
     """Whether the projective line uX + vY + wT divides the cubic with
     coefficient codes ``coeffs``, both over ``field``."""
@@ -277,10 +245,13 @@ def _match_up_to_scalar(f: Field, P, Q) -> int | None:
     return lam
 
 
-def verify_branch_factorization(tower: FieldTower, A, B, F) -> FactorReport:
+def verify_branch_factorization(tower: FieldTower, A, B, F) -> dict:
     """Check every reducibility locus that the F_q codes (A, B) lie on
     against F, the pair's cubic: ``build_F_det``'s ten F_q codes.
 
+    Returns the dossier's ``factorization`` section: ``checks``, one dict per
+    locus with the keys name, verified, scalar, alpha, lines and note, and
+    ``ok``, whether no check failed, or None when the pair is on no locus.
     Full splittings (the cubic and square branches) are verified up to an
     explicitly reported nonzero scalar; single-line loci are verified as exact
     divisibility.  The published lines divide the determinant cubic with their
@@ -289,8 +260,22 @@ def verify_branch_factorization(tower: FieldTower, A, B, F) -> FactorReport:
     """
     fq = tower.fq
     a, b = _codes_in(fq, A, B)
-    F = _cubic_codes(fq, F)
-    rep = FactorReport(a, b)
+    checks = list(_locus_checks(fq, a, b, _cubic_codes(fq, F)))
+    # verified is None only on an entry whose locus needs a sqrt(-3) that F_q
+    # lacks, and such an entry always follows the trace line's check, so ok is
+    # None exactly when (a, b) lies on no locus
+    ok = all(c["verified"] is not False for c in checks) if checks else None
+    return {"checks": checks, "ok": ok}
+
+
+def _check(name, verified, scalar=None, alpha=None, lines=(), note="") -> dict:
+    return {"name": name, "verified": verified, "scalar": scalar, "alpha": alpha,
+            "lines": lines, "note": note}
+
+
+def _locus_checks(fq: Field, a, b, F):
+    """The checks of ``verify_branch_factorization``, one per locus that the
+    codes (a, b) lie on, in a fixed order."""
     two = fq.from_int(2)
     a3 = fq.pow(a, 3)
 
@@ -298,31 +283,26 @@ def verify_branch_factorization(tower: FieldTower, A, B, F) -> FactorReport:
     if b == 0:
         expected = [0] * 10
         expected[_MIDX[(1, 1, 1)]] = fq.mul(two, fq.add(a3, 1))
-        rep.checks.append(BranchCheck("b_zero_monomial", True, F == tuple(expected),
-                                      note="F == 2*(A^3+1)*XYT"))
-        return rep
+        yield _check("b_zero_monomial", F == tuple(expected), note="F == 2*(A^3+1)*XYT")
+        return
 
     # trace line: A - 2B + 1 = 0 or (A, B) in {(1, 1), (1, -1/2)}
-    on1 = (fq.add(fq.sub(a, fq.mul(two, b)), 1) == 0
-           or (a == 1 and b in (1, fq.neg(fq.inv(two)))))
-    if on1:
-        ok = divides(fq, F, (1, 1, 1))
-        rep.checks.append(BranchCheck("trace_line", True, ok, lines=((1, 1, 1),)))
+    if (fq.add(fq.sub(a, fq.mul(two, b)), 1) == 0
+            or (a == 1 and b in (1, fq.neg(fq.inv(two))))):
+        yield _check("trace_line", divides(fq, F, (1, 1, 1)), lines=((1, 1, 1),))
 
     # cubic branch: A^3 - 2AB + 1 = 0, A^3 != -1; full split, lam = 2B/A^2
     cubic_val = fq.add(fq.sub(a3, fq.mul(two, fq.mul(a, b))), 1)
     if cubic_val == 0 and fq.add(a3, 1) != 0:
         a2 = fq.mul(a, a)
         lines = ((a, 1, a2), (1, a2, a), (a2, a, 1))
-        entry = _verify_split(F, fq, lines, fq.div(fq.mul(two, b), a2), "cubic_split")
-        rep.checks.append(entry)
+        yield _verify_split(F, fq, lines, fq.div(fq.mul(two, b), a2), "cubic_split")
 
     # square branch: A = B^2; full split, lam = 2A/B^2
     if a == fq.mul(b, b):
         b2 = fq.mul(b, b)
         lines = ((1, b, b2), (b, b2, 1), (b2, 1, b))
-        entry = _verify_split(F, fq, lines, fq.div(fq.mul(two, a), b2), "square_split")
-        rep.checks.append(entry)
+        yield _verify_split(F, fq, lines, fq.div(fq.mul(two, a), b2), "square_split")
 
     # sqrt(-3) lines: the conic locus and the A^2 + A + 1 = 0 locus; -3 being
     # a square is part of the published locus condition.  When it is not
@@ -339,37 +319,27 @@ def verify_branch_factorization(tower: FieldTower, A, B, F) -> FactorReport:
         if not quadric_holds:
             continue
         if root is None:
-            rep.checks.append(BranchCheck(name, False, None,
-                                          note="-3 is a non-square in F_q"))
-            continue
-        found = None
-        for alpha in (root, fq.neg(root)):
-            line = (two, fq.sub(alpha, 1), fq.neg(fq.add(1, alpha)))
-            for variant, oriented in (("as printed", line),
-                                      ("X<->Y", (line[1], line[0], line[2]))):
-                if divides(fq, F, oriented):
-                    found = BranchCheck(name, True, True, alpha=alpha,
-                                        lines=(oriented,), note=variant)
-                    break
-            if found:
-                break
-        rep.checks.append(found or BranchCheck(name, True, False,
-                                               note="no alpha/orientation divides"))
+            yield _check(name, None, note="-3 is a non-square in F_q")
+        else:
+            yield _verify_alpha_line(F, fq, root, name)
 
     # A = 0 branch: reducible exactly when 8B^3 = 1; line 2BX + 4B^2Y + T
-    if a == 0:
-        on3 = fq.mul(fq.from_int(8), fq.pow(b, 3)) == 1
-        if on3:
-            line = (fq.mul(two, b), fq.mul(fq.from_int(4), fq.mul(b, b)), 1)
-            rep.checks.append(BranchCheck("a_zero_line", True, divides(fq, F, line),
-                                          lines=(line,)))
-
-    if not rep.on_any_locus:
-        raise NotOnLocus(f"(A, B) = ({a}, {b}) lies on no reducibility locus")
-    return rep
+    if a == 0 and fq.mul(fq.from_int(8), fq.pow(b, 3)) == 1:
+        line = (fq.mul(two, b), fq.mul(fq.from_int(4), fq.mul(b, b)), 1)
+        yield _check("a_zero_line", divides(fq, F, line), lines=(line,))
 
 
-def _verify_split(F, fq, lines, lam_formula, name) -> BranchCheck:
+def _verify_alpha_line(F, fq, root, name) -> dict:
+    two = fq.from_int(2)
+    for alpha in (root, fq.neg(root)):
+        u, v, w = two, fq.sub(alpha, 1), fq.neg(fq.add(1, alpha))
+        for variant, line in (("as printed", (u, v, w)), ("X<->Y", (v, u, w))):
+            if divides(fq, F, line):
+                return _check(name, True, alpha=alpha, lines=(line,), note=variant)
+    return _check(name, False, note="no alpha/orientation divides")
+
+
+def _verify_split(F, fq, lines, lam_formula, name) -> dict:
     for variant, ls in (("as printed", lines),
                         ("X<->Y", tuple((v, u, w) for (u, v, w) in lines))):
         prod = triple_product(fq, *ls)
@@ -378,9 +348,8 @@ def _verify_split(F, fq, lines, lam_formula, name) -> BranchCheck:
             note = variant
             if lam != lam_formula:
                 note += f"; scalar {lam} != closed form {lam_formula}"
-            return BranchCheck(name, True, lam == lam_formula, scalar=lam,
-                               lines=ls, note=note)
-    return BranchCheck(name, True, False, note="no orientation matches")
+            return _check(name, lam == lam_formula, scalar=lam, lines=ls, note=note)
+    return _check(name, False, note="no orientation matches")
 
 
 # ---------------------------------------------------------------------------

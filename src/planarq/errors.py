@@ -21,10 +21,6 @@ class DivisionByZero(PlanarqError, ZeroDivisionError):
     """Inverse or division requested for the zero element."""
 
 
-class NotOnLocus(PlanarqError):
-    """(A, B) lies on none of the reducibility loci handled by the verifier."""
-
-
 class Disagreement(PlanarqError):
     """Two computations that must agree did not: a mathematical disagreement."""
 

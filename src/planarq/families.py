@@ -349,14 +349,6 @@ def _resolve(fam: Family, params: dict, field: Field) -> dict:
     return out
 
 
-def _build(fam: Family, params: dict, field: Field) -> SparsePoly:
-    """The instance's polynomial; terms whose exponents meet are added."""
-    terms: dict[int, int] = {}
-    for e, c in fam.terms(_instance(fam, params, field)):
-        terms[e] = field.add(terms.get(e, 0), c)
-    return SparsePoly(field, terms)
-
-
 # -- public entry points ------------------------------------------------------
 
 def desk_verifiable(spec: FamilySpec) -> bool:
@@ -395,7 +387,7 @@ def family_report(spec: FamilySpec, brute: bool = True) -> dict:
     if not desk:
         return report
     params = _resolve(fam, spec.params, field)
-    poly = _build(fam, params, field)
+    poly = SparsePoly(field, fam.terms(_instance(fam, params, field)))
     report["params"] = params
     report["polynomial"] = repr(poly)
     if brute:

@@ -22,15 +22,15 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
     on arrays of pairs.
 
 ``scan`` runs any subset of the deciders over all q^2 pairs (A, B), each
-filling one boolean verdict array in code order, and reads disagreements and
-the planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) off those
-arrays; only its brute sweeps go to worker processes.  The determinant is
-homogeneous of degree 3 over F_q in the shift, so both determinant paths look
-only at the q^2 + q + 1 projective shifts and name the least killing one as
-the witness: ``is_planar_det`` (used by ``verify``) evaluates the
-determinant there for its one pair, and ``scan`` takes every pair's verdict
-from one incidence pass (``det_witnesses``), which reads each pair's killing
-shifts off a table of the F_q roots of monic cubics.
+filling one boolean verdict array in code order, and reads disagreements, the
+planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) and the report's
+rows, one dict per pair, off those arrays; only its brute sweeps go to worker
+processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
+so both determinant paths look only at the q^2 + q + 1 projective shifts and
+name the least killing one as the witness: ``is_planar_det`` (used by
+``verify``) evaluates the determinant there for its one pair, and ``scan``
+takes every pair's verdict from one incidence pass (``det_witnesses``), which
+reads each pair's killing shifts off a table of the F_q roots of monic cubics.
 """
 
 from __future__ import annotations
@@ -66,15 +66,17 @@ ALL_METHODS = (METHOD_THEOREM, METHOD_DET, METHOD_BRUTE)
 class SparsePoly:
     """Polynomial as a map exponent -> nonzero coefficient code.
 
+    ``terms`` is a mapping or an iterable of (exponent, code) pairs.
     Exponents are reduced modulo x^N - x on construction (N the field order),
     so evaluation agrees with the original polynomial as a function and huge
-    family exponents stay cheap.
+    family exponents stay cheap.  Terms whose exponents meet, as given or
+    once reduced, are added.
     """
 
     def __init__(self, field: Field, terms):
         n = field.order
         reduced: dict[int, int] = {}
-        for e, c in dict(terms).items():
+        for e, c in (terms.items() if hasattr(terms, "items") else terms):
             e, c = int(e), int(c)
             if not 0 <= c < n:
                 raise ValueError(f"coefficient code {c} out of range")
@@ -432,19 +434,13 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
 # the scanner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairRecord:
-    """Per-pair scan outcome; A, B, witness are canonical codes."""
-
-    A: int
-    B: int
-    verdicts: dict
-    branch: str | None
-    witness: int | None
-
-
 @dataclass
 class ScanReport:
+    """A scan's outcome.  ``pairs`` holds the report rows, one dict per pair
+    in code order A q + B: its codes ``A`` and ``B``, ``verdicts`` (every
+    method, None where it did not run), the closed form's ``branch`` and the
+    determinant ``witness`` (None when planar or not run)."""
+
     p: int
     m: int
     q: int
@@ -462,12 +458,7 @@ class ScanReport:
         return {
             "meta": {"p": self.p, "m": self.m, "q": self.q, "seed": seed,
                      "version": version},
-            "pairs": [
-                {"A": r.A, "B": r.B,
-                 "verdicts": {m: r.verdicts.get(m) for m in ALL_METHODS},
-                 "branch": r.branch, "witness": r.witness}
-                for r in self.pairs
-            ],
+            "pairs": self.pairs,
             "summary": {
                 "planar_count": self.planar_count,
                 "expected_count": self.expected_count,
@@ -515,11 +506,11 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     A chunk builds the sweep set-up and the tables of ``_monomial_tables``
     once and reads each pair's value table off them.
 
-    The summary is read off the verdict arrays.  Hard disagreements are
-    mismatches between exact deciders anywhere, or between the closed form
-    and an exact decider for q > 3; at q = 3 the closed form is only required
-    to be a lower bound, and exact-planar pairs it misses are reported
-    separately in ``beyond_theorem``.  ``timings`` holds the seconds of the
+    The summary and the report rows are read off the verdict arrays.  Hard
+    disagreements are mismatches between exact deciders anywhere, or between
+    the closed form and an exact decider for q > 3; at q = 3 the closed form
+    is only required to be a lower bound, and exact-planar pairs it misses
+    are reported separately in ``beyond_theorem``.  ``timings`` holds the seconds of the
     incidence pass (``det``), of the rest (``pairs``) and of the whole scan
     (``scan``), and ``brute_shifts`` the number of shifts the brute sweeps
     took, summed over the pairs; neither enters the report.
@@ -532,12 +523,13 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
     if not methods:
         raise ValueError("at least one method required")
     q, n = tower.q, tower.q ** 2
+    a_codes, b_codes = np.divmod(np.arange(n), q)
     start = time.perf_counter()
     witnesses = det_witnesses(tower) if METHOD_DET in methods else np.zeros(n, dtype=np.int64)
     timings = {"det": time.perf_counter() - start}
     verdicts, branches, brute_shifts = {}, [None] * n, 0
     if METHOD_THEOREM in methods:
-        hits = np.stack(_branches(tower.fq, *np.divmod(np.arange(n), q)))
+        hits = np.stack(_branches(tower.fq, a_codes, b_codes))
         theorem = verdicts[METHOD_THEOREM] = hits.any(axis=0)
         branches = [BRANCHES[i] if planar else None
                     for i, planar in zip(hits.argmax(axis=0).tolist(), theorem.tolist())]
@@ -571,13 +563,15 @@ def scan(tower: FieldTower, methods=(METHOD_THEOREM, METHOD_DET),
             hard = hard | claimed | missed
     # definition-level methods outrank the closed form when counting
     authority = next(m for m in (METHOD_BRUTE, METHOD_DET, METHOD_THEOREM) if m in methods)
-    rows = zip(*(v.tolist() for v in verdicts.values()))
-    records = [PairRecord(*divmod(i, q), dict(zip(methods, row)), branch, witness or None)
-               for i, (row, branch, witness) in enumerate(zip(rows, branches, witnesses.tolist()))]
+    columns = [verdicts[m].tolist() if m in verdicts else [None] * n for m in ALL_METHODS]
+    rows = [{"A": a, "B": b, "verdicts": dict(zip(ALL_METHODS, row)), "branch": branch,
+             "witness": witness or None}
+            for a, b, row, branch, witness in zip(a_codes.tolist(), b_codes.tolist(),
+                                                  zip(*columns), branches, witnesses.tolist())]
     timings["scan"] = time.perf_counter() - start
     timings["pairs"] = timings["scan"] - timings["det"]
     return ScanReport(
-        p=tower.p, m=tower.m, q=q, methods=methods, pairs=records,
+        p=tower.p, m=tower.m, q=q, methods=methods, pairs=rows,
         planar_count=int(np.count_nonzero(verdicts[authority])),
         expected_count=count_formula(q),
         disagreements=[divmod(i, q) for i in np.flatnonzero(hard).tolist()],

@@ -1,6 +1,5 @@
 """CLI surface: flags, report files, exit codes."""
 
-import dataclasses
 import functools
 import json
 import multiprocessing
@@ -476,8 +475,7 @@ def _fail_factorizations(monkeypatch):
 
     def patched(tower, A, B, F):
         rep = original(tower, A, B, F)
-        rep.checks = [dataclasses.replace(c, verified=False) for c in rep.checks]
-        return rep
+        return {"checks": [dict(c, verified=False) for c in rep["checks"]], "ok": False}
 
     monkeypatch.setattr(curves, "verify_branch_factorization", patched)
 

@@ -44,6 +44,10 @@ def test_sparse_poly_reduction_and_eval(towers):
     tab = p2.value_table()
     assert tab[17] == f.mul(3, f.pow(17, 130))
     assert tab[17] == f.mul(3, f.pow(17, 6))
+    # repeated exponents among (exponent, code) pairs are added, as reduced ones are
+    F5 = towers[5].fq
+    assert SparsePoly(F5, [(2, 1), (2, 1)]).terms == {2: 2}
+    assert SparsePoly(F5, [(2, 1), (3, 1), (2, 4)]).terms == {3: 1}  # 1 + 4 = 0
 
 
 def test_f_poly_terms(towers):
@@ -351,10 +355,10 @@ def test_scan_closed_form_is_classify_pair(towers, q):
     # the array pass of _branches in scan against its one-pair wrapper
     t = towers[q]
     rep = scan(t, methods=("theorem",))
-    assert [(r.A, r.B) for r in rep.pairs] == [(a, b) for a in range(q) for b in range(q)]
+    assert [(r["A"], r["B"]) for r in rep.pairs] == [(a, b) for a in range(q) for b in range(q)]
     for r in rep.pairs:
-        cls = classify_pair(t, r.A, r.B)
-        assert (r.verdicts["theorem"], r.branch) == (cls.planar, cls.branch)
+        cls = classify_pair(t, r["A"], r["B"])
+        assert (r["verdicts"]["theorem"], r["branch"]) == (cls.planar, cls.branch)
 
 
 def test_prop_necessary(towers):
@@ -374,7 +378,7 @@ def test_count_formula_values():
 
 def test_scan_q5_planar_set(towers):
     rep = scan(towers[5], methods=("theorem", "det", "brute"))
-    assert {(r.A, r.B) for r in rep.pairs if r.verdicts["brute"]} == Q5_PLANAR
+    assert {(r["A"], r["B"]) for r in rep.pairs if r["verdicts"]["brute"]} == Q5_PLANAR
     assert rep.planar_count == rep.expected_count == 9
     assert rep.disagreements == []
 
@@ -383,14 +387,14 @@ def test_scan_planar_implies_necessary(towers):
     t = towers[7]
     rep = scan(t, methods=("theorem",))
     for r in rep.pairs:
-        if r.verdicts["theorem"]:
-            assert prop1_necessary(t, r.A, r.B)
+        if r["verdicts"]["theorem"]:
+            assert prop1_necessary(t, r["A"], r["B"])
 
 
 def test_scan_q3_subset_policy(towers):
     rep = scan(towers[3], methods=("theorem", "brute"))
-    theorem = {(r.A, r.B) for r in rep.pairs if r.verdicts["theorem"]}
-    brute = {(r.A, r.B) for r in rep.pairs if r.verdicts["brute"]}
+    theorem = {(r["A"], r["B"]) for r in rep.pairs if r["verdicts"]["theorem"]}
+    brute = {(r["A"], r["B"]) for r in rep.pairs if r["verdicts"]["brute"]}
     assert theorem == {(0, 0), (1, 0), (1, 2)}
     assert theorem <= brute
     assert rep.disagreements == []
@@ -403,7 +407,7 @@ def test_scan_q3_exact_deciders_agree(towers):
     rep = scan(towers[3], methods=("det", "brute"))
     assert rep.disagreements == []
     for r in rep.pairs:
-        assert r.verdicts["det"] == r.verdicts["brute"]
+        assert r["verdicts"]["det"] == r["verdicts"]["brute"]
 
 
 def test_scan_deterministic_across_workers(towers):
@@ -430,10 +434,10 @@ def test_scan_witnesses_kill_determinant(towers):
     from planarq.linearized import dickson_matrix
 
     for r in rep.pairs:
-        if r.witness is not None:
-            L = difference_triple(t, r.A, r.B, r.witness)
+        if r["witness"] is not None:
+            L = difference_triple(t, r["A"], r["B"], r["witness"])
             assert det3(t.fq3, dickson_matrix(t.fq3, *L)) == 0
-        assert (r.witness is None) == r.verdicts["det"]
+        assert (r["witness"] is None) == r["verdicts"]["det"]
 
 
 def test_planar_f_is_never_a_bijection(towers):
@@ -467,7 +471,7 @@ def test_scan_det_equals_the_shift_sweep_on_every_pair(p, m, monkeypatch):
     # the scan reads the incidence pass only: it makes no per-pair call
     monkeypatch.setattr("planarq.planarity.is_planar_det", None)
     for r in scan(t, methods=("det",)).pairs:
-        assert (r.verdicts["det"], r.witness) == sweep[(r.A, r.B)]
+        assert (r["verdicts"]["det"], r["witness"]) == sweep[(r["A"], r["B"])]
 
 
 @pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])

@@ -15,10 +15,10 @@ import pytest
 from planarq.cli import main
 
 
-def _verify_argvs(p, m):
+def _verify_argvs(p, m, brute="on"):
     q = p ** m
     return [["verify", "--p", str(p), "--m", str(m), "--A", str(a), "--B", str(b),
-             "--brute", "on"] for a in range(q) for b in range(q)]
+             "--brute", brute] for a in range(q) for b in range(q)]
 
 
 def _identities_argvs(p, m):
@@ -40,6 +40,9 @@ _DIGESTS = [
      "0dab960ba538b3fddc09046118aa250f310f2d055441751096c0542b73b5b056"),
     ("verify", (3, 2),
      "bdbbc8b9b952aee925e087ad2b8ff05fe3eb4eced2d4305a08b35e22e7499812"),
+    # --brute off, as the benchmark's dossier runs, at a q with X<->Y notes
+    ("verify-nobrute", (13, 1),
+     "f2af557837370a87464e7ebc45bc7f1eafc0e90b42dc921892adfe6d66122586"),
     ("identities", (3, 1),
      "d5d8bdb26ae697af549d037c55baf3ca0d6a12072d05f35e519d28736d455737"),
     ("identities", (5, 2),
@@ -51,7 +54,8 @@ _DIGESTS = [
     ("scan", (3, 2),
      "d2c08a25f56ff026ac8d937d049eeadfbf7547b75051b680f5592371f389c0fe"),
 ]
-_ARGVS = {"verify": _verify_argvs, "identities": _identities_argvs, "scan": _scan_argvs}
+_ARGVS = {"verify": _verify_argvs, "identities": _identities_argvs, "scan": _scan_argvs,
+          "verify-nobrute": lambda p, m: _verify_argvs(p, m, brute="off")}
 
 
 def _digest(argvs):
