@@ -29,8 +29,11 @@ processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
 so both determinant paths look only at the q^2 + q + 1 projective shifts and
 name the least killing one as the witness: ``is_planar_det`` (used by
 ``verify``) evaluates the determinant there for its one pair, and ``scan``
-takes every pair's verdict from one incidence pass (``det_witnesses``), which
-reads each pair's killing shifts off a table of the F_q roots of monic cubics.
+takes every pair's verdict from one incidence pass (``det_witnesses``) at
+every q.  That pass reads the determinant's coefficients in A^i B^j off the
+matrix M0 + A M1 + B M2, one ``det3`` over the 27 ways of taking each row from
+M0, M1 or M2, and each pair's killing shifts off a table of the F_q roots of
+monic cubics.
 """
 
 from __future__ import annotations
@@ -229,41 +232,26 @@ def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     return det3(f, _dickson(f, *_difference_coeffs(f, a, b, c)))
 
 
-def _checked_dets(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
-    """``_dets_at``, insisting that every determinant lies in F_q."""
-    dets = _dets_at(tower, a_codes, b_codes, c_codes)
-    if (dets >= tower.q).any():
-        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
-                           f"is not in F_q (code {int(dets.max())})")
-    return dets
-
-
-def _direct_witnesses(tower: FieldTower, a_codes, b_codes) -> np.ndarray:
-    """For each pair of the equal-length code arrays, the least projective
-    representative R with det(A, B, R) = 0, or 0 if there is none; the
-    determinant is evaluated at every representative.
+def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
+    """Planarity of the pair of F_q codes (A, B) via the determinant: no
+    nonzero C may kill it.  When not planar, also returns the witness: the
+    code of the least root C.
 
     det(A, B, lambda C) = lambda^3 det(A, B, C) for lambda in F_q^*, so the
     roots C != 0 form whole F_q^* orbits, and the q^2 + q + 1 codes of
     ``orbit_reps(q, q^3)`` (increasing, each the least of its orbit) meet
-    every orbit once: the least killing representative is the least root.
-    """
-    reps = orbit_reps(tower.q, tower.order_top)
-    killed = _checked_dets(tower, np.asarray(a_codes)[:, None],
-                           np.asarray(b_codes)[:, None], reps) == 0
-    return np.where(killed.any(axis=1), reps[killed.argmax(axis=1)], 0)
-
-
-def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
-    """Planarity of the pair of F_q codes (A, B) via the determinant: no
-    nonzero C may kill it.
-
-    Evaluates the determinant at the q^2 + q + 1 projective shifts.  When not
-    planar, also returns the witness: the code of the first root C.
+    every orbit once: the determinant is evaluated there, and the least
+    killing representative is the least root.  Every determinant must lie
+    in F_q.
     """
     a, b = _codes_in(tower.fq, A, B)
-    witness = int(_direct_witnesses(tower, [a], [b])[0])
-    return (True, None) if witness == 0 else (False, witness)
+    reps = orbit_reps(tower.q, tower.order_top)
+    dets = _dets_at(tower, a, b, reps)
+    if (dets >= tower.q).any():
+        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
+                           f"is not in F_q (code {int(dets.max())})")
+    killed = np.flatnonzero(dets == 0)
+    return (True, None) if len(killed) == 0 else (False, int(reps[killed[0]]))
 
 
 @dataclass(frozen=True)
@@ -322,47 +310,41 @@ def count_formula(q: int) -> int:
 # the incidence pass: every pair's determinant witness at once
 # ---------------------------------------------------------------------------
 
-# (A, R) cells per chunk of the incidence pass; bounds its peak memory
+# (A, R) or (way, R) cells per chunk of the incidence pass; bounds its peak memory
 _INCIDENCE_CHUNK = 1 << 20
 
 
-def _lagrange_matrix(fq: Field, nodes) -> list[list[int]]:
-    """The inverse Vandermonde matrix: W[i][a] is the x^i coefficient of the
-    Lagrange basis polynomial that is 1 at nodes[a] and 0 at the others."""
-    W = [[0] * len(nodes) for _ in nodes]
-    for a, na in enumerate(nodes):
-        poly, denom = [1], 1
-        for b, nb in enumerate(nodes):
-            if b != a:  # poly *= (x - nb)
-                poly = [fq.sub(lo, fq.mul(nb, hi)) for lo, hi in zip([0] + poly, poly + [0])]
-                denom = fq.mul(denom, fq.sub(na, nb))
-        scale = fq.inv(denom)
-        for i, c in enumerate(poly):
-            W[i][a] = fq.mul(c, scale)
-    return W
-
-
 def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
-    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R.
+    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R;
+    m[i, j] is zero where i + j > 3.
 
-    Every entry of the difference matrix is affine in (A, B), so the
-    determinant has total degree <= 3 in (A, B); interpolating it on the 4 x 4
-    grid of F_q nodes 0..3 recovers it exactly, and the terms of degree > 3
-    must come out zero.
+    Frobenius fixes A and B, so the difference matrix is M0 + A M1 + B M2,
+    with M0 the matrix at (A, B) = (0, 0) and M1, M2 the steps from it to
+    (1, 0) and (0, 1).  The determinant is linear in each row, so it is the
+    sum over the 27 ways of taking row r from M0, M1 or M2, and a way with i
+    rows from M1 and j from M2 adds to m[i, j].  Row r's three choices lie
+    along array axis r, so one ``det3`` gives all 27, a chunk of
+    representatives at a time.  The m[i, j] must lie in F_q.
     """
-    fq = tower.fq
-    nodes = range(4)
-    D = np.stack([_checked_dets(tower, a, np.array(nodes)[:, None], reps) for a in nodes])
-    W = np.array(_lagrange_matrix(fq, nodes), dtype=np.int64)
-    # E[i, b] = sum_a W[i, a] D[a, b], then m[i, j] = sum_b W[j, b] E[i, b]
-    E = functools.reduce(fq.add_vec, (fq.mul_vec(W[:, a, None, None], D[None, a])
-                                      for a in nodes))
-    m = functools.reduce(fq.add_vec, (fq.mul_vec(W[None, :, b, None], E[:, None, b])
-                                      for b in nodes))
-    high = [(i, j) for i in range(4) for j in range(4) if i + j > 3 and m[i, j].any()]
-    if high:
-        raise Disagreement(f"the determinant over q = {tower.q} has nonzero "
-                           f"A^i B^j coefficients with i + j > 3: {high}")
+    f, q = tower.fq3, tower.q
+    _check_enumerable(f.order, "determinant sweep")
+    choices = np.indices((3, 3, 3)).reshape(3, 27)  # way w takes row r from M_{choices[r, w]}
+    ij = list(zip(*((choices == s).sum(axis=0) for s in (1, 2))))
+    m = np.zeros((4, 4, len(reps)), dtype=np.int64)
+    step = _INCIDENCE_CHUNK // 27
+    for start in range(0, len(reps), step):
+        part = slice(start, start + step)
+        M0, at_a, at_b = (_dickson(f, *_difference_coeffs(f, a, b, reps[part]))
+                          for a, b in ((0, 0), (1, 0), (0, 1)))
+        rows = [[np.stack([M0[r][k], f.sub_vec(at_a[r][k], M0[r][k]),
+                           f.sub_vec(at_b[r][k], M0[r][k])]).reshape(axis)
+                 for k in range(3)]
+                for r, axis in enumerate(((3, 1, 1, -1), (1, 3, 1, -1), (1, 1, 3, -1)))]
+        for (i, j), d in zip(ij, det3(f, rows).reshape(27, -1)):
+            m[i, j, part] = f.add_vec(m[i, j, part], d)
+    if (m >= q).any():
+        raise Disagreement(f"a determinant coefficient over q = {q} "
+                           f"is not in F_q (code {int(m.max())})")
     return m
 
 
@@ -392,20 +374,16 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     (the pair is planar).  Agrees with ``is_planar_det`` on every pair.
 
     As there, only the q^2 + q + 1 projective representatives R are checked,
-    and the least killing one is the witness.  F_3 has too few interpolation
-    nodes, so at q = 3 the 9 pairs go through the same direct evaluation as
-    ``is_planar_det``.  Otherwise, with m[i, j](R) from ``_det_coefficients``,
-    the B that R kills for a given A are the F_q roots of the cubic
-    sum_j (sum_i m[i, j] A^i) B^j.  B enters only c0 = T + A Y + 2 B X, and c0
-    and its twists fill the diagonal, so m[0, 3](R) = 8 N(R) != 0: every
+    and the least killing one is the witness; every q, q = 3 included, takes
+    the same pass.  With m[i, j](R) from ``_det_coefficients``, the B that R
+    kills for a given A are the F_q roots of the cubic
+    sum_j (sum_i m[i, j] A^i) B^j.  B enters only c0 = T + A Y + 2 B X, and
+    c0 and its twists fill the diagonal, so m[0, 3](R) = 8 N(R) != 0: every
     cubic is made monic by one division and its roots are read, in chunks of
     A, from ``_cubic_root_table``; one minimum over the incidences (R, A, B)
     picks the witnesses.
     """
     fq, q = tower.fq, tower.q
-    if q < 4:
-        ab = np.arange(q * q)
-        return _direct_witnesses(tower, ab // q, ab % q)
     reps = orbit_reps(q, tower.order_top)
     m = _det_coefficients(tower, reps)
     if not m[0, 3].all():

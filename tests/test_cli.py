@@ -391,9 +391,12 @@ def _dets_outside_fq(tower, a, b, c):
     return np.full(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)), tower.q)
 
 
-def _dets_times_a(original):
-    # values stay in F_q, but A * det has an A^1 B^3 term
-    return lambda tower, a, b, c: tower.fq.mul_vec(original(tower, a, b, c), a)
+def _dickson_plus_one(original):
+    # entry (0, 0) of every matrix plus 1: the determinant's coefficients leave F_q
+    def patched(f, *coeffs):
+        (corner, *row), *rows = original(f, *coeffs)
+        return ((f.add_vec(corner, 1), *row), *rows)
+    return patched
 
 
 def _b_cubed_zeroed(original):
@@ -406,11 +409,10 @@ def _b_cubed_zeroed(original):
 
 
 @pytest.mark.parametrize("p, name, patch, message", [
-    (5, "_dets_at", lambda original: _dets_outside_fq, "is not in F_q"),
-    (3, "_dets_at", lambda original: _dets_outside_fq, "is not in F_q"),
-    (5, "_dets_at", _dets_times_a, "i + j > 3"),
+    (5, "_dickson", _dickson_plus_one, "is not in F_q"),
+    (3, "_dickson", _dickson_plus_one, "is not in F_q"),
     (5, "_det_coefficients", _b_cubed_zeroed, "B^3 coefficient"),
-], ids=["outside-fq", "outside-fq-q3", "degree", "b-cubed"])
+], ids=["outside-fq", "outside-fq-q3", "b-cubed"])
 def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, name, patch, message):
     monkeypatch.setattr(planarity, name, patch(getattr(planarity, name)))
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 2

@@ -68,6 +68,16 @@ def test_det3_basics(towers):
     stacked = tuple(tuple(np.array([M[i][j] for M in mats]) for j in range(3)) for i in range(3))
     got = det3(f, stacked)
     assert got.dtype == np.int64 and got.tolist() == dets
+    # row r varying along axis r: all 27 mixed determinants in one call
+    rng = random.Random(3)
+    options = [[tuple(rng.randrange(f.order) for _ in range(3)) for _ in range(3)]
+               for _ in range(3)]  # options[r][s]: choice s for row r
+    axes = ((3, 1, 1), (1, 3, 1), (1, 1, 3))
+    mixed = det3(f, tuple(tuple(np.array([row[k] for row in options[r]]).reshape(axes[r])
+                                for k in range(3)) for r in range(3)))
+    assert mixed.shape == (3, 3, 3)
+    for s in itertools.product(range(3), repeat=3):
+        assert mixed[s] == det3(f, tuple(options[r][s[r]] for r in range(3)))
 
 
 def test_det3_hand_value(towers):

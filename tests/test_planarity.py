@@ -15,6 +15,7 @@ from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
     ALL_METHODS,
+    _det_coefficients,
     _dets_at,
     _f_table,
     _monomial_tables,
@@ -491,6 +492,29 @@ def test_incidence_scan_on_larger_towers(p, m):
     for pair in sample:
         ok, w = is_planar_det(t, pair // q, pair % q)
         assert (ok, 0 if w is None else w) == (bool(planar[pair]), int(wit[pair]))
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["q3", "q5", "q9", "q25", "q27"])
+def test_det_coefficients_expand_the_determinant(p, m):
+    # sum m[i, j] A^i B^j is the determinant at every projective shift: on
+    # every pair at q = 3, on 8 sampled ones above
+    t = build_tower(p, m)
+    f, q = t.fq3, t.q
+    reps = orbit_reps(q, t.order_top)
+    coeffs = _det_coefficients(t, reps)
+    assert not any(coeffs[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
+    pairs = range(q * q) if q == 3 else random.Random(f"expansion:{q}").sample(range(q * q), 8)
+    for a, b in (divmod(pair, q) for pair in pairs):
+        total = np.zeros(len(reps), dtype=np.int64)
+        for i in range(4):
+            for j in range(4 - i):
+                total = f.add_vec(total, f.mul_vec(coeffs[i, j], f.mul(f.pow(a, i), f.pow(b, j))))
+        assert np.array_equal(total, _dets_at(t, a, b, reps)), (a, b)
+    # the pure cubes: m[0, 3] = 8 N(R) and m[3, 0] = 2 N(R), N(R) = R R^q R^(q^2)
+    norm = f.mul_vec(f.mul_vec(reps, f.frob_vec(reps, 1)), f.frob_vec(reps, 2))
+    assert np.array_equal(coeffs[0, 3], f.mul_vec(t.fq.from_int(8), norm))
+    assert np.array_equal(coeffs[3, 0], f.mul_vec(t.fq.from_int(2), norm))
 
 
 def test_scan_timings_stay_out_of_the_report(towers):

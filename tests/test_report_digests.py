@@ -26,8 +26,8 @@ def _identities_argvs(p, m):
              "--seed", str(seed)] for seed in (0, 1)]
 
 
-def _scan_argvs(p, m):
-    return [["scan", "--p", str(p), "--m", str(m), "--methods", "theorem,det,brute"]]
+def _scan_argvs(p, m, methods="theorem,det,brute"):
+    return [["scan", "--p", str(p), "--m", str(m), "--methods", methods]]
 
 
 # (group, (p, m), SHA-256 over "<exit code>\n<stdout>" of every run in order)
@@ -53,9 +53,18 @@ _DIGESTS = [
      "abe05ce763d124442b89125aaf3d156c42693816e574fb3ea04adf9bd232fa85"),
     ("scan", (3, 2),
      "d2c08a25f56ff026ac8d937d049eeadfbf7547b75051b680f5592371f389c0fe"),
+    ("scan", (3, 1),
+     "7fef9fffce4f2ed3d26ea2820fafe14d2766d9607f67de9a7e3c871b2e113970"),
+    # the determinant authority alone: characteristic-3 twists at q = 27, and
+    # q = 101 (about 0.6 s)
+    ("scan-det", (3, 3),
+     "759ea73b6c56e4beaff72b3584415f063c0d24438ad7dd99207daf84013d0430"),
+    ("scan-det", (101, 1),
+     "eaad21e84f0310f9a29519f0a9ed2c96ab03c768899ca98aeeaac19c13ece317"),
 ]
 _ARGVS = {"verify": _verify_argvs, "identities": _identities_argvs, "scan": _scan_argvs,
-          "verify-nobrute": lambda p, m: _verify_argvs(p, m, brute="off")}
+          "verify-nobrute": lambda p, m: _verify_argvs(p, m, brute="off"),
+          "scan-det": lambda p, m: _scan_argvs(p, m, methods="theorem,det")}
 
 
 def _digest(argvs):
