@@ -11,7 +11,8 @@ an oracle of its own:
 * the X <-> Y relation: the published cubic equals the Leibniz expansion
   with X and Y exchanged, as coefficient arrays over all q^2 pairs;
 * the nonzero-kernel criterion against brute kernel enumeration
-  (``linearized.kernel_sizes``, every map evaluated at every x);
+  (``linearized.kernel_sizes``, every map tested at every x, x running over
+  the powers of a generator on per-call log and Zech tables);
 * the matrix convention: ``_dickson`` of ``_difference_coeffs``, the very
   cores whose ``gf.det3`` the determinant decider ``_dets_at`` takes, run on
   the arrays of all sampled triples at once, against the entry-by-entry

@@ -9,7 +9,9 @@ alongside as the independent oracle.  A map is its three coefficient codes
 check that the field is a cubic extension and the codes lie in it, the
 matrices are 3x3 nested tuples of codes, and ``brute_kernel`` lists the
 kernel's codes.  ``kernel_sizes`` counts the kernels of many maps at once,
-in bounded chunks.
+in bounded chunks, with x running over 0 and the powers of a generator of
+F^*: on the log and Zech tables it builds per call, each (map, x) test is one
+integer gather and compare.
 
 The determinant decider (``planarity._dets_at``) is ``gf.det3`` of the same
 matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LevelMismatch
-from .gf import Field, FieldTower, _check_enumerable, _codes_in, _ops
+from .errors import Disagreement, LevelMismatch
+from .gf import Field, FieldTower, _check_enumerable, _codes_in, _ops, _prime_factors
 
 _KERNEL_CHUNK = 1 << 14  # (map, x) cells per whole-array step of kernel_sizes
 
@@ -74,37 +76,95 @@ def brute_kernel(field: Field, c0, c1, c2) -> list[int]:
     return np.flatnonzero(image == 0).tolist()
 
 
+def _generator(f: Field) -> int:
+    """The least code that generates F^*: g^(n/l) != 1 for every prime l of
+    n = |F^*|, tested on windows of codes that double, one ``pow_vec`` per
+    prime and window."""
+    n = f.order - 1
+    lo, hi = 1, 64
+    while True:
+        codes = np.arange(lo, min(hi, f.order))
+        ok = np.ones(len(codes), dtype=bool)
+        for ell in _prime_factors(n):
+            ok &= f.pow_vec(codes, n // ell) != 1
+        if ok.any():
+            return lo + int(np.argmax(ok))
+        lo, hi = hi, 2 * hi
+
+
+def _log_tables(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(log, zech) for g = :func:`_generator`: log[x] is k with g^k = x,
+    and zech[d] = log[1 + g^d], for n = |F^*| and the sentinel n as the log
+    of 0.  Both tables are built block by block in the narrowest dtype that
+    holds |F|, and on every call: no field keeps a whole-field table.  The
+    powers of g must meet every nonzero code exactly once, or the call
+    raises Disagreement."""
+    n, g = f.order - 1, _generator(f)
+    dtype = np.int32 if f.order < 2 ** 31 else np.int64
+    block, gk = np.ones(1, dtype=np.int64), g  # g^0 .. g^(len - 1), and gk = g^len
+    while len(block) < min(n, _KERNEL_CHUNK):
+        block = np.concatenate([block, f.mul_vec(gk, block)])[:n]
+        gk = f.mul(gk, gk)
+    log = np.full(f.order, -1, dtype=dtype)
+    at = 1  # g^start
+    for start in range(0, n, len(block)):
+        powers = f.mul_vec(at, block[:n - start])
+        log[powers] = np.arange(start, start + len(powers))
+        at = f.mul(at, gk)
+    if log[0] != -1 or np.any(log[1:] == -1):
+        raise Disagreement(f"the powers of {g} do not cover {f!r}^* exactly once")
+    log[0] = n
+    zech = np.empty(n, dtype=dtype)
+    for start in range(1, f.order, _KERNEL_CHUNK):
+        xs = np.arange(start, min(start + _KERNEL_CHUNK, f.order))
+        zech[log[xs]] = log[f.add_vec(1, xs)]
+    return log, zech
+
+
 def kernel_sizes(field: Field, c0, c1, c2) -> np.ndarray:
     """Kernel sizes of the maps x -> c0*x + c1*x^q + c2*x^(q^2), one map per
     entry of the equal-length code arrays, by testing every map at every x.
 
     The whole-array form of :func:`brute_kernel`: it counts the x with
-    c0*x + c1*x^q = -c2*x^(q^2), so it uses neither F_q-linearity nor the
-    coefficient matrix.  It takes x, x^q and x^(q^2) from ``frob_vec`` one
-    block of x at a time.  For each slice of a block it multiplies every
-    distinct coefficient of a slot by the slice once, however many maps share
-    it, and then reads each map's terms from those product rows.  No block
-    and no step holds more than ``_KERNEL_CHUNK`` codes or cells.
+    c0*x = -(c1*x^q + c2*x^(q^2)), so it uses neither F_q-linearity nor the
+    coefficient matrix.  x runs over 0 and the powers g^k of a generator, on
+    the per-call log and Zech tables of :func:`_log_tables`: c*x^(q^i) has
+    log L[c] + q^i*k, and S = c1*x^q + c2*x^(q^2) is formed by one Zech
+    lookup per distinct (c1, c2) and x.  A map kills g^k when
+    L[-S] - k = L[c0] mod n, or when S = 0 and c0 = 0 (the sentinel on both
+    sides), so each (map, x) cell is one gather and one compare.  A step
+    holds at most ``_KERNEL_CHUNK`` cells, or one x when the distinct pairs
+    alone are more.
     """
     f = field
     _check_enumerable(f.order, "kernel enumeration")
-    slots = [np.unique(np.asarray(c, dtype=np.int64), return_inverse=True)
-             for c in (c0, c1, f.sub_vec(0, c2))]
-    width = min(f.order, max(1, _KERNEL_CHUNK // max(1, *(len(u) for u, _ in slots))))
+    codes = [np.asarray(c, dtype=np.int64) for c in (c0, c1, c2)]
+    if f.degree != 3:
+        raise LevelMismatch("linearized-map coefficients must live in a cubic extension")
+    if any(c.size and (c.min() < 0 or c.max() >= f.order) for c in codes):
+        raise LevelMismatch(f"a coefficient code is not an element of {f!r}")
+    log, zech = _log_tables(f)
+    n, s = f.order - 1, f._radix
+    s2, neg = s * s % n, int(log[f.from_int(-1)])
+    l0 = log[codes[0]]
+    # S depends on (c1, c2) alone: one row of S per distinct pair of logs
+    pairs, which = np.unique(log[codes[1]] * np.int64(n + 1) + log[codes[2]],
+                             return_inverse=True)
+    l1, l2 = np.divmod(pairs[:, None], n + 1)
+    maps, width = len(l0), min(n, max(1, _KERNEL_CHUNK // max(1, len(pairs))))
     step = max(1, _KERNEL_CHUNK // width)
-    maps = len(slots[0][1])
-    sizes = np.zeros(maps, dtype=np.int64)
-    for start in range(0, f.order, width * step):
-        xs = np.arange(start, min(start + width * step, f.order))
-        images = (xs, f.frob_vec(xs, 1), f.frob_vec(xs, 2))
-        for lo in range(0, len(xs), width):
-            (r0, w0), (r1, w1), (r2, w2) = [
-                (f.mul_vec(u[:, None], image[None, lo:lo + width]), which)
-                for (u, which), image in zip(slots, images)]
-            for m in range(0, maps, step):
-                part = slice(m, m + step)
-                lhs = f.add_vec(r0[w0[part]], r1[w1[part]])
-                sizes[part] += np.count_nonzero(lhs == r2[w2[part]], axis=1)
+    sizes = np.ones(maps, dtype=np.int64)  # x = 0
+    for start in range(0, n, width):
+        k = np.arange(start, min(start + width, n))
+        a = (l1 + s * k) % n  # log of c1*x^q, read only where c1 != 0
+        b = (l2 + s2 * k) % n  # log of c2*x^(q^2), read only where c2 != 0
+        z = zech[(b - a) % n]  # log(1 + c2*x^(q^2) / (c1*x^q))
+        both = np.where(z == n, n, (a + z) % n)
+        logs = np.where(l1 == n, np.where(l2 == n, n, b), np.where(l2 == n, a, both))
+        rhs = np.where(logs == n, n, (logs + neg - k) % n)  # L[-S] - k, or the sentinel
+        for m in range(0, maps, step):
+            part = slice(m, m + step)
+            sizes[part] += np.count_nonzero(rhs[which[part]] == l0[part, None], axis=1)
     return sizes
 
 

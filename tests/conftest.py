@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from planarq import build_tower
+from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
 from planarq.planarity import _dets_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -28,6 +29,18 @@ def det_sweep(tower, a_code, b_code):
     """Full-sweep oracle: the determinants for one pair at every shift C != 0,
     in code order (entry C - 1)."""
     return _dets_at(tower, a_code, b_code, np.arange(1, tower.fq3.order, dtype=np.int64))
+
+
+def check_kernel_criterion(tower):
+    """Every (alpha, beta, gamma) in F_q^3: the map alpha*x^(q^2) + beta*x^q +
+    gamma*x has a nonzero kernel exactly when the cubic sum vanishes, and
+    every kernel is an F_q-subspace."""
+    q = tower.q
+    alpha, beta, gamma = np.unravel_index(np.arange(q ** 3), (q, q, q))
+    sizes = kernel_sizes(tower.fq3, gamma, beta, alpha)
+    crit = has_nonzero_root_subfield_coeffs(tower.fq, alpha, beta, gamma)
+    assert ((sizes > 1) == crit).all()
+    assert set(sizes.tolist()) <= {1, q, q ** 2, q ** 3}
 
 
 @pytest.fixture(scope="session")

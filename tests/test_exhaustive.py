@@ -7,6 +7,7 @@ default selection is unchanged.
 import math
 
 import pytest
+from conftest import check_kernel_criterion
 
 from planarq import build_tower
 from planarq.gf import DEFAULT_MAX_Q3, _is_prime
@@ -46,6 +47,12 @@ def test_triple_scan_agrees(p, m):
 def test_det_scan_at_every_admissible_q(p, m):
     rep = scan(build_tower(p, m), methods=("theorem", "det"))
     _assert_count_and_agreement(rep)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])
+def test_kernel_criterion_on_every_subfield_triple(p, m):
+    check_kernel_criterion(build_tower(p, m))
 
 
 def test_admissible_q_list():

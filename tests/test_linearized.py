@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from conftest import check_kernel_criterion
 
 from planarq import LevelMismatch
+from planarq.cli import main
+from planarq.errors import Disagreement
 from planarq.gf import det3
 import planarq.linearized as linearized
 from planarq.linearized import (
@@ -196,6 +199,59 @@ def test_kernel_sizes_in_small_chunks_on_full_field_coefficients(towers, monkeyp
     want = [len(brute_kernel(t.fq3, *c)) for c in zip(c0, c1, c2)]
     assert sizes.tolist() == want
     assert max(want) > 1
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_kernel_criterion_on_every_subfield_triple(towers, q):
+    check_kernel_criterion(towers[q])
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_kernel_sizes_on_every_zero_pattern(towers, q):
+    # each of the 8 patterns of zero coefficients, the zero map (kernel F)
+    # included, on random nonzero codes and on x - x^q, x - x^(q^2), x^q - x^(q^2)
+    t = towers[q]
+    f, minus = t.fq3, t.fq3.from_int(-1)
+    rng = np.random.default_rng(q)
+    maps = [(1, minus, 0), (1, 0, minus), (0, 1, minus)]
+    for pattern in itertools.product((0, 1), repeat=3):
+        for c in rng.integers(1, f.order, size=(10, 3)):
+            maps.append(tuple(int(v) if keep else 0 for v, keep in zip(c, pattern)))
+    sizes = kernel_sizes(f, *np.array(maps).T)
+    assert sizes.tolist() == [len(brute_kernel(f, *c)) for c in maps]
+    assert sizes[:3].tolist() == [q, q, q]
+    assert sizes[3:13].tolist() == [f.order] * 10  # pattern (0, 0, 0)
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_log_and_zech_tables_on_every_nonzero_code(towers, q):
+    f = towers[q].fq3
+    g, (log, zech) = linearized._generator(f), linearized._log_tables(f)
+    n = f.order - 1
+    assert log.dtype == zech.dtype == np.int32 and log[0] == n
+    assert [f.pow(g, int(log[x])) for x in range(1, f.order)] == list(range(1, f.order))
+    assert zech.tolist() == [log[f.add(1, f.pow(g, d))] for d in range(n)]
+
+
+def test_kernel_sizes_refuse_tables_of_a_non_generator(towers, monkeypatch):
+    # a code of F_q generates no more than F_q^*, so its powers miss most of
+    # F_{q^3}^*: the table check raises instead of counting, and the battery
+    # that counts kernels exits 2
+    monkeypatch.setattr(linearized, "_generator", lambda f: 2)
+    t = towers[5]
+    with pytest.raises(Disagreement):
+        kernel_sizes(t.fq3, [1], [1], [1])
+    assert main(["identities", "--p", "5", "--samples", "10"]) == 2
+
+
+def test_kernel_sizes_check_code_levels(towers):
+    t = towers[5]
+    assert kernel_sizes(t.fq3, [], [], []).tolist() == []
+    with pytest.raises(LevelMismatch):
+        kernel_sizes(t.fq, [1], [0], [0])  # coefficients of F_q, not of F_{q^3}
+    for c in (t.order_top, -1):
+        with pytest.raises(LevelMismatch):
+            kernel_sizes(t.fq3, [1], [0], [c])
 
 
 def test_cubic_sum_on_arrays_matches_the_criterion(towers):
