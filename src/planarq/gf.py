@@ -27,6 +27,8 @@ moduli are chosen deterministically (lexicographically smallest monic
 irreducible, see :func:`find_irreducible`), so a tower is determined by
 (p, m).  :func:`standard_extension` builds each extension once per base
 field, so the tower's F_{q^3} is the same object the line oracle searches in.
+The least code that passes a test, a generator of F^* or a normal element,
+comes from one windowed search, :func:`_least_code`.
 
 Each operation is one kernel written with ``divmod``, ``+``, ``*`` and ``%``
 only, so the same body runs on plain Python ints (the scalar methods, which
@@ -130,6 +132,28 @@ def _mult_order(field: Field, code: int) -> int:
         while order % ell == 0 and field.pow(code, order // ell) == 1:
             order //= ell
     return order
+
+
+def _least_code(lo: int, stop: int, test) -> int | None:
+    """The least code in [lo, stop), lo >= 1, that passes ``test`` (codes ->
+    bools, on an array), or None.  It is tried on the windows [lo, 2 lo),
+    [2 lo, 4 lo), ..., so a search whose answer is near lo stops near it."""
+    while lo < stop:
+        hi = min(2 * lo, stop)
+        hits = np.flatnonzero(test(np.arange(lo, hi)))
+        if hits.size:
+            return lo + int(hits[0])
+        lo = hi
+    return None
+
+
+def _generator(f: Field) -> int:
+    """The least code that generates F^*: g^(n/l) != 1 for every prime l of
+    n = |F^*|, by :func:`_least_code` from the base field's order (2 for a
+    prime field), as no code of the base field generates F^*."""
+    n = f.order - 1
+    return _least_code(f.base.order if f.base else 2, f.order, lambda codes: np.all(
+        [f.pow_vec(codes, n // ell) != 1 for ell in _prime_factors(n)], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -628,23 +652,14 @@ def build_tower(p: int, m: int = 1) -> FieldTower:
 def find_normal_element(tower: FieldTower) -> int:
     """First xi in code order whose conjugates {xi, xi^q, xi^(q^2)} form a basis.
 
-    One ``det3`` per window [lo, hi) of codes, each twice as long as the
-    codes before it, with the conjugates from ``frob_vec``; the first window
-    holding a normal element gives the first one overall.  Normal elements
-    always exist, and the codes below q (F_q itself) never are one, so the
-    windows start at q and the search ends near the first normal code
-    instead of at the field's end.
+    :func:`_least_code` from q, as the codes below (F_q itself) are never
+    normal, with one ``det3`` per window on the conjugates from ``frob_vec``.
+    Normal elements always exist, so the search ends near the first one.
     """
     f = tower.fq3
     _check_enumerable(f.order, "normal-element search")  # the windows may reach the end
-    lo, hi = tower.q, 2 * tower.q
-    while True:
-        codes = np.arange(lo, min(hi, f.order))
-        vecs = [f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]
-        hits = np.flatnonzero(det3(tower.fq, vecs))
-        if hits.size:
-            return lo + int(hits[0])
-        lo, hi = hi, 2 * hi
+    return _least_code(tower.q, f.order, lambda codes: det3(tower.fq, [
+        f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)
 
 
 def det3(field: Field, rows):

@@ -19,12 +19,16 @@ an oracle of its own:
   transcription ``_direct_matrix`` on the same arrays.
 
 A single seeded stream drives all sampling, so runs are reproducible from
-(config, seed).
+(config, seed).  The determinant and kernel batteries take their triples
+from ``_triples`` (all of them, or a seeded draw), the matrix battery a
+capped draw, and each reports its first five failures, in battery order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -57,16 +61,20 @@ class BatteryResult:
         return f"{self.name}: {status} ({self.checked} checks){extra}"
 
 
-def _sample_triples(tower: FieldTower, samples: int, rng: random.Random):
-    q, n = tower.q, tower.order_top
-    if q * q * n <= _EXHAUSTIVE_TRIPLES:
-        for a in range(q):
-            for b in range(q):
-                for c in range(n):
-                    yield a, b, c
-    else:
-        for _ in range(samples):
-            yield rng.randrange(q), rng.randrange(q), rng.randrange(n)
+def _triples(rng: random.Random, sizes, count: int) -> list[tuple[int, int, int]]:
+    """Every triple of codes below ``sizes``, in code order, when there are at
+    most ``_EXHAUSTIVE_TRIPLES``; else ``count`` triples drawn from ``rng``,
+    one code after another."""
+    if math.prod(sizes) <= _EXHAUSTIVE_TRIPLES:
+        return list(itertools.product(*map(range, sizes)))
+    return [tuple(rng.randrange(s) for s in sizes) for _ in range(count)]
+
+
+def _result(name: str, cases: list, bad) -> BatteryResult:
+    """The battery's result over ``cases``, the bool array ``bad`` flagging
+    those that fail; the first five of these, in battery order, are kept."""
+    failures = tuple(cases[i] for i in np.flatnonzero(bad)[:5])
+    return BatteryResult(name, not failures, len(cases), failures)
 
 
 def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
@@ -76,16 +84,13 @@ def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) ->
     from .planarity import _dets_at
 
     f3 = tower.fq3
-    triples = sorted(_sample_triples(tower, samples, rng))
+    triples = sorted(_triples(rng, (tower.q, tower.q, tower.order_top), samples))
     A, B, C = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     lhs = _dets_at(tower, A, B, C)
     # every triple's own pair cubic, as coefficient arrays, at its shift
     rhs = _evaluate(f3, _det_coeffs(tower.fq, A, B), C,
                     f3.frob_vec(C, 1), f3.frob_vec(C, 2))
-    bad = np.flatnonzero((lhs != rhs) | (rhs >= tower.q))
-    failures = [triples[i] for i in bad[:5]]
-    return BatteryResult("determinant identity", not failures, len(triples),
-                         tuple(failures))
+    return _result("determinant identity", triples, (lhs != rhs) | (rhs >= tower.q))
 
 
 def battery_swap_relation(tower: FieldTower) -> BatteryResult:
@@ -98,40 +103,31 @@ def battery_swap_relation(tower: FieldTower) -> BatteryResult:
     bad = np.zeros(q * q, dtype=bool)
     for c, slot in zip(_paper_coeffs(tower.fq, A, B), _SWAP_XY):
         bad |= c != det[slot]
-    failures = [(int(a), int(b)) for a, b in zip(A[bad][:5], B[bad][:5])]
-    return BatteryResult("X<->Y coefficient relation", not failures, q * q,
-                         tuple(failures))
+    return _result("X<->Y coefficient relation", list(zip(A.tolist(), B.tolist())), bad)
 
 
 def battery_root_criterion(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
     """cubic-sum kernel criterion == (brute kernel bigger than {0}), F_q coefficients."""
     q = tower.q
-    if q ** 3 <= _EXHAUSTIVE_TRIPLES:
-        triples = [(a, b, g) for a in range(q) for b in range(q) for g in range(q)]
-    else:
-        # each sample costs a full O(q^3) kernel enumeration; cap the budget
-        triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(q))
-                   for _ in range(min(samples, 400))]
+    # each sample costs a full O(q^3) kernel enumeration; cap the budget
+    triples = _triples(rng, (q, q, q), min(samples, 400))
     alpha, beta, gamma = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     crit = has_nonzero_root_subfield_coeffs(tower.fq, alpha, beta, gamma)
     # the map is alpha*x^(q^2) + beta*x^q + gamma*x
     nonzero_kernel = kernel_sizes(tower.fq3, gamma, beta, alpha) > 1
-    failures = [triples[i] for i in np.flatnonzero(crit != nonzero_kernel)[:5]]
-    return BatteryResult("kernel criterion vs brute kernel", not failures,
-                         len(triples), tuple(failures))
+    return _result("kernel criterion vs brute kernel", triples, crit != nonzero_kernel)
 
 
 def battery_matrix_convention(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
     """The matrix ``_dets_at`` takes the determinant of == the entry-by-entry
     transcription, on every sampled triple in one array pass."""
     q, n, f3 = tower.q, tower.order_top, tower.fq3
-    count = min(samples, 256)
-    triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(n)) for _ in range(count)]
+    triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(n))
+               for _ in range(min(samples, 256))]
     A, B, C = np.array(triples, dtype=np.int64).T
     bad = np.any(np.array(_dickson(f3, *_difference_coeffs(f3, A, B, C)))
                  != np.array(_direct_matrix(f3, A, B, C)), axis=(0, 1))
-    failures = [triples[i] for i in np.flatnonzero(bad)[:5]]
-    return BatteryResult("matrix convention", not failures, count, tuple(failures))
+    return _result("matrix convention", triples, bad)
 
 
 def run_identities(tower: FieldTower, samples: int = 1000, seed: int = 0) -> list[BatteryResult]:

@@ -9,9 +9,9 @@ alongside as the independent oracle.  A map is its three coefficient codes
 check that the field is a cubic extension and the codes lie in it, the
 matrices are 3x3 nested tuples of codes, and ``brute_kernel`` lists the
 kernel's codes.  ``kernel_sizes`` counts the kernels of many maps at once,
-in bounded chunks, with x running over 0 and the powers of a generator of
-F^*: on the log and Zech tables it builds per call, each (map, x) test is one
-integer gather and compare.
+in bounded chunks, with x running over 0 and the powers of the least
+generator of F^* (``gf._generator``): on the log and Zech tables it builds
+per call, each (map, x) test is one integer gather and compare.
 
 The determinant decider (``planarity._dets_at``) is ``gf.det3`` of the same
 matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Disagreement, LevelMismatch
-from .gf import Field, FieldTower, _check_enumerable, _codes_in, _ops, _prime_factors
+from .gf import Field, FieldTower, _check_enumerable, _codes_in, _generator, _ops
 
 _KERNEL_CHUNK = 1 << 14  # (map, x) cells per whole-array step of kernel_sizes
 
@@ -76,24 +76,8 @@ def brute_kernel(field: Field, c0, c1, c2) -> list[int]:
     return np.flatnonzero(image == 0).tolist()
 
 
-def _generator(f: Field) -> int:
-    """The least code that generates F^*: g^(n/l) != 1 for every prime l of
-    n = |F^*|, tested on windows of codes that double, one ``pow_vec`` per
-    prime and window."""
-    n = f.order - 1
-    lo, hi = 1, 64
-    while True:
-        codes = np.arange(lo, min(hi, f.order))
-        ok = np.ones(len(codes), dtype=bool)
-        for ell in _prime_factors(n):
-            ok &= f.pow_vec(codes, n // ell) != 1
-        if ok.any():
-            return lo + int(np.argmax(ok))
-        lo, hi = hi, 2 * hi
-
-
 def _log_tables(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(log, zech) for g = :func:`_generator`: log[x] is k with g^k = x,
+    """(log, zech) for g = ``gf._generator(f)``: log[x] is k with g^k = x,
     and zech[d] = log[1 + g^d], for n = |F^*| and the sentinel n as the log
     of 0.  Both tables are built block by block in the narrowest dtype that
     holds |F|, and on every call: no field keeps a whole-field table.  The

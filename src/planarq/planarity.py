@@ -31,9 +31,9 @@ name the least killing one as the witness: ``is_planar_det`` (used by
 ``verify``) evaluates the determinant there for its one pair, and ``scan``
 takes every pair's verdict from one incidence pass (``det_witnesses``) at
 every q.  That pass reads the determinant's coefficients in A^i B^j off the
-matrix M0 + A M1 + B M2, one ``det3`` over the 27 ways of taking each row from
-M0, M1 or M2, and each pair's killing shifts off a table of the F_q roots of
-monic cubics.
+matrix M0 + A M1 + B M2, one Dickson build, and one ``det3`` over the 27
+ways of taking each row from M0, M1 or M2, and each pair's killing shifts
+off a table of the F_q roots of monic cubics.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import Disagreement
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
-                 _mult_order, _ops, det3, frob_orbit_reps, orbit_reps)
+                 _generator, _ops, det3, frob_orbit_reps, orbit_reps)
 from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
 
 BRANCH_B_ZERO = "BranchBZero"
@@ -170,8 +170,8 @@ class _BruteSweep:
     chunk to form x + a, then one gather and one table lookup per chunk to
     form f(x+a) - f(x); chunk j's tables are scaled by p^(cj), so summing over
     the chunks packs the code again.  The gates read the value table at g x
-    and at x^s, g the least generator of F_s^* (its code is the same in F):
-    f(g x) = g^2 f(x) gives every power of g.
+    and at x^s, g the least generator of F_s^* (``gf._generator``), whose
+    code is the same in F: f(g x) = g^2 f(x) gives every power of g.
     """
 
     def __init__(self, field: Field):
@@ -181,7 +181,7 @@ class _BruteSweep:
         base = f.base or f
         s = base.order
         codes = np.arange(n, dtype=np.int64)
-        g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
+        g = _generator(base)
         self.g2 = f.mul(g, g)
         self.scaled = f.mul_vec(g, codes)      # code of g x, by x
         self.frobenius = f.frob_vec(codes, 1)  # code of x^s, by x (x itself on F_p)
@@ -310,7 +310,7 @@ def count_formula(q: int) -> int:
 # the incidence pass: every pair's determinant witness at once
 # ---------------------------------------------------------------------------
 
-# (A, R) or (way, R) cells per chunk of the incidence pass; bounds its peak memory
+# (A, R) cells, or 3 x (way, R) cells, per step of the incidence pass; bounds its memory
 _INCIDENCE_CHUNK = 1 << 20
 
 
@@ -320,25 +320,27 @@ def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
 
     Frobenius fixes A and B, so the difference matrix is M0 + A M1 + B M2,
     with M0 the matrix at (A, B) = (0, 0) and M1, M2 the steps from it to
-    (1, 0) and (0, 1).  The determinant is linear in each row, so it is the
-    sum over the 27 ways of taking row r from M0, M1 or M2, and a way with i
-    rows from M1 and j from M2 adds to m[i, j].  Row r's three choices lie
-    along array axis r, so one ``det3`` gives all 27, a chunk of
+    (1, 0) and (0, 1).  Frobenius is additive, so these are the Dickson
+    matrices of the coefficients' steps: one ``_difference_coeffs`` call on
+    the three (A, B) stacked, then one ``_dickson`` call, give each entry as
+    the stack M0, M1, M2.  The determinant is linear in each row, so it is
+    the sum over the 27 ways of taking row r from M0, M1 or M2, and a way
+    with i rows from M1 and j from M2 adds to m[i, j].  Row r's three choices
+    lie along array axis r, so one ``det3`` gives all 27, a chunk of
     representatives at a time.  The m[i, j] must lie in F_q.
     """
     f, q = tower.fq3, tower.q
     _check_enumerable(f.order, "determinant sweep")
     choices = np.indices((3, 3, 3)).reshape(3, 27)  # way w takes row r from M_{choices[r, w]}
     ij = list(zip(*((choices == s).sum(axis=0) for s in (1, 2))))
+    ab = np.array([[0, 1, 0], [0, 0, 1]])[:, :, None]  # (A, B) = (0, 0), (1, 0), (0, 1)
     m = np.zeros((4, 4, len(reps)), dtype=np.int64)
-    step = _INCIDENCE_CHUNK // 27
+    step = _INCIDENCE_CHUNK // 81
     for start in range(0, len(reps), step):
         part = slice(start, start + step)
-        M0, at_a, at_b = (_dickson(f, *_difference_coeffs(f, a, b, reps[part]))
-                          for a, b in ((0, 0), (1, 0), (0, 1)))
-        rows = [[np.stack([M0[r][k], f.sub_vec(at_a[r][k], M0[r][k]),
-                           f.sub_vec(at_b[r][k], M0[r][k])]).reshape(axis)
-                 for k in range(3)]
+        coeffs = np.broadcast_arrays(*_difference_coeffs(f, *ab, reps[part]))
+        M = _dickson(f, *(np.concatenate([c[:1], f.sub_vec(c[1:], c[:1])]) for c in coeffs))
+        rows = [[M[r][k].reshape(axis) for k in range(3)]
                 for r, axis in enumerate(((3, 1, 1, -1), (1, 3, 1, -1), (1, 1, 3, -1)))]
         for (i, j), d in zip(ij, det3(f, rows).reshape(27, -1)):
             m[i, j, part] = f.add_vec(m[i, j, part], d)

@@ -1,12 +1,15 @@
 import os
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from planarq import build_tower
+from planarq.curves import _det_coeffs, _evaluate
+from planarq.gf import orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
-from planarq.planarity import _dets_at
+from planarq.planarity import _det_coefficients, _dets_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,6 +44,42 @@ def check_kernel_criterion(tower):
     crit = has_nonzero_root_subfield_coeffs(tower.fq, alpha, beta, gamma)
     assert ((sizes > 1) == crit).all()
     assert set(sizes.tolist()) <= {1, q, q ** 2, q ** 3}
+
+
+def check_det_coefficients(t):
+    """The scan's determinant coefficients m[i, j](R) of A^i B^j at every
+    projective shift R: no term has i + j > 3, the sum is the determinant,
+    the pure cubes are multiples of the norm, and m is the Leibniz cubic's."""
+    f, q = t.fq3, t.q
+    reps = orbit_reps(q, t.order_top)
+    coeffs = _det_coefficients(t, reps)
+    assert not any(coeffs[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
+    # sum m[i, j] A^i B^j is the determinant: on every pair at q = 3, on 8
+    # sampled ones above
+    pairs = range(q * q) if q == 3 else random.Random(f"expansion:{q}").sample(range(q * q), 8)
+    for a, b in (divmod(pair, q) for pair in pairs):
+        total = np.zeros(len(reps), dtype=np.int64)
+        for i in range(4):
+            for j in range(4 - i):
+                total = f.add_vec(total, f.mul_vec(coeffs[i, j], f.mul(f.pow(a, i), f.pow(b, j))))
+        assert np.array_equal(total, _dets_at(t, a, b, reps)), (a, b)
+    # the pure cubes: m[0, 3] = 8 N(R) and m[3, 0] = 2 N(R), N(R) = R R^q R^(q^2)
+    norm = f.mul_vec(f.mul_vec(reps, f.frob_vec(reps, 1)), f.frob_vec(reps, 2))
+    assert np.array_equal(coeffs[0, 3], f.mul_vec(t.fq.from_int(8), norm))
+    assert np.array_equal(coeffs[3, 0], f.mul_vec(t.fq.from_int(2), norm))
+    # the Leibniz cubic at (R, R^q, R^(q^2)) on the grid of nodes A, B in
+    # 0..3 (every pair at q = 3): both sides have degree <= 3 in A and in B,
+    # so agreeing there, they agree on every pair
+    k = min(q, 4)
+    a, b = (x[:, None] for x in np.divmod(np.arange(k * k), k))
+    grid = np.zeros((k * k, len(reps)), dtype=np.int64)
+    for i in range(4):
+        for j in range(4 - i):
+            term = f.mul_vec(t.fq.pow_vec(a, i), t.fq.pow_vec(b, j))
+            grid = f.add_vec(grid, f.mul_vec(coeffs[i, j], term))
+    leibniz = _evaluate(f, _det_coeffs(t.fq, a, b), reps, f.frob_vec(reps, 1),
+                        f.frob_vec(reps, 2))
+    assert np.array_equal(grid, leibniz)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ default selection is unchanged.
 import math
 
 import pytest
-from conftest import check_kernel_criterion
+from conftest import check_det_coefficients, check_kernel_criterion
 
 from planarq import build_tower
 from planarq.gf import DEFAULT_MAX_Q3, _is_prime
@@ -53,6 +53,14 @@ def test_det_scan_at_every_admissible_q(p, m):
 @pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])
 def test_kernel_criterion_on_every_subfield_triple(p, m):
     check_kernel_criterion(build_tower(p, m))
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(31, 1), (7, 2), (3, 4), (11, 2), (5, 3)],
+                         ids=["q31", "q49", "q81", "q121", "q125"])
+def test_det_coefficients_past_tier1(p, m):
+    # tier-1 checks q = 3 to 13, 25 and 27
+    check_det_coefficients(build_tower(p, m))
 
 
 def test_admissible_q_list():

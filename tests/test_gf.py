@@ -21,7 +21,8 @@ from planarq import (
     find_normal_element,
     prime_ext_field,
 )
-from planarq.gf import _chunk_tables, _decode, _encode, _fits, _poly_divmod, det3, is_irreducible
+from planarq.gf import (_chunk_tables, _decode, _encode, _fits, _least_code, _poly_divmod, det3,
+                        is_irreducible)
 from planarq.curves import (build_F_det, build_F_paper, count_nonzero_fq_zeros, divides,
                             find_linear_factors, substitute_linear, transform_H,
                             verify_branch_factorization)
@@ -386,6 +387,28 @@ def test_normal_element_is_first_nonzero_det_over_the_field(p, m):
     vecs = [f.coords(codes), f.coords(f.pow_vec(codes, t.q)),
             f.coords(f.pow_vec(codes, t.q ** 2))]
     assert find_normal_element(t) == np.flatnonzero(det3(t.fq, vecs))[0]
+
+
+def test_least_code_tries_doubling_windows():
+    windows = []
+
+    def at_least(k):
+        def test(codes):
+            windows.append((int(codes[0]), int(codes[-1]) + 1))
+            return codes >= k
+        return test
+
+    # the answer is the first code of the second window
+    assert _least_code(4, 100, at_least(8)) == 8
+    assert windows == [(4, 8), (8, 16)]
+    # no code passes: every window up to stop, which cuts the last one short
+    windows.clear()
+    assert _least_code(4, 20, at_least(20)) is None
+    assert windows == [(4, 8), (8, 16), (16, 20)]
+    # an empty range tests nothing
+    windows.clear()
+    assert _least_code(5, 5, at_least(0)) is None
+    assert windows == []
 
 
 def test_sqrt_examples():

@@ -5,17 +5,16 @@ import random
 
 import numpy as np
 import pytest
-from conftest import det_sweep
+from conftest import check_det_coefficients, det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import (PrimeField, _mult_order, find_normal_element, frob_orbit_reps,
-                        orbit_reps, prime_ext_field)
+from planarq.gf import (PrimeField, _generator, _mult_order, find_normal_element,
+                        frob_orbit_reps, orbit_reps, prime_ext_field)
 from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
 from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
     ALL_METHODS,
-    _det_coefficients,
     _dets_at,
     _f_table,
     _monomial_tables,
@@ -182,14 +181,20 @@ def test_brute_equals_the_full_sweep_on_chunked_fields(p, n):
 
 
 def test_base_field_generator_is_the_least_generator():
-    # brute's generator of F_s^*: the least code whose order is s - 1
-    for p, n in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (31, 1), (101, 1),
-                 (251, 1), (3, 2), (5, 2), (3, 3)):
-        base = prime_ext_field(p, n)
+    # brute's generator of F_s^*, and the kernel counter's of F_{q^3}^*: the
+    # least code whose order is s - 1
+    fields = [prime_ext_field(p, n) for p, n in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                                 (17, 1), (31, 1), (101, 1), (251, 1),
+                                                 (3, 2), (5, 2), (3, 3))]
+    fields += [build_tower(p, m).fq3 for p, m in ((7, 1), (3, 2), (5, 2))]  # over F_q
+    for base in fields:
         s = base.order
         g = next(c for c in range(1, s) if _mult_order(base, c) == s - 1)
-        assert {base.pow(g, k) for k in range(s - 1)} == set(range(1, s))
-        assert all(len({base.pow(h, k) for k in range(s - 1)}) < s - 1 for h in range(1, g))
+        assert _generator(base) == g
+        if s <= 251:  # the power sets check _mult_order itself, on the smaller fields
+            assert {base.pow(g, k) for k in range(s - 1)} == set(range(1, s))
+            assert all(len({base.pow(h, k) for k in range(s - 1)}) < s - 1
+                       for h in range(1, g))
 
 
 def test_brute_sweeps_one_shift_per_orbit_when_homogeneous(monkeypatch):
@@ -494,27 +499,11 @@ def test_incidence_scan_on_larger_towers(p, m):
         assert (ok, 0 if w is None else w) == (bool(planar[pair]), int(wit[pair]))
 
 
-@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)],
-                         ids=["q3", "q5", "q9", "q25", "q27"])
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2),
+                                  (3, 3)],
+                         ids=["q3", "q5", "q7", "q9", "q11", "q13", "q25", "q27"])
 def test_det_coefficients_expand_the_determinant(p, m):
-    # sum m[i, j] A^i B^j is the determinant at every projective shift: on
-    # every pair at q = 3, on 8 sampled ones above
-    t = build_tower(p, m)
-    f, q = t.fq3, t.q
-    reps = orbit_reps(q, t.order_top)
-    coeffs = _det_coefficients(t, reps)
-    assert not any(coeffs[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
-    pairs = range(q * q) if q == 3 else random.Random(f"expansion:{q}").sample(range(q * q), 8)
-    for a, b in (divmod(pair, q) for pair in pairs):
-        total = np.zeros(len(reps), dtype=np.int64)
-        for i in range(4):
-            for j in range(4 - i):
-                total = f.add_vec(total, f.mul_vec(coeffs[i, j], f.mul(f.pow(a, i), f.pow(b, j))))
-        assert np.array_equal(total, _dets_at(t, a, b, reps)), (a, b)
-    # the pure cubes: m[0, 3] = 8 N(R) and m[3, 0] = 2 N(R), N(R) = R R^q R^(q^2)
-    norm = f.mul_vec(f.mul_vec(reps, f.frob_vec(reps, 1)), f.frob_vec(reps, 2))
-    assert np.array_equal(coeffs[0, 3], f.mul_vec(t.fq.from_int(8), norm))
-    assert np.array_equal(coeffs[3, 0], f.mul_vec(t.fq.from_int(2), norm))
+    check_det_coefficients(build_tower(p, m))
 
 
 def test_scan_timings_stay_out_of_the_report(towers):
