@@ -11,8 +11,10 @@ The module also verifies the branch factorizations of the cubic, returning
 them as the ``factorization`` section of a ``verify`` dossier (plain dicts,
 an empty check list for a pair on no locus), and finds its linear components
 over F_q, F_{q^2}, F_{q^3} (an independent oracle): every such line meets the
-coordinate lines at roots of three one-variable restrictions of the cubic,
-and each candidate is confirmed at four points of the line.  It also carries
+coordinate lines at roots of three one-variable restrictions of the cubic.
+Whether a line divides a cubic has one exact test, ``_on_line``: the cubic
+vanishes at four points of the line.  ``divides`` runs it on one line, and
+the oracle on all its candidates at once.  It also carries
 the normal-basis change of variables H plus F_q point counting that replaces
 the curve-theoretic existence argument for roots.
 
@@ -20,8 +22,8 @@ A cubic is its ten coefficient codes in ``MONOMIALS`` order, a tuple passed
 with its field.  The pair (A, B) and the normal element xi are passed as
 codes, and so are a cubic's coefficients at the entry points that take one
 (``verify_branch_factorization``, ``find_linear_factors``, ``transform_H``,
-``count_nonzero_fq_zeros``, ``divides``, ``substitute_linear``), each
-checked against its field by ``gf._codes_in``.
+``count_nonzero_fq_zeros``, ``divides``), each checked against its field
+by ``gf._codes_in``, as are the line's codes at ``divides``.
 The cores take codes as ints or arrays: ``_det_coeffs`` and
 ``_paper_coeffs`` expand the cubics of whole arrays of pairs, and
 ``_evaluate`` evaluates a cubic at points that broadcast with its
@@ -66,18 +68,6 @@ def _cubic_codes(field: Field, coeffs) -> tuple[int, ...]:
     if len(coeffs) != 10:
         raise ValueError("a ternary cubic has 10 coefficients")
     return _codes_in(field, *coeffs)
-
-
-def substitute_linear(field: Field, coeffs, forms) -> tuple[int, ...]:
-    """Plug linear forms (u, v, w) ~ uX + vY + wT in for (X, Y, T) in the
-    cubic with coefficient codes ``coeffs``: P(L0, L1, L2), expanded."""
-    coeffs = _cubic_codes(field, coeffs)
-    acc, ops = [0] * 10, _ops(field, *coeffs)
-    for (i, j, k), c in zip(MONOMIALS, coeffs):
-        if c:
-            first, *rest = [forms[0]] * i + [forms[1]] * j + [forms[2]] * k
-            _expand_product(ops, [ops[0](c, x) for x in first], *rest, acc)
-    return tuple(acc)
 
 
 def _evaluate(f: Field, coeffs, X, Y, T):
@@ -211,20 +201,38 @@ def _paper_coeffs(fq: Field, a, b) -> list:
 
 def divides(field: Field, coeffs, line) -> bool:
     """Whether the projective line uX + vY + wT divides the cubic with
-    coefficient codes ``coeffs``, both over ``field``."""
-    f = field
-    u, v, w = line
-    if w != 0:
-        inv = f.inv(w)
-        forms = ((1, 0, 0), (0, 1, 0), (f.neg(f.mul(u, inv)), f.neg(f.mul(v, inv)), 0))
-    elif v != 0:
-        inv = f.inv(v)
-        forms = ((1, 0, 0), (f.neg(f.mul(u, inv)), 0, 0), (0, 0, 1))
-    elif u != 0:
-        forms = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
+    coefficient codes ``coeffs``, both over ``field``: whether the cubic
+    vanishes on two points that span the line and on their sum and
+    difference (:func:`_on_line`)."""
+    coeffs = _cubic_codes(field, coeffs)
+    u, v, w = _codes_in(field, *line)
+    if w:
+        p0, p1 = (w, 0, field.neg(u)), (0, w, field.neg(v))
+    elif u or v:
+        p0, p1 = (v, field.neg(u), 0), (0, 0, 1)
     else:
         raise ValueError("zero line")
-    return not any(substitute_linear(f, coeffs, forms))
+    return _on_line(field, coeffs, p0, p1)
+
+
+def _on_line(f: Field, coeffs, p0, p1):
+    """Whether the cubic with coefficient codes ``coeffs`` vanishes on the
+    line through the distinct projective points p0 and p1: each three int
+    codes, giving a bool, or an array of shape (3, ...) of codes, giving a
+    bool array of shape (...).
+
+    The cubic is evaluated at the points x*p0 + t*p1 with (x:t) = (1:0),
+    (0:1), (1:1), (1:-1), pairwise distinct because p is odd.  Restricted to
+    the line the cubic is a binary form of degree <= 3, and one with four
+    projective zeros is zero, so the check is exact.  Ints stop at the first
+    nonzero value; arrays are evaluated at all four points in one call.
+    """
+    _, add, sub, _ = _ops(f, *p0, *p1)
+    if isinstance(p0, np.ndarray):
+        pts = np.stack([p0, p1, add(p0, p1), sub(p0, p1)], axis=-1)
+        return ~_evaluate(f, coeffs, *pts).any(axis=-1)
+    pts = (p0, p1, tuple(map(add, p0, p1)), tuple(map(sub, p0, p1)))
+    return all(_evaluate(f, coeffs, *pt) == 0 for pt in pts)
 
 
 def _match_up_to_scalar(f: Field, P, Q) -> int | None:
@@ -403,12 +411,10 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
     at most d^2 candidates.  A line X = cT passes through (0:1:0) and (c:0:1),
     so it needs R(0, 1, 0) = 0 and c a root of the third.
 
-    Each candidate is confirmed by evaluating the cubic at the points
-    (x:t) = (1:0), (0:1), (1:1), (1:-1) of its line, pairwise distinct because
-    p is odd.  The cubic restricted to the line is a binary form of degree
-    <= 3, and one with four projective zeros is zero, so the check is exact.
-    A line defined over F_{q^k} and no smaller field comes with k distinct
-    conjugate lines dividing R, so k <= d, and k <= 3 is complete.
+    Each candidate is confirmed by :func:`_on_line` at the two points it was
+    found through, the exact test that :func:`divides` runs.  A line defined
+    over F_{q^k} and no smaller field comes with k distinct conjugate lines
+    dividing R, so k <= d, and k <= 3 is complete.
 
     F_q decides which extensions need a search.  The F_q roots of each
     restriction come from the search over F_q; dividing them out with
@@ -452,13 +458,9 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
             cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1)) for c in roots[2]]
         if not cands:
             continue
-        p0 = np.array([c[1] for c in cands], dtype=np.int64)
-        p1 = np.array([c[2] for c in cands], dtype=np.int64)
-        # (x:t) = (1:0), (0:1), (1:1), (1:-1) on every candidate line
-        pts = np.stack([p0, p1, f.add_vec(p0, p1), f.sub_vec(p0, p1)], axis=1)
-        vals = _evaluate(f, coeffs, pts[..., 0], pts[..., 1], pts[..., 2])
-        for (line, _, _), zero in zip(cands, ~vals.any(axis=1)):
-            if zero:
+        p0, p1 = (np.array([c[i] for c in cands], dtype=np.int64).T for i in (1, 2))
+        for (line, _, _), on in zip(cands, _on_line(f, coeffs, p0, p1)):
+            if on:
                 found.append(LineFactor(_normalize_line(f, line), ext))
     return _dedupe_lines(found, fq.order)
 
@@ -517,9 +519,9 @@ def transform_H(tower: FieldTower, G, xi) -> tuple[int, ...]:
 
 def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:
     """10 x 10 codes whose column n is the cubic that monomial n becomes under
-    (X, Y, T) -> the conjugate-basis forms of xi, as in
-    :func:`substitute_linear`.  It depends on F_{q^3} and xi only,
-    so it is built once per xi and kept on F_{q^3}."""
+    (X, Y, T) -> the conjugate-basis forms of xi: the product of its
+    variables' forms, expanded.  It depends on F_{q^3} and xi only, so it is
+    built once per xi and kept on F_{q^3}."""
     key = ("H_matrix", xi)
     if key not in f3._cache:
         x1, x2 = f3.frob(xi, 1), f3.frob(xi, 2)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from planarq import build_tower
-from planarq.curves import _det_coeffs, _evaluate
-from planarq.gf import orbit_reps
+from planarq.curves import MONOMIALS, _cubic_codes, _det_coeffs, _evaluate, _expand_product
+from planarq.gf import _ops, orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
 from planarq.planarity import _det_coefficients, _dets_at
 
@@ -32,6 +32,37 @@ def det_sweep(tower, a_code, b_code):
     """Full-sweep oracle: the determinants for one pair at every shift C != 0,
     in code order (entry C - 1)."""
     return _dets_at(tower, a_code, b_code, np.arange(1, tower.fq3.order, dtype=np.int64))
+
+
+def substitute_linear(field, coeffs, forms):
+    """Substitution oracle: plug linear forms (u, v, w) ~ uX + vY + wT in for
+    (X, Y, T) in the cubic with coefficient codes ``coeffs``: P(L0, L1, L2),
+    expanded to its ten coefficient codes."""
+    coeffs = _cubic_codes(field, coeffs)
+    acc, ops = [0] * 10, _ops(field, *coeffs)
+    for (i, j, k), c in zip(MONOMIALS, coeffs):
+        if c:
+            first, *rest = [forms[0]] * i + [forms[1]] * j + [forms[2]] * k
+            _expand_product(ops, [ops[0](c, x) for x in first], *rest, acc)
+    return tuple(acc)
+
+
+def divides_by_substitution(field, coeffs, line):
+    """Whether the line uX + vY + wT divides the cubic: solve the line for
+    one variable, substitute it, and see every coefficient vanish."""
+    f = field
+    u, v, w = line
+    if w != 0:
+        inv = f.inv(w)
+        forms = ((1, 0, 0), (0, 1, 0), (f.neg(f.mul(u, inv)), f.neg(f.mul(v, inv)), 0))
+    elif v != 0:
+        inv = f.inv(v)
+        forms = ((1, 0, 0), (f.neg(f.mul(u, inv)), 0, 0), (0, 0, 1))
+    elif u != 0:
+        forms = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
+    else:
+        raise ValueError("zero line")
+    return not any(substitute_linear(f, coeffs, forms))
 
 
 def check_kernel_criterion(tower):

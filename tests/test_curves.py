@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from conftest import det_sweep
+from conftest import det_sweep, divides_by_substitution, substitute_linear
 
 import planarq.curves as curves
-from planarq import build_tower, find_normal_element, standard_extension
+from planarq import LevelMismatch, build_tower, find_normal_element, standard_extension
 from planarq.curves import (
     MONOMIALS,
     _det_coeffs,
@@ -19,7 +19,6 @@ from planarq.curves import (
     count_nonzero_fq_zeros,
     divides,
     find_linear_factors,
-    substitute_linear,
     transform_H,
     triple_product,
     verify_branch_factorization,
@@ -279,7 +278,7 @@ def test_find_linear_factors_cubic_extension(towers):
     # each reported line really divides over the big field
     big = standard_extension(t.fq, 3)
     for lf in lines:
-        assert divides(big, P, lf.coeffs)
+        assert divides_by_substitution(big, P, lf.coeffs)
 
 
 def test_oracle_matches_factorization_reports(towers):
@@ -316,10 +315,11 @@ def _two_points(f, line):
 
 
 def _lines_by_enumeration(field, P, max_ext):
-    """Lines that ``divides`` accepts over F_{q^k}, k <= max_ext, each at its least k.
+    """Lines that divide P by substitution over F_{q^k}, k <= max_ext, each
+    at its least k.
 
-    A line dividing P carries only zeros of P, so ``divides`` is tried just
-    on the lines where P vanishes at two points; that prefilter drops no
+    A line dividing P carries only zeros of P, so the substitution is tried
+    just on the lines where P vanishes at two points; that prefilter drops no
     dividing line, and it keeps the symbolic checks few.
     """
     q = field.order
@@ -330,8 +330,79 @@ def _lines_by_enumeration(field, P, max_ext):
         pts = np.array([_two_points(f, line) for line in lines])
         vals = _evaluate(f, P, pts[..., 0], pts[..., 1], pts[..., 2])
         found += [LineFactor(line, ext) for line, v in zip(lines, vals)
-                  if not v.any() and divides(f, P, line)]
+                  if not v.any() and divides_by_substitution(f, P, line)]
     return sorted(found, key=lambda lf: (lf.ext, lf.coeffs))
+
+
+def _scaled(f, rng, line):
+    """The line times a random nonzero scalar of f."""
+    lam = rng.randrange(1, f.order)
+    return tuple(f.mul(lam, c) for c in line)
+
+
+def _random_line(f, rng):
+    """A nonzero (u, v, w) over f, each entry 0 a quarter of the time."""
+    while True:
+        line = tuple(0 if rng.random() < 0.25 else rng.randrange(f.order) for _ in range(3))
+        if any(line):
+            return line
+
+
+@pytest.mark.parametrize("q", (5, 7))
+def test_divides_matches_the_substitution_on_every_line(towers, q):
+    # every pair's cubic against every line over F_q, as normalized and scaled
+    t = towers[q]
+    rng = random.Random(q)
+    lines = [l for line in _all_lines(t.fq) for l in (line, _scaled(t.fq, rng, line))]
+    verdicts = []
+    for a in range(q):
+        for b in range(q):
+            F = build_F_det(t, a, b)
+            for line in lines:
+                want = divides_by_substitution(t.fq, F, line)
+                assert divides(t.fq, F, line) is want, (a, b, line)
+                verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("q", (9, 13))
+def test_divides_matches_the_substitution_on_sampled_lines(towers, q):
+    # pairs' cubics with the trace line and products of lines with their own
+    # factors, over F_q and F_{q^2}, against those and sampled lines, scaled
+    t = towers[q]
+    rng = random.Random(q)
+    f2 = standard_extension(t.fq, 2)
+    cases = []
+    for f, pairs in ((t.fq, range(q * q)), (f2, rng.sample(range(q * q), 20))):
+        cases += [(f, build_F_det(t, *divmod(pair, q)), [(1, 1, 1)]) for pair in pairs]
+        for _ in range(20):
+            factors = [_random_line(f, rng) for _ in range(3)]
+            cases.append((f, triple_product(f, *factors), factors))
+    verdicts = []
+    for f, P, lines in cases:
+        for line in lines + [_random_line(f, rng) for _ in range(20)]:
+            line = _scaled(f, rng, line)
+            want = divides_by_substitution(f, P, line)
+            assert divides(f, P, line) is want, (f, P, line)
+            verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_the_zero_cubic_is_divisible_by_every_line(towers):
+    t = towers[7]
+    assert all(divides(t.fq, (0,) * 10, line) for line in _all_lines(t.fq))
+
+
+def test_divides_checks_the_line_codes(towers):
+    # a code outside F_5 is refused, not read as an element: 5 would invert to 0
+    t = towers[5]
+    F = build_F_det(t, 1, 0)
+    for line in ((1, 0, 5), (5, 1, 1), (1, -1, 0), (1, 1, t.order_top - 1)):
+        with pytest.raises(LevelMismatch):
+            divides(t.fq, F, line)
+    assert divides(t.fq, F, (np.int64(1), np.int64(0), np.int64(0)))
+    with pytest.raises(ValueError):
+        divides(t.fq, F, (0, 0, 0))
 
 
 def _conjugates(f, line):

@@ -24,7 +24,7 @@ from planarq import (
 from planarq.gf import (_chunk_tables, _decode, _encode, _fits, _least_code, _poly_divmod, det3,
                         is_irreducible)
 from planarq.curves import (build_F_det, build_F_paper, count_nonzero_fq_zeros, divides,
-                            find_linear_factors, substitute_linear, transform_H,
+                            find_linear_factors, transform_H,
                             verify_branch_factorization)
 from planarq.linearized import (brute_kernel, dickson_matrix, difference_matrix_direct,
                                 difference_triple)
@@ -150,8 +150,6 @@ _CUBIC_ENTRY_POINTS = {
     "find_linear_factors": find_linear_factors,
     "count_nonzero_fq_zeros": count_nonzero_fq_zeros,
     "divides": lambda field, coeffs: divides(field, coeffs, (1, 1, 1)),
-    "substitute_linear": lambda field, coeffs: substitute_linear(
-        field, coeffs, ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
     # the cubic is taken as the pair (1, 1)'s, over the prime field F_q
     "verify_branch_factorization": lambda field, coeffs: verify_branch_factorization(
         build_tower(field.order), 1, 1, coeffs),
