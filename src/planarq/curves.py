@@ -93,9 +93,11 @@ def _evaluate(f: Field, coeffs, X, Y, T):
         if not (scalar and c == 1):
             term = mul(c, term)
         acc = term if acc is None else add(acc, term)
-    if acc is None:
-        shape = np.broadcast(np.asarray(X), np.asarray(Y), np.asarray(T)).shape
-        return np.zeros(shape, dtype=np.int64)
+    if acc is None:  # the zero cubic
+        if not any(isinstance(v, np.ndarray) for v in (X, Y, T)):
+            return 0
+        return np.zeros(np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(T)),
+                        dtype=np.int64)
     return acc
 
 

@@ -45,8 +45,9 @@ the guard covers every array pass.
 
 Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field's construction: the F_p matrix of each
-Frobenius power, each extension built on it, and the 10 x 10 substitution
-matrix of each normal element given to ``curves.transform_H``.  No cache
+Frobenius power, each extension built on it, the 10 x 10 substitution
+matrix of each normal element given to ``curves.transform_H``, and, on a
+tower's F_{q^3}, the 81 F_q codes of ``planarity._difference_tensor``.  No cache
 holds a whole-field table or a value that depends on one pair, so a tower can
 be shared freely across worker processes or threads.  :func:`PrimeField`
 returns one object per p, so every tower over p in a process, an unpickled

@@ -4,8 +4,8 @@ Each battery checks one structural identity across many (A, B, C) choices,
 each in a few whole-array passes over all of its pairs or triples, against
 an oracle of its own:
 
-* the determinant identity: ``planarity._dets_at`` (the difference-matrix
-  determinant) equals the Leibniz-expanded determinant cubic at
+* the determinant identity: ``planarity._dets_at`` (the Dickson-matrix
+  determinant, the oracle of both determinant deciders) equals the Leibniz-expanded determinant cubic at
   (C, C^q, C^(q^2)), every sampled shift evaluated against its pair's
   coefficient arrays at once;
 * the X <-> Y relation: the published cubic equals the Leibniz expansion
@@ -14,7 +14,7 @@ an oracle of its own:
   (``linearized.kernel_sizes``, every map tested at every x, x running over
   the powers of a generator on per-call log and Zech tables);
 * the matrix convention: ``_dickson`` of ``_difference_coeffs``, the very
-  cores whose ``gf.det3`` the determinant decider ``_dets_at`` takes, run on
+  cores whose ``gf.det3`` the determinant oracle ``_dets_at`` takes, run on
   the arrays of all sampled triples at once, against the entry-by-entry
   transcription ``_direct_matrix`` on the same arrays.
 

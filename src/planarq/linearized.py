@@ -13,11 +13,14 @@ in bounded chunks, with x running over 0 and the powers of the least
 generator of F^* (``gf._generator``): on the log and Zech tables it builds
 per call, each (map, x) test is one integer gather and compare.
 
-The determinant decider (``planarity._dets_at``) is ``gf.det3`` of the same
+The determinant oracle (``planarity._dets_at``) is ``gf.det3`` of the same
 matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
 ``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap, as
 ``difference_matrix_direct`` wraps the array core ``_direct_matrix``.  Each
 core takes its operations from ``gf._ops``, so it runs on ints and arrays.
+The scan's decider ``det_witnesses`` expands the same Dickson matrix;
+``verify``'s decider ``is_planar_det`` uses none of these cores, and takes
+the determinant on the map's matrix over F_q, built from values of f.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ x -> f(x + a) - f(x), a != 0, permutes the field.  Three deciders coexist:
     and x^2 once per chunk of pairs, so a pair's value table is
     P1 + A P2 + B P3.
   * ``is_planar_det``   -- for the quadratic family only: no nonzero shift
-    may kill the determinant of the difference map's coefficient matrix.
+    may kill the determinant of the difference map's matrix over F_q.
   * ``classify_pair``   -- the closed-form three-branch criterion in F_q, the
     one-pair wrapper of ``_branches``, which runs the same code on ints or
     on arrays of pairs.
@@ -27,13 +27,19 @@ planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) and the report's
 rows, one dict per pair, off those arrays; only its brute sweeps go to worker
 processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
 so both determinant paths look only at the q^2 + q + 1 projective shifts and
-name the least killing one as the witness: ``is_planar_det`` (used by
-``verify``) evaluates the determinant there for its one pair, and ``scan``
-takes every pair's verdict from one incidence pass (``det_witnesses``) at
-every q.  That pass reads the determinant's coefficients in A^i B^j off the
-matrix M0 + A M1 + B M2, one Dickson build, and one ``det3`` over the 27
-ways of taking each row from M0, M1 or M2, and each pair's killing shifts
-off a table of the F_q roots of monic cubics.
+name the least killing one as the witness.  They compute the determinant by
+independent formulas.  ``is_planar_det`` (used by ``verify``) takes it for
+its one pair on the difference map's 3 x 3 matrix over F_q, built from
+values of f alone: the map is F_q-bilinear in (shift, x), so the matrix at
+every shift comes from the digits of its values on the basis pairs, a
+tensor affine in (A, B) whose three parts ``_difference_tensor`` keeps on
+F_{q^3}.  ``scan`` takes every pair's verdict from one incidence pass
+(``det_witnesses``) at every q.  That pass reads the determinant's
+coefficients in A^i B^j off the Dickson matrix M0 + A M1 + B M2 in
+F_{q^3}, one Dickson build, and one ``det3`` over the 27 ways of taking
+each row from M0, M1 or M2, and each pair's killing shifts off a table of
+the F_q roots of monic cubics.  ``_dets_at``, the Dickson determinant at
+given triples, is the oracle of both.
 """
 
 from __future__ import annotations
@@ -232,6 +238,48 @@ def _dets_at(tower: FieldTower, a_codes, b_codes, c_codes) -> np.ndarray:
     return det3(f, _dickson(f, *_difference_coeffs(f, a, b, c)))
 
 
+def _difference_tensor(tower: FieldTower) -> np.ndarray:
+    """N with N[k, l, j] the F_q digits of P_k(e_l + e_j) - P_k(e_l) - P_k(e_j),
+    for the monomials P_0, P_1, P_2 = x^(q^2+1), x^(q+1), x^2 and the F_q
+    basis e_l = q^l (codes 1, q, q^2) of F_{q^3}: 81 codes of F_q.
+
+    f = P_0 + A P_1 + B P_2, so the digits of D_{e_l}(e_j) = f(e_l + e_j) -
+    f(e_l) - f(e_j) are N[0] + A N[1] + B N[2] for A, B in F_q.  N depends on
+    the tower alone, so it is built once and kept on F_{q^3}.
+    """
+    f, q = tower.fq3, tower.q
+    if "difference_tensor" not in f._cache:
+        e = q ** np.arange(3, dtype=np.int64)
+        el, ej = e[:, None], e[None, :]
+        values = [f.sub_vec(f.sub_vec(f.pow_vec(f.add_vec(el, ej), k), f.pow_vec(el, k)),
+                            f.pow_vec(ej, k))
+                  for k in (q * q + 1, q + 1, 2)]
+        tensor = np.stack(_decode(np.stack(values), q, 3), axis=-1)
+        tensor.setflags(write=False)
+        f._cache["difference_tensor"] = tensor
+    return f._cache["difference_tensor"]
+
+
+def _matrix_dets(tower: FieldTower, a: int, b: int, reps: np.ndarray) -> np.ndarray:
+    """det(D_R) for the pair of F_q codes (a, b) at each shift R in ``reps``,
+    from the 3 x 3 matrix of D_R over F_q.
+
+    D_C(x) = f(x + C) - f(x) - f(C) is F_q-bilinear in (C, x), as A and B lie
+    in F_q, so with (c_0, c_1, c_2) the F_q digits of C, column j of the
+    matrix of D_C holds the digits of D_C(e_j) = sum_l c_l D_{e_l}(e_j).
+    Their digits are N = N[0] + a N[1] + b N[2] from ``_difference_tensor``:
+    one F_q combination for N, one broadcast product for every shift's
+    matrix, and one ``det3`` over F_q.
+    """
+    fq = tower.fq
+    n1, n2, n3 = _difference_tensor(tower)
+    n = fq.add_vec(n1, fq.add_vec(fq.mul_vec(a, n2), fq.mul_vec(b, n3)))
+    c = np.stack(_decode(reps, tower.q, 3))[:, None, None, :]
+    terms = fq.mul_vec(c, n[:, :, :, None])  # (l, j, k, R)
+    # row j holds the digits of D_R(e_j): the transpose, with the same determinant
+    return det3(fq, fq.add_vec(fq.add_vec(terms[0], terms[1]), terms[2]))
+
+
 def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
     """Planarity of the pair of F_q codes (A, B) via the determinant: no
     nonzero C may kill it.  When not planar, also returns the witness: the
@@ -240,17 +288,14 @@ def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
     det(A, B, lambda C) = lambda^3 det(A, B, C) for lambda in F_q^*, so the
     roots C != 0 form whole F_q^* orbits, and the q^2 + q + 1 codes of
     ``orbit_reps(q, q^3)`` (increasing, each the least of its orbit) meet
-    every orbit once: the determinant is evaluated there, and the least
-    killing representative is the least root.  Every determinant must lie
-    in F_q.
+    every orbit once: the determinant is evaluated there, on the matrix of
+    the difference map over F_q (``_matrix_dets``), and the least killing
+    representative is the least root.
     """
     a, b = _codes_in(tower.fq, A, B)
+    _check_enumerable(tower.order_top, "determinant sweep")
     reps = orbit_reps(tower.q, tower.order_top)
-    dets = _dets_at(tower, a, b, reps)
-    if (dets >= tower.q).any():
-        raise Disagreement(f"a difference-matrix determinant over q = {tower.q} "
-                           f"is not in F_q (code {int(dets.max())})")
-    killed = np.flatnonzero(dets == 0)
+    killed = np.flatnonzero(_matrix_dets(tower, a, b, reps) == 0)
     return (True, None) if len(killed) == 0 else (False, int(reps[killed[0]]))
 
 

@@ -9,7 +9,7 @@ from planarq import build_tower
 from planarq.curves import MONOMIALS, _cubic_codes, _det_coeffs, _evaluate, _expand_product
 from planarq.gf import _ops, orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
-from planarq.planarity import _det_coefficients, _dets_at
+from planarq.planarity import _det_coefficients, _dets_at, det_witnesses, is_planar_det
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,6 +32,16 @@ def det_sweep(tower, a_code, b_code):
     """Full-sweep oracle: the determinants for one pair at every shift C != 0,
     in code order (entry C - 1)."""
     return _dets_at(tower, a_code, b_code, np.arange(1, tower.fq3.order, dtype=np.int64))
+
+
+def check_det_deciders_agree(tower):
+    """``is_planar_det`` (the difference map's matrix over F_q) and
+    ``det_witnesses`` (the Dickson matrix's coefficients) give the same
+    verdict and witness on every pair."""
+    q = tower.q
+    witnesses = det_witnesses(tower).tolist()
+    for pair, wit in enumerate(witnesses):
+        assert is_planar_det(tower, *divmod(pair, q)) == (wit == 0, wit or None), divmod(pair, q)
 
 
 def substitute_linear(field, coeffs, forms):

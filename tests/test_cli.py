@@ -387,10 +387,6 @@ def test_scan_reach(tmp_path, p, m, planar):
     assert summary["disagreements"] == []
 
 
-def _dets_outside_fq(tower, a, b, c):
-    return np.full(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)), tower.q)
-
-
 def _dickson_plus_one(original):
     # entry (0, 0) of every matrix plus 1: the determinant's coefficients leave F_q
     def patched(f, *coeffs):
@@ -421,13 +417,17 @@ def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, name, patch, m
     assert "Traceback" not in err
 
 
-def test_verify_determinant_outside_fq_exits_two(monkeypatch, capsys):
-    monkeypatch.setattr(planarity, "_dets_at", _dets_outside_fq)
+def test_verify_tampered_determinant_exits_two(monkeypatch, capsys):
+    # the per-pair step with (A, B) swapped: (2, 1) is planar, (1, 2) is not
+    original = planarity._matrix_dets
+    monkeypatch.setattr(planarity, "_matrix_dets", lambda t, a, b, reps: original(t, b, a, reps))
     assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "is not in F_q" in err
+    assert "closed form disagrees with determinant sweep" in json.loads(out)["inconsistencies"]
     assert "Traceback" not in err
+    # the shared tensor is untouched: unpatched, the pair verifies again
+    monkeypatch.undo()
+    assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 0
 
 
 def test_scan_stderr_reports_phase_times(capsys):
@@ -567,7 +567,9 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
             kinds.add(kind)
             if kind == "ext":
                 fields.append(value)
-    assert kinds == {"frob", "ext", "H_matrix"}
+    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor"}
+    tensor = t.fq3._cache["difference_tensor"]
+    assert tensor.size == 81 and tensor.max() < t.q
 
 
 # at q = 23 and 9: (1, 4) searches F_{q^2} for lines, (2, 1) is planar

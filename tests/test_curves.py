@@ -393,6 +393,16 @@ def test_the_zero_cubic_is_divisible_by_every_line(towers):
     assert all(divides(t.fq, (0,) * 10, line) for line in _all_lines(t.fq))
 
 
+def test_the_zero_cubic_evaluates_to_zero_of_the_points_kind(towers):
+    f = towers[5].fq
+    value = _evaluate(f, (0,) * 10, 1, 2, 3)
+    assert value == 0 and type(value) is int
+    assert type(_evaluate(f, (0,) * 9 + (1,), 1, 2, 3)) is int
+    # arrays keep the shape the points broadcast to
+    value = _evaluate(f, (0,) * 10, np.arange(4)[:, None], 1, np.arange(3))
+    assert isinstance(value, np.ndarray) and value.shape == (4, 3) and not value.any()
+
+
 def test_divides_checks_the_line_codes(towers):
     # a code outside F_5 is refused, not read as an element: 5 would invert to 0
     t = towers[5]

@@ -7,7 +7,7 @@ default selection is unchanged.
 import math
 
 import pytest
-from conftest import check_det_coefficients, check_kernel_criterion
+from conftest import check_det_coefficients, check_det_deciders_agree, check_kernel_criterion
 
 from planarq import build_tower
 from planarq.gf import DEFAULT_MAX_Q3, _is_prime
@@ -61,6 +61,13 @@ def test_kernel_criterion_on_every_subfield_triple(p, m):
 def test_det_coefficients_past_tier1(p, m):
     # tier-1 checks q = 3 to 13, 25 and 27
     check_det_coefficients(build_tower(p, m))
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(3, 3), (31, 1), (7, 2)], ids=["q27", "q31", "q49"])
+def test_is_planar_det_equals_det_witnesses_past_tier1(p, m):
+    # tier-1 checks q = 25
+    check_det_deciders_agree(build_tower(p, m))
 
 
 def test_admissible_q_list():

@@ -5,10 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from conftest import check_det_coefficients, det_sweep
+from conftest import check_det_coefficients, check_det_deciders_agree, det_sweep
 
 from planarq import SizeLimit, build_tower
-from planarq.gf import (PrimeField, _generator, _mult_order, find_normal_element,
+from planarq.gf import (PrimeField, _decode, _generator, _mult_order, find_normal_element,
                         frob_orbit_reps, orbit_reps, prime_ext_field)
 from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
 from planarq.identities import run_identities
@@ -17,6 +17,7 @@ from planarq.planarity import (
     ALL_METHODS,
     _dets_at,
     _f_table,
+    _matrix_dets,
     _monomial_tables,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
@@ -343,6 +344,65 @@ def test_det_decider_degenerate_q3(towers):
     ok, wit = is_planar_det(t, 2, 0)
     assert not ok
     assert wit == 1
+
+
+def _bilinear_sides(t, A, B, C, X):
+    """D_C(x) = f(x + C) - f(x) - f(C) at the codes C, X, straight from the
+    value table of f, and sum_(l, j) c_l x_j D_(e_l)(e_j) over the F_q digits
+    c_l of C and x_j of X, e_l the basis codes q^l."""
+    f, fq, q = t.fq3, t.fq, t.q
+    tab = f_poly(t, A, B).value_table()
+    lhs = f.sub_vec(f.sub_vec(tab[f.add_vec(C, X)], tab[X]), tab[C])
+    e = [q ** l for l in range(3)]
+    c, x = _decode(C, q, 3), _decode(X, q, 3)
+    rhs = np.zeros_like(lhs)
+    for l in range(3):
+        for j in range(3):
+            basis = f.sub(f.sub(int(tab[f.add(e[l], e[j])]), int(tab[e[l]])), int(tab[e[j]]))
+            rhs = f.add_vec(rhs, f.mul_vec(fq.mul_vec(c[l], x[j]), basis))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_difference_map_is_bilinear_on_every_pair_and_point(towers, q):
+    t = towers[q]
+    C, X = (v.ravel() for v in np.meshgrid(np.arange(q ** 3), np.arange(q ** 3)))
+    for A in range(q):
+        for B in range(q):
+            lhs, rhs = _bilinear_sides(t, A, B, C, X)
+            assert np.array_equal(lhs, rhs), (A, B)
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_difference_map_is_bilinear_on_sampled_pairs_and_points(towers, q):
+    t = towers[q]
+    rng = np.random.default_rng(q)
+    for A, B in rng.integers(0, q, size=(6, 2)).tolist():
+        C, X = rng.integers(0, q ** 3, size=(2, 4000))
+        lhs, rhs = _bilinear_sides(t, A, B, C, X)
+        assert np.array_equal(lhs, rhs), (A, B)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_matrix_dets_equal_the_dickson_dets_at_every_representative(towers, q):
+    t = towers[q]
+    reps = orbit_reps(q, t.order_top)
+    for A in range(q):
+        for B in range(q):
+            assert np.array_equal(_matrix_dets(t, A, B, reps), _dets_at(t, A, B, reps)), (A, B)
+
+
+def test_is_planar_det_equals_det_witnesses_on_every_pair_q25(towers):
+    check_det_deciders_agree(towers[25])
+
+
+def test_is_planar_det_reads_the_bound_after_its_tensor_is_cached(monkeypatch):
+    t = build_tower(5, 1)
+    assert is_planar_det(t, 2, 1) == (True, None)
+    assert "difference_tensor" in t.fq3._cache
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "4")
+    with pytest.raises(SizeLimit):
+        is_planar_det(t, 2, 1)
 
 
 def test_classify_examples(towers):
