@@ -12,10 +12,13 @@ them as the ``factorization`` section of a ``verify`` dossier (plain dicts,
 an empty check list for a pair on no locus), and finds its linear components
 over F_q, F_{q^2}, F_{q^3} (an independent oracle): every such line meets the
 coordinate lines at roots of three one-variable restrictions of the cubic.
+The search over F_q decides which of the two extensions can hold a line, so
+most cubics never build or search them.
 Whether a line divides a cubic has one exact test, ``_on_line``: the cubic
 vanishes at four points of the line.  ``divides`` runs it on one line, and
 the oracle on all its candidates at once.  It also carries
-the normal-basis change of variables H plus F_q point counting that replaces
+the normal-basis change of variables H, computed over F_q on the F_q digits
+of its F_{q^3} substitution matrix, plus F_q point counting that replaces
 the curve-theoretic existence argument for roots.
 
 A cubic is its ten coefficient codes in ``MONOMIALS`` order, a tuple passed
@@ -44,6 +47,7 @@ from .gf import (
     _check_enumerable,
     _codes_in,
     _decode,
+    _encode,
     _ops,
     _poly_divmod,
     _poly_trim,
@@ -418,16 +422,21 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
     over F_{q^k} and no smaller field comes with k distinct conjugate lines
     dividing R, so k <= d, and k <= 3 is complete.
 
-    F_q decides which extensions need a search.  The F_q roots of each
-    restriction come from the search over F_q; dividing them out with
-    multiplicity leaves a factor of degree e in {0, 2, 3} with no F_q root,
-    which is irreducible since e <= 3.  A root in F_{q^k} outside F_q, for
-    k in {2, 3}, has a minimal polynomial of degree k dividing that factor,
-    so it exists only when e = k.  F_{q^k} is therefore searched only when
-    some restriction leaves e = k.  Otherwise every root found there lies in
-    F_q, every candidate line has F_q coefficients, and all of them were
-    already found over F_q; the search would only repeat lines that
-    :func:`_dedupe_lines` drops.
+    F_q decides which extensions need a search, in two ways.  First, the F_q
+    roots of each restriction come from the search over F_q; dividing them
+    out with multiplicity leaves a factor of degree e in {0, 2, 3} with no
+    F_q root, which is irreducible since e <= 3.  A root in F_{q^k} outside
+    F_q, for k in {2, 3}, has a minimal polynomial of degree k dividing that
+    factor, so it exists only when e = k.  F_{q^k} is therefore searched only
+    when some restriction leaves e = k.  Otherwise every root found there
+    lies in F_q, every candidate line has F_q coefficients, and all of them
+    were already found over F_q; the search would only repeat lines that
+    :func:`_dedupe_lines` drops.  Second, a cubic R (d = 3) with no F_q line
+    has no line over F_{q^2} either: such a line l is not over F_q, so it
+    divides R together with its distinct conjugate l^q, and R = l * l^q * L.
+    R is over F_q, so applying Frobenius gives R = l^q * l * L^q, and L^q = L
+    makes L a line over F_q.  F_{q^2} is therefore not searched when d = 3
+    and the F_q search found no line.
     """
     fq = field
     coeffs = _cubic_codes(fq, coeffs)
@@ -447,6 +456,8 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
     for ext in range(1, d + 1):
         if ext > 1 and ext not in left:
             continue
+        if ext == 2 and d == 3 and len(found) == len(coord_lines):
+            continue  # a cubic with no F_q line has no F_{q^2} line
         _check_enumerable(fq.order ** ext, "line search")
         f = standard_extension(fq, ext)
         codes = np.arange(f.order, dtype=np.int64)
@@ -505,18 +516,21 @@ def transform_H(tower: FieldTower, G, xi) -> tuple[int, ...]:
     G.  Nonzero F_q-points of the result biject with nonzero roots C of the
     determinant via C = x*xi + y*xi^q + t*xi^(q^2).  The substitution is
     linear in the coefficients, so H = M * G for the matrix M of
-    :func:`_substitution_matrix`.
+    :func:`_substitution_matrix`.  G is over F_q, and an F_{q^3} code times
+    an F_q scalar scales its three F_q digits, so H is computed over F_q,
+    one product per digit of M; digits 1 and 2 of every coefficient must
+    vanish, or the coefficient, re-encoded, is not in F_q.
     """
-    f3 = tower.fq3
+    fq, f3 = tower.fq, tower.fq3
     (xi,) = _codes_in(f3, xi)
-    G = np.array(_cubic_codes(tower.fq, G), dtype=np.int64)
-    M = _substitution_matrix(f3, xi)
-    H = functools.reduce(f3.add_vec, f3.mul_vec(M, G).T).tolist()
-    q = tower.fq.order
-    for c in H:
+    G = np.array(_cubic_codes(fq, G), dtype=np.int64)
+    q = fq.order
+    M = np.stack(_decode(_substitution_matrix(f3, xi), q, 3))
+    digits = functools.reduce(fq.add_vec, np.moveaxis(fq.mul_vec(M, G), -1, 0))
+    for c in _encode(digits, q).tolist():
         if c >= q:
             raise Disagreement(f"coefficient code {c} is not in F_{q}")
-    return tuple(H)
+    return tuple(digits[0].tolist())
 
 
 def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:

@@ -47,7 +47,9 @@ Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field's construction: the F_p matrix of each
 Frobenius power, each extension built on it, the 10 x 10 substitution
 matrix of each normal element given to ``curves.transform_H``, and, on a
-tower's F_{q^3}, the 81 F_q codes of ``planarity._difference_tensor``.  No cache
+tower's F_{q^3}, its least normal element (``"normal"``, from
+:func:`find_normal_element`) and the 81 F_q codes of
+``planarity._difference_tensor``.  No cache
 holds a whole-field table or a value that depends on one pair, so a tower can
 be shared freely across worker processes or threads.  :func:`PrimeField`
 returns one object per p, so every tower over p in a process, an unpickled
@@ -656,11 +658,15 @@ def find_normal_element(tower: FieldTower) -> int:
     :func:`_least_code` from q, as the codes below (F_q itself) are never
     normal, with one ``det3`` per window on the conjugates from ``frob_vec``.
     Normal elements always exist, so the search ends near the first one.
+    The result is fixed by the tower, so it is searched for once and kept on
+    F_{q^3}; the enumeration bound is still checked on every call.
     """
     f = tower.fq3
     _check_enumerable(f.order, "normal-element search")  # the windows may reach the end
-    return _least_code(tower.q, f.order, lambda codes: det3(tower.fq, [
-        f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)
+    if "normal" not in f._cache:
+        f._cache["normal"] = _least_code(tower.q, f.order, lambda codes: det3(tower.fq, [
+            f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)
+    return f._cache["normal"]
 
 
 def det3(field: Field, rows):

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarq import build_tower
-from planarq.curves import MONOMIALS, _cubic_codes, _det_coeffs, _evaluate, _expand_product
+from planarq import build_tower, standard_extension
+from planarq.curves import (MONOMIALS, LineFactor, _cubic_codes, _det_coeffs, _evaluate,
+                            _expand_product)
 from planarq.gf import _ops, orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
 from planarq.planarity import _det_coefficients, _dets_at, det_witnesses, is_planar_det
@@ -73,6 +74,46 @@ def divides_by_substitution(field, coeffs, line):
     else:
         raise ValueError("zero line")
     return not any(substitute_linear(f, coeffs, forms))
+
+
+def all_lines(f):
+    """Every projective line uX + vY + wT over f, leading coefficient 1."""
+    yield (0, 0, 1)
+    for w in range(f.order):
+        yield (0, 1, w)
+    for v in range(f.order):
+        for w in range(f.order):
+            yield (1, v, w)
+
+
+def _two_points(f, line):
+    """Two distinct points of a line yielded by ``all_lines``."""
+    u, v, w = line
+    if u:
+        return (f.neg(v), 1, 0), (f.neg(w), 0, 1)
+    if v:
+        return (1, 0, 0), (0, f.neg(w), 1)
+    return (1, 0, 0), (0, 1, 0)
+
+
+def lines_by_enumeration(field, P, max_ext):
+    """Lines that divide P by substitution over F_{q^k}, k <= max_ext, each
+    at its least k.
+
+    A line dividing P carries only zeros of P, so the substitution is tried
+    just on the lines where P vanishes at two points; that prefilter drops no
+    dividing line, and it keeps the symbolic checks few.
+    """
+    q = field.order
+    found = []
+    for ext in range(1, max_ext + 1):
+        f = standard_extension(field, ext)
+        lines = [line for line in all_lines(f) if ext == 1 or any(c >= q for c in line)]
+        pts = np.array([_two_points(f, line) for line in lines])
+        vals = _evaluate(f, P, pts[..., 0], pts[..., 1], pts[..., 2])
+        found += [LineFactor(line, ext) for line, v in zip(lines, vals)
+                  if not v.any() and divides_by_substitution(f, P, line)]
+    return sorted(found, key=lambda lf: (lf.ext, lf.coeffs))
 
 
 def check_kernel_criterion(tower):

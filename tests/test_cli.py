@@ -567,12 +567,16 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
             kinds.add(kind)
             if kind == "ext":
                 fields.append(value)
-    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor"}
+    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor", "normal"}
     tensor = t.fq3._cache["difference_tensor"]
     assert tensor.size == 81 and tensor.max() < t.q
+    f = t.fq3
+    assert f._cache["normal"] == gf._least_code(t.q, f.order, lambda codes: gf.det3(t.fq, [
+        f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)
 
 
-# at q = 23 and 9: (1, 4) searches F_{q^2} for lines, (2, 1) is planar
+# at q = 23 and 9: (1, 4) has no line, (2, 1) is planar; no pair at q = 9
+# searches F_{q^2} for lines, and at q = 23 only (1, 11) does
 _SHARED_ARGVS = [("verify", "--p", p, "--m", m, "--A", a, "--B", b)
                  for a, b in (("1", "4"), ("2", "1")) for p, m in (("23", "1"), ("3", "2"))]
 
@@ -599,7 +603,7 @@ def test_second_verify_at_a_tower_builds_no_field(monkeypatch, capsys):
         return original(base, degree)
 
     monkeypatch.setattr(gf, "find_irreducible", spy)
-    assert run_cli("verify", "--p", "23", "--A", "1", "--B", "4") == 0
+    assert run_cli("verify", "--p", "23", "--A", "1", "--B", "11") == 0
     assert sorted(degrees) == [2, 3]  # F_{q^2} for the line search, F_{q^3} for the tower
     degrees.clear()
     assert run_cli("verify", "--p", "23", "--A", "1", "--B", "8") == 0

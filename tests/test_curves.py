@@ -4,7 +4,8 @@ import random
 
 import numpy as np
 import pytest
-from conftest import det_sweep, divides_by_substitution, substitute_linear
+from conftest import (all_lines, det_sweep, divides_by_substitution, lines_by_enumeration,
+                      substitute_linear)
 
 import planarq.curves as curves
 from planarq import LevelMismatch, build_tower, find_normal_element, standard_extension
@@ -294,46 +295,6 @@ def test_oracle_matches_factorization_reports(towers):
     assert expected == got
 
 
-def _all_lines(f):
-    """Every projective line uX + vY + wT over f, leading coefficient 1."""
-    yield (0, 0, 1)
-    for w in range(f.order):
-        yield (0, 1, w)
-    for v in range(f.order):
-        for w in range(f.order):
-            yield (1, v, w)
-
-
-def _two_points(f, line):
-    """Two distinct points of a line yielded by ``_all_lines``."""
-    u, v, w = line
-    if u:
-        return (f.neg(v), 1, 0), (f.neg(w), 0, 1)
-    if v:
-        return (1, 0, 0), (0, f.neg(w), 1)
-    return (1, 0, 0), (0, 1, 0)
-
-
-def _lines_by_enumeration(field, P, max_ext):
-    """Lines that divide P by substitution over F_{q^k}, k <= max_ext, each
-    at its least k.
-
-    A line dividing P carries only zeros of P, so the substitution is tried
-    just on the lines where P vanishes at two points; that prefilter drops no
-    dividing line, and it keeps the symbolic checks few.
-    """
-    q = field.order
-    found = []
-    for ext in range(1, max_ext + 1):
-        f = standard_extension(field, ext)
-        lines = [line for line in _all_lines(f) if ext == 1 or any(c >= q for c in line)]
-        pts = np.array([_two_points(f, line) for line in lines])
-        vals = _evaluate(f, P, pts[..., 0], pts[..., 1], pts[..., 2])
-        found += [LineFactor(line, ext) for line, v in zip(lines, vals)
-                  if not v.any() and divides_by_substitution(f, P, line)]
-    return sorted(found, key=lambda lf: (lf.ext, lf.coeffs))
-
-
 def _scaled(f, rng, line):
     """The line times a random nonzero scalar of f."""
     lam = rng.randrange(1, f.order)
@@ -353,7 +314,7 @@ def test_divides_matches_the_substitution_on_every_line(towers, q):
     # every pair's cubic against every line over F_q, as normalized and scaled
     t = towers[q]
     rng = random.Random(q)
-    lines = [l for line in _all_lines(t.fq) for l in (line, _scaled(t.fq, rng, line))]
+    lines = [l for line in all_lines(t.fq) for l in (line, _scaled(t.fq, rng, line))]
     verdicts = []
     for a in range(q):
         for b in range(q):
@@ -390,7 +351,7 @@ def test_divides_matches_the_substitution_on_sampled_lines(towers, q):
 
 def test_the_zero_cubic_is_divisible_by_every_line(towers):
     t = towers[7]
-    assert all(divides(t.fq, (0,) * 10, line) for line in _all_lines(t.fq))
+    assert all(divides(t.fq, (0,) * 10, line) for line in all_lines(t.fq))
 
 
 def test_the_zero_cubic_evaluates_to_zero_of_the_points_kind(towers):
@@ -432,9 +393,10 @@ def _over_base(f, base, *lines):
 
 def test_find_linear_factors_complete(towers):
     # the oracle returns exactly the lines found by trying every projective
-    # line with the symbolic divisibility check
+    # line with the symbolic divisibility check: every pair's cubic over
+    # F_{q^2} at q = 5 and 7, where the search skips cubics with no F_q line
     cases = []
-    for q, max_ext in ((3, 3), (5, 1), (7, 1)):
+    for q, max_ext in ((3, 3), (5, 2), (7, 2)):
         t = towers[q]
         for a in range(q):
             for b in range(q):
@@ -446,8 +408,8 @@ def test_find_linear_factors_complete(towers):
     t = towers[3]
     f9 = standard_extension(t.fq, 2)
     rng = random.Random(3)
-    base_lines = list(_all_lines(t.fq))
-    ext_lines = [l for l in _all_lines(f9) if any(c >= 3 for c in l)]
+    base_lines = list(all_lines(t.fq))
+    ext_lines = [l for l in all_lines(f9) if any(c >= 3 for c in l)]
     for _ in range(4):
         cases.append((t.fq, triple_product(t.fq, *rng.choices(base_lines, k=3)), 2))
     for c in (1, 2):
@@ -459,7 +421,7 @@ def test_find_linear_factors_complete(towers):
     # three F_27-conjugate lines leave an irreducible cubic restriction, and
     # an F_9-conjugate pair times T an irreducible quadratic one
     f27 = standard_extension(t.fq, 3)
-    ext3_lines = [l for l in _all_lines(f27) if any(c >= 3 for c in l)]
+    ext3_lines = [l for l in all_lines(f27) if any(c >= 3 for c in l)]
     xi = find_normal_element(t)
     x0, x1, x2 = xi, f27.frob(xi, 1), f27.frob(xi, 2)
     for line in [(x0, x1, x2)] + rng.sample(ext3_lines, 3):
@@ -469,7 +431,7 @@ def test_find_linear_factors_complete(towers):
     found = [[lf for lf in find_linear_factors(fq, P) if lf.ext <= max_ext]
              for fq, P, max_ext in cases]
     for lines, (fq, P, max_ext) in zip(found, cases):
-        assert lines == _lines_by_enumeration(fq, P, max_ext)
+        assert lines == lines_by_enumeration(fq, P, max_ext)
     # each kind of extension line is present among the cases
     assert {lf.ext for lines in found for lf in lines} == {1, 2, 3}
 
@@ -489,6 +451,43 @@ def test_find_linear_factors_split_cubic_searches_only_fq(towers, monkeypatch):
     assert degrees and all(d < 2 for d in degrees)
 
 
+@pytest.mark.parametrize("p, pair, ext2_lines", [
+    (23, (1, 4), []),
+    # the trace line and an F_{q^2}-conjugate pair
+    (23, (1, 11), [(1, 195, 356), (1, 356, 195)]),
+    (5, (1, 2), [(1, 7, 22), (1, 22, 7)]),
+])
+def test_find_linear_factors_skips_fq2_on_a_cubic_with_no_fq_line(monkeypatch, p, pair,
+                                                                 ext2_lines):
+    # (1, 4) at q = 23 is off every locus and a restriction of its cubic
+    # leaves an irreducible quadratic over F_q, yet a line over F_{q^2} would
+    # come with its conjugate and an F_q line, so F_{q^2} is not built; a
+    # cubic with an F_q line still searches F_{q^2}
+    t = build_tower(p, 1)
+    F = build_F_det(t, *pair)
+    degrees, left = [], []
+    original = curves._degree_without_roots
+
+    def spy_extension(base, degree):
+        degrees.append(degree)
+        return standard_extension(base, degree)
+
+    def spy_degree(f, poly, roots):
+        left.append(original(f, poly, roots))
+        return left[-1]
+
+    monkeypatch.setattr(curves, "standard_extension", spy_extension)
+    monkeypatch.setattr(curves, "_degree_without_roots", spy_degree)
+    lines = find_linear_factors(t.fq, F)
+    assert 2 in left
+    assert sorted(set(degrees)) == ([1, 2] if ext2_lines else [1])
+    assert [lf.coeffs for lf in lines if lf.ext == 2] == ext2_lines
+    f2 = standard_extension(t.fq, 2)
+    assert [tuple(f2.frob(c, 1) for c in line) for line in ext2_lines] == ext2_lines[::-1]
+    if not ext2_lines:
+        assert lines == [] and verify_branch_factorization(t, *pair, F)["ok"] is None
+
+
 def test_transform_H_properties(towers):
     for q in (5, 7):
         t = towers[q]
@@ -502,9 +501,10 @@ def test_transform_H_properties(towers):
             assert count_nonzero_fq_zeros(t.fq, H) == roots
 
 
-@pytest.mark.parametrize("q", (5, 7, 9))
+@pytest.mark.parametrize("q", (5, 7, 9, 25))
 def test_transform_H_equals_the_substitution(towers, q):
-    # the cached matrix form against substitute_linear, at two normal elements
+    # the cached matrix form against substitute_linear, at two normal
+    # elements, on every pair, or on 20 sampled pairs at q = 25 (m = 2)
     t = towers[q]
     f3 = t.fq3
 
@@ -514,14 +514,14 @@ def test_transform_H_equals_the_substitution(towers, q):
     first = find_normal_element(t)
     second = next(c for c in range(first + 1, f3.order)
                   if det3(t.fq, [f3.coords(x) for x in conjugates(c)]))
-    for a in range(q):
-        for b in range(q):
-            G = build_F_det(t, a, b)
-            for xi in (first, second):  # alternating, so each reads its own matrix
-                x0, x1, x2 = conjugates(xi)
-                oracle = substitute_linear(f3, G, ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
-                assert max(oracle) < q
-                assert transform_H(t, G, xi) == oracle
+    pairs = range(q * q) if q < 25 else random.Random(q).sample(range(q * q), 20)
+    for a, b in (divmod(pair, q) for pair in pairs):
+        G = build_F_det(t, a, b)
+        for xi in (first, second):  # alternating, so each reads its own matrix
+            x0, x1, x2 = conjugates(xi)
+            oracle = substitute_linear(f3, G, ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)))
+            assert max(oracle) < q
+            assert transform_H(t, G, xi) == oracle
 
 
 def test_point_count_examples(towers):

@@ -7,9 +7,11 @@ default selection is unchanged.
 import math
 
 import pytest
-from conftest import check_det_coefficients, check_det_deciders_agree, check_kernel_criterion
+from conftest import (check_det_coefficients, check_det_deciders_agree, check_kernel_criterion,
+                      lines_by_enumeration)
 
 from planarq import build_tower
+from planarq.curves import build_F_det, find_linear_factors
 from planarq.gf import DEFAULT_MAX_Q3, _is_prime
 from planarq.planarity import ALL_METHODS, scan
 
@@ -68,6 +70,19 @@ def test_det_coefficients_past_tier1(p, m):
 def test_is_planar_det_equals_det_witnesses_past_tier1(p, m):
     # tier-1 checks q = 25
     check_det_deciders_agree(build_tower(p, m))
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(3, 2), (11, 1)], ids=["q9", "q11"])
+def test_line_oracle_over_fq2_on_every_pair(p, m):
+    # tier-1 checks q = 5 and 7
+    t = build_tower(p, m)
+    for a in range(t.q):
+        for b in range(t.q):
+            F = build_F_det(t, a, b)
+            if any(F):
+                lines = [lf for lf in find_linear_factors(t.fq, F) if lf.ext <= 2]
+                assert lines == lines_by_enumeration(t.fq, F, 2), (a, b)
 
 
 def test_admissible_q_list():

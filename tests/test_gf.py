@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planarq.gf as gf
 from planarq import (
     DivisionByZero,
     Field,
@@ -385,6 +386,18 @@ def test_normal_element_is_first_nonzero_det_over_the_field(p, m):
     vecs = [f.coords(codes), f.coords(f.pow_vec(codes, t.q)),
             f.coords(f.pow_vec(codes, t.q ** 2))]
     assert find_normal_element(t) == np.flatnonzero(det3(t.fq, vecs))[0]
+
+
+def test_normal_element_is_searched_once_per_tower(monkeypatch):
+    t = build_tower(7, 1)
+    xi = find_normal_element(t)
+    searches = []
+    monkeypatch.setattr(gf, "_least_code", lambda *args: searches.append(args))
+    assert find_normal_element(t) == xi and searches == []
+    # the bound is read on every call, also once the element is cached
+    monkeypatch.setenv("PLANARQ_MAX_Q3", "4")
+    with pytest.raises(SizeLimit):
+        find_normal_element(t)
 
 
 def test_least_code_tries_doubling_windows():
