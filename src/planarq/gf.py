@@ -46,7 +46,8 @@ the guard covers every array pass.
 Fields are immutable after construction apart from internal caches, which
 hold only values fixed by the field's construction: the F_p matrix of each
 Frobenius power, each extension built on it, the 10 x 10 substitution
-matrix of each normal element given to ``curves.transform_H``, and, on a
+matrix of each normal element given to ``curves.transform_H``, the least
+generator of F^* (``"generator"``, from :func:`_generator`), and, on a
 tower's F_{q^3}, its least normal element (``"normal"``, from
 :func:`find_normal_element`) and the 81 F_q codes of
 ``planarity._difference_tensor``.  No cache
@@ -153,10 +154,12 @@ def _least_code(lo: int, stop: int, test) -> int | None:
 def _generator(f: Field) -> int:
     """The least code that generates F^*: g^(n/l) != 1 for every prime l of
     n = |F^*|, by :func:`_least_code` from the base field's order (2 for a
-    prime field), as no code of the base field generates F^*."""
-    n = f.order - 1
-    return _least_code(f.base.order if f.base else 2, f.order, lambda codes: np.all(
-        [f.pow_vec(codes, n // ell) != 1 for ell in _prime_factors(n)], axis=0))
+    prime field), as no code of the base field generates F^*; kept on F."""
+    n, lo = f.order - 1, f.base.order if f.base else 2
+    if "generator" not in f._cache:
+        f._cache["generator"] = _least_code(lo, f.order, lambda c: np.all(
+            [f.pow_vec(c, n // ell) != 1 for ell in _prime_factors(n)], axis=0))
+    return f._cache["generator"]
 
 
 # ---------------------------------------------------------------------------

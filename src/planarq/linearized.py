@@ -18,9 +18,9 @@ matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
 ``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap, as
 ``difference_matrix_direct`` wraps the array core ``_direct_matrix``.  Each
 core takes its operations from ``gf._ops``, so it runs on ints and arrays.
-The scan's decider ``det_witnesses`` expands the same Dickson matrix;
-``verify``'s decider ``is_planar_det`` uses none of these cores, and takes
-the determinant on the map's matrix over F_q, built from values of f.
+Neither decider uses these cores: ``verify``'s ``is_planar_det`` and the
+scan's ``det_witnesses`` both take the determinant on the map's matrix over
+F_q, built from values of f (``planarity._shift_matrices``).
 """
 
 from __future__ import annotations

@@ -27,19 +27,18 @@ planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) and the report's
 rows, one dict per pair, off those arrays; only its brute sweeps go to worker
 processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
 so both determinant paths look only at the q^2 + q + 1 projective shifts and
-name the least killing one as the witness.  They compute the determinant by
-independent formulas.  ``is_planar_det`` (used by ``verify``) takes it for
-its one pair on the difference map's 3 x 3 matrix over F_q, built from
-values of f alone: the map is F_q-bilinear in (shift, x), so the matrix at
-every shift comes from the digits of its values on the basis pairs, a
-tensor affine in (A, B) whose three parts ``_difference_tensor`` keeps on
-F_{q^3}.  ``scan`` takes every pair's verdict from one incidence pass
-(``det_witnesses``) at every q.  That pass reads the determinant's
-coefficients in A^i B^j off the Dickson matrix M0 + A M1 + B M2 in
-F_{q^3}, one Dickson build, and one ``det3`` over the 27 ways of taking
-each row from M0, M1 or M2, and each pair's killing shifts off a table of
-the F_q roots of monic cubics.  ``_dets_at``, the Dickson determinant at
-given triples, is the oracle of both.
+name the least killing one as the witness.  Both take ``det3`` over F_q of
+the difference map's 3 x 3 matrix over F_q, built from values of f alone:
+the map is F_q-bilinear in (shift, x), so the matrix at every shift
+(``_shift_matrices``) comes from the digits of its values on the basis
+pairs, a tensor affine in (A, B) whose three parts ``_difference_tensor``
+keeps on F_{q^3}.  ``is_planar_det`` (used by ``verify``) combines the parts
+for its one pair first.  ``scan`` takes every pair's verdict from one
+incidence pass (``det_witnesses``) at every q, which reads the determinant's
+coefficients in A^i B^j off the three parts' matrices, one ``det3`` over the
+27 ways of taking each row from one part, and each pair's killing shifts off
+a table of the F_q roots of monic cubics.  ``_dets_at``, the Dickson
+determinant over F_{q^3} at given triples, is the oracle of both.
 """
 
 from __future__ import annotations
@@ -260,24 +259,28 @@ def _difference_tensor(tower: FieldTower) -> np.ndarray:
     return f._cache["difference_tensor"]
 
 
+def _shift_matrices(tower: FieldTower, n: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The F_q matrix of D_R at each shift R in ``reps``, from a tensor
+    n[..., l, j, :] of the F_q digits of D_{e_l}(e_j).  D_C is F_q-bilinear
+    in (C, x), so row j holds the digits of D_R(e_j) = sum_l c_l D_{e_l}(e_j),
+    (c_0, c_1, c_2) the F_q digits of R: one broadcast product.  The rows are
+    the columns of the map's matrix, which has the same determinant.  Entry
+    [j, k, ..., r] is digit k of row j at reps[r], with n's leading axes
+    kept in between."""
+    fq = tower.fq
+    n = np.moveaxis(n, (-3, -2, -1), (0, 1, 2))[..., None]  # (l, j, k, ..., 1)
+    c = np.stack(_decode(reps, tower.q, 3)).reshape(3, 1, 1, *[1] * (n.ndim - 4), -1)
+    terms = fq.mul_vec(c, n)  # (l, j, k, ..., R)
+    return fq.add_vec(fq.add_vec(terms[0], terms[1]), terms[2])
+
+
 def _matrix_dets(tower: FieldTower, a: int, b: int, reps: np.ndarray) -> np.ndarray:
     """det(D_R) for the pair of F_q codes (a, b) at each shift R in ``reps``,
-    from the 3 x 3 matrix of D_R over F_q.
-
-    D_C(x) = f(x + C) - f(x) - f(C) is F_q-bilinear in (C, x), as A and B lie
-    in F_q, so with (c_0, c_1, c_2) the F_q digits of C, column j of the
-    matrix of D_C holds the digits of D_C(e_j) = sum_l c_l D_{e_l}(e_j).
-    Their digits are N = N[0] + a N[1] + b N[2] from ``_difference_tensor``:
-    one F_q combination for N, one broadcast product for every shift's
-    matrix, and one ``det3`` over F_q.
-    """
+    on the F_q combination N[0] + a N[1] + b N[2] of ``_difference_tensor``."""
     fq = tower.fq
     n1, n2, n3 = _difference_tensor(tower)
     n = fq.add_vec(n1, fq.add_vec(fq.mul_vec(a, n2), fq.mul_vec(b, n3)))
-    c = np.stack(_decode(reps, tower.q, 3))[:, None, None, :]
-    terms = fq.mul_vec(c, n[:, :, :, None])  # (l, j, k, R)
-    # row j holds the digits of D_R(e_j): the transpose, with the same determinant
-    return det3(fq, fq.add_vec(fq.add_vec(terms[0], terms[1]), terms[2]))
+    return det3(fq, _shift_matrices(tower, n, reps))
 
 
 def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
@@ -363,35 +366,27 @@ def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
     """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R;
     m[i, j] is zero where i + j > 3.
 
-    Frobenius fixes A and B, so the difference matrix is M0 + A M1 + B M2,
-    with M0 the matrix at (A, B) = (0, 0) and M1, M2 the steps from it to
-    (1, 0) and (0, 1).  Frobenius is additive, so these are the Dickson
-    matrices of the coefficients' steps: one ``_difference_coeffs`` call on
-    the three (A, B) stacked, then one ``_dickson`` call, give each entry as
-    the stack M0, M1, M2.  The determinant is linear in each row, so it is
-    the sum over the 27 ways of taking row r from M0, M1 or M2, and a way
+    f = P_0 + A P_1 + B P_2, so the matrix of D_R over F_q is M0 + A M1 + B M2,
+    M_k the ``_shift_matrices`` of part k of ``_difference_tensor``: one call
+    on the three parts stacked.  The determinant is linear in each row, so it
+    is the sum over the 27 ways of taking row r from M0, M1 or M2, and a way
     with i rows from M1 and j from M2 adds to m[i, j].  Row r's three choices
-    lie along array axis r, so one ``det3`` gives all 27, a chunk of
-    representatives at a time.  The m[i, j] must lie in F_q.
+    lie along array axis r, so one ``det3`` over F_q gives all 27, a chunk of
+    representatives at a time.
     """
-    f, q = tower.fq3, tower.q
-    _check_enumerable(f.order, "determinant sweep")
+    fq = tower.fq
+    _check_enumerable(tower.order_top, "determinant sweep")
     choices = np.indices((3, 3, 3)).reshape(3, 27)  # way w takes row r from M_{choices[r, w]}
     ij = list(zip(*((choices == s).sum(axis=0) for s in (1, 2))))
-    ab = np.array([[0, 1, 0], [0, 0, 1]])[:, :, None]  # (A, B) = (0, 0), (1, 0), (0, 1)
     m = np.zeros((4, 4, len(reps)), dtype=np.int64)
     step = _INCIDENCE_CHUNK // 81
     for start in range(0, len(reps), step):
         part = slice(start, start + step)
-        coeffs = np.broadcast_arrays(*_difference_coeffs(f, *ab, reps[part]))
-        M = _dickson(f, *(np.concatenate([c[:1], f.sub_vec(c[1:], c[:1])]) for c in coeffs))
-        rows = [[M[r][k].reshape(axis) for k in range(3)]
+        M = _shift_matrices(tower, _difference_tensor(tower), reps[part])  # (row, col, part, R)
+        rows = [M[r].reshape(3, *axis)
                 for r, axis in enumerate(((3, 1, 1, -1), (1, 3, 1, -1), (1, 1, 3, -1)))]
-        for (i, j), d in zip(ij, det3(f, rows).reshape(27, -1)):
-            m[i, j, part] = f.add_vec(m[i, j, part], d)
-    if (m >= q).any():
-        raise Disagreement(f"a determinant coefficient over q = {q} "
-                           f"is not in F_q (code {int(m.max())})")
+        for (i, j), d in zip(ij, det3(fq, rows).reshape(27, -1)):
+            m[i, j, part] = fq.add_vec(m[i, j, part], d)
     return m
 
 
@@ -424,11 +419,11 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     and the least killing one is the witness; every q, q = 3 included, takes
     the same pass.  With m[i, j](R) from ``_det_coefficients``, the B that R
     kills for a given A are the F_q roots of the cubic
-    sum_j (sum_i m[i, j] A^i) B^j.  B enters only c0 = T + A Y + 2 B X, and
-    c0 and its twists fill the diagonal, so m[0, 3](R) = 8 N(R) != 0: every
-    cubic is made monic by one division and its roots are read, in chunks of
-    A, from ``_cubic_root_table``; one minimum over the incidences (R, A, B)
-    picks the witnesses.
+    sum_j (sum_i m[i, j] A^i) B^j.  B enters only through B x^2, whose
+    difference map at R is x -> 2 B R x, so m[0, 3](R) = det(x -> 2 R x) =
+    8 N(R) != 0: every cubic is made monic by one division and its roots are
+    read, in chunks of A, from ``_cubic_root_table``; one minimum over the
+    incidences (R, A, B) picks the witnesses.
     """
     fq, q = tower.fq, tower.q
     reps = orbit_reps(q, tower.order_top)

@@ -36,9 +36,9 @@ def det_sweep(tower, a_code, b_code):
 
 
 def check_det_deciders_agree(tower):
-    """``is_planar_det`` (the difference map's matrix over F_q) and
-    ``det_witnesses`` (the Dickson matrix's coefficients) give the same
-    verdict and witness on every pair."""
+    """``is_planar_det`` (one pair's matrix over F_q) and ``det_witnesses``
+    (the determinant's coefficients in A and B, from the three parts'
+    matrices over F_q) give the same verdict and witness on every pair."""
     q = tower.q
     witnesses = det_witnesses(tower).tolist()
     for pair, wit in enumerate(witnesses):

@@ -16,6 +16,7 @@ from conftest import det_sweep
 import planarq.cli as cli
 import planarq.curves as curves
 import planarq.gf as gf
+import planarq.linearized as linearized
 import planarq.planarity as planarity
 from planarq import build_tower
 from planarq.cli import main
@@ -387,11 +388,12 @@ def test_scan_reach(tmp_path, p, m, planar):
     assert summary["disagreements"] == []
 
 
-def _dickson_plus_one(original):
-    # entry (0, 0) of every matrix plus 1: the determinant's coefficients leave F_q
-    def patched(f, *coeffs):
-        (corner, *row), *rows = original(f, *coeffs)
-        return ((f.add_vec(corner, 1), *row), *rows)
+def _tensor_corner_plus_one(original):
+    # entry (0, 0, 0, 0) of the difference tensor plus 1: every shift's matrix is wrong
+    def patched(tower):
+        n = original(tower).copy()
+        n[0, 0, 0, 0] = tower.fq.add(int(n[0, 0, 0, 0]), 1)
+        return n
     return patched
 
 
@@ -405,16 +407,36 @@ def _b_cubed_zeroed(original):
 
 
 @pytest.mark.parametrize("p, name, patch, message", [
-    (5, "_dickson", _dickson_plus_one, "is not in F_q"),
-    (3, "_dickson", _dickson_plus_one, "is not in F_q"),
-    (5, "_det_coefficients", _b_cubed_zeroed, "B^3 coefficient"),
-], ids=["outside-fq", "outside-fq-q3", "b-cubed"])
+    (5, "_difference_tensor", _tensor_corner_plus_one,
+     "scan q=5: planar=0 expected=9 disagreements=9 "),
+    (3, "_difference_tensor", _tensor_corner_plus_one,
+     "scan q=3: planar=0 expected=3 disagreements=3 "),
+    (5, "_det_coefficients", _b_cubed_zeroed, "error: the B^3 coefficient"),
+], ids=["tensor-corner", "tensor-corner-q3", "b-cubed"])
 def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, name, patch, message):
     monkeypatch.setattr(planarity, name, patch(getattr(planarity, name)))
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(message)
     assert "Traceback" not in err
+
+
+def test_deciders_print_the_same_bytes_without_dickson(monkeypatch, capsys):
+    # the Dickson matrix is the oracle's alone: neither decider builds one
+    argvs = [("scan", "--p", "5", "--methods", "theorem,det"),
+             ("verify", "--p", "5", "--A", "2", "--B", "1", "--brute", "off")]
+    plain = []
+    for argv in argvs:
+        assert run_cli(*argv) == 0
+        plain.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("a decider built a Dickson matrix")
+    monkeypatch.setattr(linearized, "_dickson", refuse)
+    monkeypatch.setattr(planarity, "_dickson", refuse)
+    for argv, out in zip(argvs, plain):
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_verify_tampered_determinant_exits_two(monkeypatch, capsys):
@@ -559,7 +581,7 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
     t = build_tower(5, 1)
     brute_kernel(t.fq3, *difference_triple(t, 1, 1, 1))
     # every field over F_5 is reached through the ("ext", d) entries
-    fields, kinds = [gf.PrimeField(5)], set()
+    fields, kinds, generated = [gf.PrimeField(5)], set(), []
     while fields:
         f = fields.pop()
         for key, value in f._cache.items():
@@ -567,7 +589,17 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
             kinds.add(kind)
             if kind == "ext":
                 fields.append(value)
-    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor", "normal"}
+            elif kind == "generator":
+                generated.append(f)
+    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor", "normal", "generator"}
+    for f in generated:  # the cached generator is what a fresh search finds
+        n = f.order - 1
+
+        def generates(codes):
+            return np.all([f.pow_vec(codes, n // ell) != 1 for ell in gf._prime_factors(n)],
+                          axis=0)
+        lo = f.base.order if f.base else 2
+        assert f._cache["generator"] == gf._least_code(lo, f.order, generates)
     tensor = t.fq3._cache["difference_tensor"]
     assert tensor.size == 81 and tensor.max() < t.q
     f = t.fq3

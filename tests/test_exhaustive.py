@@ -58,8 +58,9 @@ def test_kernel_criterion_on_every_subfield_triple(p, m):
 
 
 @pytest.mark.exhaustive
-@pytest.mark.parametrize("p, m", [(31, 1), (7, 2), (3, 4), (11, 2), (5, 3)],
-                         ids=["q31", "q49", "q81", "q121", "q125"])
+@pytest.mark.parametrize("p, m", [(31, 1), (7, 2), (3, 4), (11, 2), (5, 3), (13, 2), (3, 5),
+                                  (251, 1)],
+                         ids=["q31", "q49", "q81", "q121", "q125", "q169", "q243", "q251"])
 def test_det_coefficients_past_tier1(p, m):
     # tier-1 checks q = 3 to 13, 25 and 27
     check_det_coefficients(build_tower(p, m))

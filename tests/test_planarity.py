@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import check_det_coefficients, check_det_deciders_agree, det_sweep
 
+import planarq.planarity as planarity
 from planarq import SizeLimit, build_tower
 from planarq.gf import (PrimeField, _decode, _generator, _mult_order, find_normal_element,
                         frob_orbit_reps, orbit_reps, prime_ext_field)
@@ -15,6 +16,7 @@ from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
     ALL_METHODS,
+    _det_coefficients,
     _dets_at,
     _f_table,
     _matrix_dets,
@@ -564,6 +566,18 @@ def test_incidence_scan_on_larger_towers(p, m):
                          ids=["q3", "q5", "q7", "q9", "q11", "q13", "q25", "q27"])
 def test_det_coefficients_expand_the_determinant(p, m):
     check_det_coefficients(build_tower(p, m))
+
+
+@pytest.mark.parametrize("q", [3, 7, 25])
+def test_incidence_pass_is_the_same_across_chunk_boundaries(towers, monkeypatch, q):
+    # 7 representatives per step of _det_coefficients, 567 // (q^2 + q + 1)
+    # values of A per step of det_witnesses (1 at q = 25)
+    t = towers[q]
+    reps = orbit_reps(q, t.order_top)
+    coeffs, witnesses = _det_coefficients(t, reps), det_witnesses(t)
+    monkeypatch.setattr(planarity, "_INCIDENCE_CHUNK", 81 * 7)
+    assert np.array_equal(_det_coefficients(t, reps), coeffs)
+    assert np.array_equal(det_witnesses(t), witnesses)
 
 
 def test_scan_timings_stay_out_of_the_report(towers):
