@@ -19,8 +19,9 @@ matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
 ``difference_matrix_direct`` wraps the array core ``_direct_matrix``.  Each
 core takes its operations from ``gf._ops``, so it runs on ints and arrays.
 Neither decider uses these cores: ``verify``'s ``is_planar_det`` and the
-scan's ``det_witnesses`` both take the determinant on the map's matrix over
-F_q, built from values of f (``planarity._shift_matrices``).
+scan's ``det_witnesses`` both evaluate one table per tower, the determinant
+as a polynomial over F_q in A, B and the F_q digits of the shift, built
+from values of f (``planarity._det_table``).
 """
 
 from __future__ import annotations

@@ -27,18 +27,18 @@ planar count (against the expected 3q - 2 - 4*gcd(3, q-1)) and the report's
 rows, one dict per pair, off those arrays; only its brute sweeps go to worker
 processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
 so both determinant paths look only at the q^2 + q + 1 projective shifts and
-name the least killing one as the witness.  Both take ``det3`` over F_q of
-the difference map's 3 x 3 matrix over F_q, built from values of f alone:
-the map is F_q-bilinear in (shift, x), so the matrix at every shift
-(``_shift_matrices``) comes from the digits of its values on the basis
-pairs, a tensor affine in (A, B) whose three parts ``_difference_tensor``
-keeps on F_{q^3}.  ``is_planar_det`` (used by ``verify``) combines the parts
-for its one pair first.  ``scan`` takes every pair's verdict from one
-incidence pass (``det_witnesses``) at every q, which reads the determinant's
-coefficients in A^i B^j off the three parts' matrices, one ``det3`` over the
-27 ways of taking each row from one part, and each pair's killing shifts off
-a table of the F_q roots of monic cubics.  ``_dets_at``, the Dickson
-determinant over F_{q^3} at given triples, is the oracle of both.
+name the least killing one as the witness.  Both read the determinant off
+one table per tower (``_det_table``), a polynomial over F_q in A, B and the
+three F_q digits of C, built from values of f alone: the difference map is
+F_q-bilinear in (shift, x), so its matrix over F_q comes from the digits of
+its values on the basis pairs (``_difference_tensor``).  ``is_planar_det``
+(used by ``verify``) combines the table into its pair's cubic
+(``_pair_cubic``) and evaluates it at every shift's digits.  ``scan`` takes
+every pair's verdict from one incidence pass (``det_witnesses``) at every q,
+which evaluates the table's coefficients of A^i B^j at every shift's digits
+and reads each pair's killing shifts off a table of the F_q roots of monic
+cubics.  ``_dets_at``, the Dickson determinant over F_{q^3} at given
+triples, is the oracle of both.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement
+from .curves import _PRODUCT_SLOT, _evaluate
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
-                 _generator, _ops, det3, frob_orbit_reps, orbit_reps)
+                 _encode, _generator, _ops, det3, frob_orbit_reps, orbit_reps)
 from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
 
 BRANCH_B_ZERO = "BranchBZero"
@@ -243,44 +244,66 @@ def _difference_tensor(tower: FieldTower) -> np.ndarray:
     basis e_l = q^l (codes 1, q, q^2) of F_{q^3}: 81 codes of F_q.
 
     f = P_0 + A P_1 + B P_2, so the digits of D_{e_l}(e_j) = f(e_l + e_j) -
-    f(e_l) - f(e_j) are N[0] + A N[1] + B N[2] for A, B in F_q.  N depends on
-    the tower alone, so it is built once and kept on F_{q^3}.
+    f(e_l) - f(e_j) are N[0] + A N[1] + B N[2] for A, B in F_q.  Not cached:
+    ``_det_table``, built from it, is.
     """
     f, q = tower.fq3, tower.q
-    if "difference_tensor" not in f._cache:
-        e = q ** np.arange(3, dtype=np.int64)
-        el, ej = e[:, None], e[None, :]
-        values = [f.sub_vec(f.sub_vec(f.pow_vec(f.add_vec(el, ej), k), f.pow_vec(el, k)),
-                            f.pow_vec(ej, k))
-                  for k in (q * q + 1, q + 1, 2)]
-        tensor = np.stack(_decode(np.stack(values), q, 3), axis=-1)
-        tensor.setflags(write=False)
-        f._cache["difference_tensor"] = tensor
-    return f._cache["difference_tensor"]
+    e = q ** np.arange(3, dtype=np.int64)
+    el, ej = e[:, None], e[None, :]
+    values = [f.sub_vec(f.sub_vec(f.pow_vec(f.add_vec(el, ej), k), f.pow_vec(el, k)),
+                        f.pow_vec(ej, k))
+              for k in (q * q + 1, q + 1, 2)]
+    return np.stack(_decode(np.stack(values), q, 3), axis=-1)
 
 
-def _shift_matrices(tower: FieldTower, n: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """The F_q matrix of D_R at each shift R in ``reps``, from a tensor
-    n[..., l, j, :] of the F_q digits of D_{e_l}(e_j).  D_C is F_q-bilinear
-    in (C, x), so row j holds the digits of D_R(e_j) = sum_l c_l D_{e_l}(e_j),
-    (c_0, c_1, c_2) the F_q digits of R: one broadcast product.  The rows are
-    the columns of the map's matrix, which has the same determinant.  Entry
-    [j, k, ..., r] is digit k of row j at reps[r], with n's leading axes
-    kept in between."""
-    fq = tower.fq
-    n = np.moveaxis(n, (-3, -2, -1), (0, 1, 2))[..., None]  # (l, j, k, ..., 1)
-    c = np.stack(_decode(reps, tower.q, 3)).reshape(3, 1, 1, *[1] * (n.ndim - 4), -1)
-    terms = fq.mul_vec(c, n)  # (l, j, k, ..., R)
-    return fq.add_vec(fq.add_vec(terms[0], terms[1]), terms[2])
+def _det_table(tower: FieldTower) -> np.ndarray:
+    """T[i, j, n]: the coefficient of A^i B^j c^MONOMIALS[n] in det(A, B, C),
+    c = (c_0, c_1, c_2) the F_q digits of C; (4, 4, 10) codes of F_q, zero
+    where i + j > 3.
+
+    Row j of D_C's matrix over F_q is sum_l c_l (N[0] + A N[1] + B N[2])[l, j],
+    N the ``_difference_tensor`` (the rows are the map's columns, with the
+    same determinant).  The determinant is linear in each row, so one ``det3``
+    over F_q on each row's nine choices (part s, digit l), along three axes,
+    gives all 9^3 terms; a term adds to [number of parts 1, number of parts 2,
+    slot of c_{l_0} c_{l_1} c_{l_2}], digit-wise mod p.  T depends on the
+    tower alone, so it is built once and kept on F_{q^3}.
+    """
+    f, fq, p = tower.fq3, tower.fq, tower.p
+    if "det_table" not in f._cache:
+        n = _difference_tensor(tower)
+        rows = [np.moveaxis(n[:, :, j].reshape(9, 3), 1, 0).reshape(3, *axis)
+                for j, axis in enumerate(((9, 1, 1), (1, 9, 1), (1, 1, 9)))]
+        # way w takes row j from part s[j, w] and digit l[j, w]
+        s, l = np.divmod(np.indices((9, 9, 9)).reshape(3, -1), 3)
+        cell = ((s == 1).sum(axis=0), (s == 2).sum(axis=0), np.array(_PRODUCT_SLOT)[tuple(l)])
+        digits = np.zeros((tower.m, 4, 4, 10), dtype=np.int64)
+        for total, d in zip(digits, _decode(det3(fq, rows).ravel(), p, tower.m)):
+            np.add.at(total, cell, d)
+        table = _encode(list(digits % p), p)
+        table.setflags(write=False)
+        f._cache["det_table"] = table
+    return f._cache["det_table"]
 
 
-def _matrix_dets(tower: FieldTower, a: int, b: int, reps: np.ndarray) -> np.ndarray:
-    """det(D_R) for the pair of F_q codes (a, b) at each shift R in ``reps``,
-    on the F_q combination N[0] + a N[1] + b N[2] of ``_difference_tensor``."""
-    fq = tower.fq
-    n1, n2, n3 = _difference_tensor(tower)
-    n = fq.add_vec(n1, fq.add_vec(fq.mul_vec(a, n2), fq.mul_vec(b, n3)))
-    return det3(fq, _shift_matrices(tower, n, reps))
+def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
+    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R:
+    the cubics of ``_det_table`` at R's F_q digits, zero where i + j > 3."""
+    i, j = np.nonzero(np.add.outer(np.arange(4), np.arange(4)) <= 3)  # the cells i + j <= 3
+    m = np.zeros((4, 4, len(reps)), dtype=np.int64)
+    m[i, j] = _evaluate(tower.fq, np.moveaxis(_det_table(tower)[i, j], -1, 0)[..., None],
+                        *_decode(reps, tower.q, 3))
+    return m
+
+
+def _pair_cubic(tower: FieldTower, a: int, b: int) -> list[int]:
+    """The ten F_q codes of det(a, b, C) as a cubic in C's F_q digits:
+    sum a^i b^j T[i, j] over the ``_det_table``, summed digit-wise."""
+    fq, p = tower.fq, tower.p
+    powers = np.array([[fq.pow(a, i), fq.pow(b, i)] for i in range(4)])
+    terms = fq.mul_vec(fq.mul_vec(powers[:, None, 0], powers[None, :, 1])[..., None],
+                       _det_table(tower))
+    return _encode([d.sum(axis=(0, 1)) % p for d in _decode(terms, p, tower.m)], p).tolist()
 
 
 def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
@@ -291,14 +314,14 @@ def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
     det(A, B, lambda C) = lambda^3 det(A, B, C) for lambda in F_q^*, so the
     roots C != 0 form whole F_q^* orbits, and the q^2 + q + 1 codes of
     ``orbit_reps(q, q^3)`` (increasing, each the least of its orbit) meet
-    every orbit once: the determinant is evaluated there, on the matrix of
-    the difference map over F_q (``_matrix_dets``), and the least killing
-    representative is the least root.
+    every orbit once: the pair's cubic (``_pair_cubic``) is evaluated at
+    their F_q digits, and the least killing representative is the least root.
     """
     a, b = _codes_in(tower.fq, A, B)
     _check_enumerable(tower.order_top, "determinant sweep")
     reps = orbit_reps(tower.q, tower.order_top)
-    killed = np.flatnonzero(_matrix_dets(tower, a, b, reps) == 0)
+    dets = _evaluate(tower.fq, _pair_cubic(tower, a, b), *_decode(reps, tower.q, 3))
+    killed = np.flatnonzero(dets == 0)
     return (True, None) if len(killed) == 0 else (False, int(reps[killed[0]]))
 
 
@@ -358,36 +381,8 @@ def count_formula(q: int) -> int:
 # the incidence pass: every pair's determinant witness at once
 # ---------------------------------------------------------------------------
 
-# (A, R) cells, or 3 x (way, R) cells, per step of the incidence pass; bounds its memory
+# (A, R) cells per step of the incidence pass over A; bounds its memory
 _INCIDENCE_CHUNK = 1 << 20
-
-
-def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
-    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R;
-    m[i, j] is zero where i + j > 3.
-
-    f = P_0 + A P_1 + B P_2, so the matrix of D_R over F_q is M0 + A M1 + B M2,
-    M_k the ``_shift_matrices`` of part k of ``_difference_tensor``: one call
-    on the three parts stacked.  The determinant is linear in each row, so it
-    is the sum over the 27 ways of taking row r from M0, M1 or M2, and a way
-    with i rows from M1 and j from M2 adds to m[i, j].  Row r's three choices
-    lie along array axis r, so one ``det3`` over F_q gives all 27, a chunk of
-    representatives at a time.
-    """
-    fq = tower.fq
-    _check_enumerable(tower.order_top, "determinant sweep")
-    choices = np.indices((3, 3, 3)).reshape(3, 27)  # way w takes row r from M_{choices[r, w]}
-    ij = list(zip(*((choices == s).sum(axis=0) for s in (1, 2))))
-    m = np.zeros((4, 4, len(reps)), dtype=np.int64)
-    step = _INCIDENCE_CHUNK // 81
-    for start in range(0, len(reps), step):
-        part = slice(start, start + step)
-        M = _shift_matrices(tower, _difference_tensor(tower), reps[part])  # (row, col, part, R)
-        rows = [M[r].reshape(3, *axis)
-                for r, axis in enumerate(((3, 1, 1, -1), (1, 3, 1, -1), (1, 1, 3, -1)))]
-        for (i, j), d in zip(ij, det3(fq, rows).reshape(27, -1)):
-            m[i, j, part] = fq.add_vec(m[i, j, part], d)
-    return m
 
 
 def _cubic_root_table(fq: Field) -> np.ndarray:
@@ -426,6 +421,7 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     incidences (R, A, B) picks the witnesses.
     """
     fq, q = tower.fq, tower.q
+    _check_enumerable(tower.order_top, "determinant sweep")
     reps = orbit_reps(q, tower.order_top)
     m = _det_coefficients(tower, reps)
     if not m[0, 3].all():

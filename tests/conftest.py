@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarq import build_tower, standard_extension
+from planarq import build_tower, find_normal_element, standard_extension
 from planarq.curves import (MONOMIALS, LineFactor, _cubic_codes, _det_coeffs, _evaluate,
-                            _expand_product)
+                            _expand_product, build_F_det, count_nonzero_fq_zeros,
+                            find_linear_factors, transform_H, verify_branch_factorization)
 from planarq.gf import _ops, orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
-from planarq.planarity import _det_coefficients, _dets_at, det_witnesses, is_planar_det
+from planarq.planarity import (_det_coefficients, _det_table, _dets_at, _pair_cubic,
+                               det_witnesses, is_planar_det)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,9 +38,9 @@ def det_sweep(tower, a_code, b_code):
 
 
 def check_det_deciders_agree(tower):
-    """``is_planar_det`` (one pair's matrix over F_q) and ``det_witnesses``
-    (the determinant's coefficients in A and B, from the three parts'
-    matrices over F_q) give the same verdict and witness on every pair."""
+    """``is_planar_det`` (one pair's cubic in the shift's digits) and
+    ``det_witnesses`` (the determinant's coefficients in A and B at every
+    shift) give the same verdict and witness on every pair."""
     q = tower.q
     witnesses = det_witnesses(tower).tolist()
     for pair, wit in enumerate(witnesses):
@@ -130,12 +132,13 @@ def check_kernel_criterion(tower):
 
 def check_det_coefficients(t):
     """The scan's determinant coefficients m[i, j](R) of A^i B^j at every
-    projective shift R: no term has i + j > 3, the sum is the determinant,
-    the pure cubes are multiples of the norm, and m is the Leibniz cubic's."""
+    projective shift R: the table behind them has no term with i + j > 3,
+    the sum is the determinant, the pure cubes are multiples of the norm,
+    and m is the Leibniz cubic's."""
     f, q = t.fq3, t.q
     reps = orbit_reps(q, t.order_top)
-    coeffs = _det_coefficients(t, reps)
-    assert not any(coeffs[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
+    coeffs, table = _det_coefficients(t, reps), _det_table(t)
+    assert not any(table[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
     # sum m[i, j] A^i B^j is the determinant: on every pair at q = 3, on 8
     # sampled ones above
     pairs = range(q * q) if q == 3 else random.Random(f"expansion:{q}").sample(range(q * q), 8)
@@ -162,6 +165,30 @@ def check_det_coefficients(t):
     leibniz = _evaluate(f, _det_coeffs(t.fq, a, b), reps, f.frob_vec(reps, 1),
                         f.frob_vec(reps, 2))
     assert np.array_equal(grid, leibniz)
+
+
+def check_one_curve(tower):
+    """On every pair, the pair's cubic in the shift's F_q digits
+    (``_pair_cubic``) and ``transform_H``'s normal-basis H have as many
+    nonzero F_q zeros: both are det(A, B, C), in two F_q coordinate systems
+    of F_{q^3}."""
+    fq, q = tower.fq, tower.q
+    xi = find_normal_element(tower)
+    for a, b in (divmod(pair, q) for pair in range(q * q)):
+        H = transform_H(tower, build_F_det(tower, a, b), xi)
+        assert (count_nonzero_fq_zeros(fq, _pair_cubic(tower, a, b))
+                == count_nonzero_fq_zeros(fq, H)), (a, b)
+
+
+def check_lines_exactly_on_the_loci(tower):
+    """On every pair with F_det != 0, ``find_linear_factors`` finds a line
+    exactly when the pair lies on a locus of ``verify_branch_factorization``."""
+    q = tower.q
+    for a, b in (divmod(pair, q) for pair in range(q * q)):
+        F = build_F_det(tower, a, b)
+        if any(F):
+            on_locus = bool(verify_branch_factorization(tower, a, b, F)["checks"])
+            assert bool(find_linear_factors(tower.fq, F)) == on_locus, (a, b)
 
 
 @pytest.fixture(scope="session")

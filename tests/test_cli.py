@@ -1,6 +1,7 @@
 """CLI surface: flags, report files, exit codes."""
 
 import functools
+import inspect
 import json
 import multiprocessing
 import os
@@ -388,37 +389,36 @@ def test_scan_reach(tmp_path, p, m, planar):
     assert summary["disagreements"] == []
 
 
-def _tensor_corner_plus_one(original):
-    # entry (0, 0, 0, 0) of the difference tensor plus 1: every shift's matrix is wrong
-    def patched(tower):
-        n = original(tower).copy()
-        n[0, 0, 0, 0] = tower.fq.add(int(n[0, 0, 0, 0]), 1)
-        return n
-    return patched
+def _table_corner_plus_one(fq, table):
+    # the coefficient of c0^3 in det(0, 0, C) plus 1: every pair's cubic is wrong
+    table[0, 0, 0] = fq.add(int(table[0, 0, 0]), 1)
 
 
-def _b_cubed_zeroed(original):
+def _b_cubed_zeroed(fq, table):
     # the B^3 coefficient m[0, 3] is 8 N(R), never 0 at a shift R != 0
-    def patched(tower, reps):
-        m = original(tower, reps)
-        m[0, 3, -1] = 0
-        return m
-    return patched
+    table[0, 3] = 0
 
 
-@pytest.mark.parametrize("p, name, patch, message", [
-    (5, "_difference_tensor", _tensor_corner_plus_one,
-     "scan q=5: planar=0 expected=9 disagreements=9 "),
-    (3, "_difference_tensor", _tensor_corner_plus_one,
-     "scan q=3: planar=0 expected=3 disagreements=3 "),
-    (5, "_det_coefficients", _b_cubed_zeroed, "error: the B^3 coefficient"),
+@pytest.mark.parametrize("p, edit, message", [
+    (5, _table_corner_plus_one, "scan q=5: planar=0 expected=9 disagreements=9 "),
+    (3, _table_corner_plus_one, "scan q=3: planar=0 expected=3 disagreements=3 "),
+    (5, _b_cubed_zeroed, "error: the B^3 coefficient"),
 ], ids=["tensor-corner", "tensor-corner-q3", "b-cubed"])
-def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, name, patch, message):
-    monkeypatch.setattr(planarity, name, patch(getattr(planarity, name)))
+def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, edit, message):
+    original = planarity._det_table
+
+    def patched(tower):
+        table = original(tower).copy()
+        edit(tower.fq, table)
+        return table
+    monkeypatch.setattr(planarity, "_det_table", patched)
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+    # the cached table is untouched: unpatched, the scan passes again
+    monkeypatch.undo()
+    assert run_cli("scan", "--p", str(p), "--workers", "1") == 0
 
 
 def test_deciders_print_the_same_bytes_without_dickson(monkeypatch, capsys):
@@ -439,15 +439,35 @@ def test_deciders_print_the_same_bytes_without_dickson(monkeypatch, capsys):
         assert capsys.readouterr().out == out
 
 
+def test_scan_prints_the_same_bytes_without_public_curves_functions(monkeypatch, capsys):
+    # a traced scan-det or brute bench run rejects any curves.* span, so the
+    # scan may use the private curves._evaluate but no public curves function
+    argv = ("scan", "--p", "5", "--methods", "theorem,det,brute", "--workers", "1")
+    assert run_cli(*argv) == 0
+    plain = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan called a public curves function")
+    public = {id(obj) for name, obj in vars(curves).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == curves.__name__}
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "planarq"]:
+        for name, obj in list(vars(mod).items()):
+            if id(obj) in public:
+                monkeypatch.setattr(mod, name, refuse)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_verify_tampered_determinant_exits_two(monkeypatch, capsys):
     # the per-pair step with (A, B) swapped: (2, 1) is planar, (1, 2) is not
-    original = planarity._matrix_dets
-    monkeypatch.setattr(planarity, "_matrix_dets", lambda t, a, b, reps: original(t, b, a, reps))
+    original = planarity._pair_cubic
+    monkeypatch.setattr(planarity, "_pair_cubic", lambda t, a, b: original(t, b, a))
     assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 2
     out, err = capsys.readouterr()
     assert "closed form disagrees with determinant sweep" in json.loads(out)["inconsistencies"]
     assert "Traceback" not in err
-    # the shared tensor is untouched: unpatched, the pair verifies again
+    # the cached table is untouched: unpatched, the pair verifies again
     monkeypatch.undo()
     assert run_cli("verify", "--p", "5", "--A", "2", "--B", "1") == 0
 
@@ -591,7 +611,7 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
                 fields.append(value)
             elif kind == "generator":
                 generated.append(f)
-    assert kinds == {"frob", "ext", "H_matrix", "difference_tensor", "normal", "generator"}
+    assert kinds == {"frob", "ext", "H_matrix", "det_table", "normal", "generator"}
     for f in generated:  # the cached generator is what a fresh search finds
         n = f.order - 1
 
@@ -600,8 +620,9 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
                           axis=0)
         lo = f.base.order if f.base else 2
         assert f._cache["generator"] == gf._least_code(lo, f.order, generates)
-    tensor = t.fq3._cache["difference_tensor"]
-    assert tensor.size == 81 and tensor.max() < t.q
+    table = t.fq3._cache["det_table"]
+    assert table.shape == (4, 4, 10) and table.max() < t.q
+    assert not any(table[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
     f = t.fq3
     assert f._cache["normal"] == gf._least_code(t.q, f.order, lambda codes: gf.det3(t.fq, [
         f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)

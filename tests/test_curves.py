@@ -4,8 +4,8 @@ import random
 
 import numpy as np
 import pytest
-from conftest import (all_lines, det_sweep, divides_by_substitution, lines_by_enumeration,
-                      substitute_linear)
+from conftest import (all_lines, check_lines_exactly_on_the_loci, check_one_curve, det_sweep,
+                      divides_by_substitution, lines_by_enumeration, substitute_linear)
 
 import planarq.curves as curves
 from planarq import LevelMismatch, build_tower, find_normal_element, standard_extension
@@ -607,3 +607,13 @@ def test_array_coefficient_evaluation_matches_evaluate(towers):
     # one point at a time, with int coefficients: the scalar path of _evaluate
     want = [int(_evaluate(f3, coeffs[:, i].tolist(), X[i], Y[i], T[i])) for i in range(n)]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_pair_cubic_and_H_count_the_same_points(towers, q):
+    check_one_curve(towers[q])
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_F_det_has_a_line_exactly_on_the_loci(towers, q):
+    check_lines_exactly_on_the_loci(towers[q])

@@ -8,7 +8,7 @@ import math
 
 import pytest
 from conftest import (check_det_coefficients, check_det_deciders_agree, check_kernel_criterion,
-                      lines_by_enumeration)
+                      check_lines_exactly_on_the_loci, check_one_curve, lines_by_enumeration)
 
 from planarq import build_tower
 from planarq.curves import build_F_det, find_linear_factors
@@ -84,6 +84,21 @@ def test_line_oracle_over_fq2_on_every_pair(p, m):
             if any(F):
                 lines = [lf for lf in find_linear_factors(t.fq, F) if lf.ext <= 2]
                 assert lines == lines_by_enumeration(t.fq, F, 2), (a, b)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3)], ids=["q25", "q27"])
+def test_pair_cubic_and_H_count_the_same_points_past_tier1(p, m):
+    # tier-1 checks q = 3 to 13
+    check_one_curve(build_tower(p, m))
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("p, m", [(23, 1), (5, 2), (3, 3), (7, 2)],
+                         ids=["q23", "q25", "q27", "q49"])
+def test_F_det_has_a_line_exactly_on_the_loci_past_tier1(p, m):
+    # tier-1 checks q = 3 to 13
+    check_lines_exactly_on_the_loci(build_tower(p, m))
 
 
 def test_admissible_q_list():

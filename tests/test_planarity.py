@@ -11,15 +11,14 @@ import planarq.planarity as planarity
 from planarq import SizeLimit, build_tower
 from planarq.gf import (PrimeField, _decode, _generator, _mult_order, find_normal_element,
                         frob_orbit_reps, orbit_reps, prime_ext_field)
-from planarq.curves import build_F_det, count_nonzero_fq_zeros, find_linear_factors
+from planarq.curves import _evaluate, build_F_det, count_nonzero_fq_zeros, find_linear_factors
 from planarq.identities import run_identities
 from planarq.linearized import brute_kernel, difference_triple, kernel_sizes
 from planarq.planarity import (
     ALL_METHODS,
-    _det_coefficients,
     _dets_at,
     _f_table,
-    _matrix_dets,
+    _pair_cubic,
     _monomial_tables,
     BRANCH_B_ZERO,
     BRANCH_CUBIC,
@@ -387,11 +386,14 @@ def test_difference_map_is_bilinear_on_sampled_pairs_and_points(towers, q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_matrix_dets_equal_the_dickson_dets_at_every_representative(towers, q):
+    # each pair's cubic in the shift's F_q digits, as is_planar_det evaluates it
     t = towers[q]
     reps = orbit_reps(q, t.order_top)
+    digits = _decode(reps, q, 3)
     for A in range(q):
         for B in range(q):
-            assert np.array_equal(_matrix_dets(t, A, B, reps), _dets_at(t, A, B, reps)), (A, B)
+            dets = _evaluate(t.fq, _pair_cubic(t, A, B), *digits)
+            assert np.array_equal(dets, _dets_at(t, A, B, reps)), (A, B)
 
 
 def test_is_planar_det_equals_det_witnesses_on_every_pair_q25(towers):
@@ -401,7 +403,7 @@ def test_is_planar_det_equals_det_witnesses_on_every_pair_q25(towers):
 def test_is_planar_det_reads_the_bound_after_its_tensor_is_cached(monkeypatch):
     t = build_tower(5, 1)
     assert is_planar_det(t, 2, 1) == (True, None)
-    assert "difference_tensor" in t.fq3._cache
+    assert "det_table" in t.fq3._cache
     monkeypatch.setenv("PLANARQ_MAX_Q3", "4")
     with pytest.raises(SizeLimit):
         is_planar_det(t, 2, 1)
@@ -570,13 +572,10 @@ def test_det_coefficients_expand_the_determinant(p, m):
 
 @pytest.mark.parametrize("q", [3, 7, 25])
 def test_incidence_pass_is_the_same_across_chunk_boundaries(towers, monkeypatch, q):
-    # 7 representatives per step of _det_coefficients, 567 // (q^2 + q + 1)
-    # values of A per step of det_witnesses (1 at q = 25)
+    # two values of A per step of det_witnesses, so at odd q the last step holds one
     t = towers[q]
-    reps = orbit_reps(q, t.order_top)
-    coeffs, witnesses = _det_coefficients(t, reps), det_witnesses(t)
-    monkeypatch.setattr(planarity, "_INCIDENCE_CHUNK", 81 * 7)
-    assert np.array_equal(_det_coefficients(t, reps), coeffs)
+    witnesses = det_witnesses(t)
+    monkeypatch.setattr(planarity, "_INCIDENCE_CHUNK", 2 * (q * q + q + 1))
     assert np.array_equal(det_witnesses(t), witnesses)
 
 
