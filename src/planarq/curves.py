@@ -31,7 +31,7 @@ The cores take codes as ints or arrays: ``_det_coeffs`` and
 ``_paper_coeffs`` expand the cubics of whole arrays of pairs, and
 ``_evaluate`` evaluates a cubic at points that broadcast with its
 coefficients: the identity batteries check every pair at once with it, and
-both determinant deciders evaluate ``planarity._det_table`` with it.
+every reader of the determinant evaluates ``planarity._det_table`` with it.
 """
 
 from __future__ import annotations

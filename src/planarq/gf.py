@@ -49,8 +49,8 @@ Frobenius power, each extension built on it, the 10 x 10 substitution
 matrix of each normal element given to ``curves.transform_H``, the least
 generator of F^* (``"generator"``, from :func:`_generator`), and, on a
 tower's F_{q^3}, its least normal element (``"normal"``, from
-:func:`find_normal_element`) and the (4, 4, 10) F_q codes of the
-determinant's table (``"det_table"``, from ``planarity._det_table``).  No cache
+:func:`find_normal_element`) and the determinant's (10, 10) table of F_q
+codes (``"det_table"``, from ``planarity._det_table``).  No cache
 holds a whole-field table or a value that depends on one pair, so a tower can
 be shared freely across worker processes or threads.  :func:`PrimeField`
 returns one object per p, so every tower over p in a process, an unpickled

@@ -4,10 +4,10 @@ Each battery checks one structural identity across many (A, B, C) choices,
 each in a few whole-array passes over all of its pairs or triples, against
 an oracle of its own:
 
-* the determinant identity: ``planarity._dets_at`` (the Dickson-matrix
-  determinant, the oracle of both determinant deciders) equals the Leibniz-expanded determinant cubic at
-  (C, C^q, C^(q^2)), every sampled shift evaluated against its pair's
-  coefficient arrays at once;
+* the determinant identity: the table both determinant deciders read
+  (``planarity._det_table``, at each triple through ``_det_coefficients``)
+  equals the Leibniz-expanded determinant cubic at (C, C^q, C^(q^2)), every
+  sampled shift evaluated against its pair's coefficient arrays at once;
 * the X <-> Y relation: the published cubic equals the Leibniz expansion
   with X and Y exchanged, as coefficient arrays over all q^2 pairs;
 * the nonzero-kernel criterion against brute kernel enumeration
@@ -78,15 +78,15 @@ def _result(name: str, cases: list, bad) -> BatteryResult:
 
 
 def battery_det_identity(tower: FieldTower, samples: int, rng: random.Random) -> BatteryResult:
-    """det of the difference matrix == determinant cubic at (C, C^q, C^(q^2)),
+    """The deciders' determinant table == determinant cubic at (C, C^q, C^(q^2)),
     with the value landing in F_q, across sampled or exhaustive triples."""
     from .curves import _det_coeffs, _evaluate
-    from .planarity import _dets_at
+    from .planarity import _det_coefficients
 
     f3 = tower.fq3
     triples = sorted(_triples(rng, (tower.q, tower.q, tower.order_top), samples))
     A, B, C = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    lhs = _dets_at(tower, A, B, C)
+    lhs = _evaluate(tower.fq, _det_coefficients(tower, C), A, B, 1)
     # every triple's own pair cubic, as coefficient arrays, at its shift
     rhs = _evaluate(f3, _det_coeffs(tower.fq, A, B), C,
                     f3.frob_vec(C, 1), f3.frob_vec(C, 2))

@@ -18,10 +18,10 @@ matrix, built on arrays of shifts by the cores ``_difference_coeffs`` and
 ``_dickson`` that ``difference_triple`` and ``dickson_matrix`` wrap, as
 ``difference_matrix_direct`` wraps the array core ``_direct_matrix``.  Each
 core takes its operations from ``gf._ops``, so it runs on ints and arrays.
-Neither decider uses these cores: ``verify``'s ``is_planar_det`` and the
-scan's ``det_witnesses`` both evaluate one table per tower, the determinant
-as a polynomial over F_q in A, B and the F_q digits of the shift, built
-from values of f (``planarity._det_table``).
+No runtime path uses these cores: ``is_planar_det``, ``det_witnesses`` and
+the determinant battery of ``identities`` all read one (10, 10) table per
+tower, the determinant as a polynomial over F_q in A, B and the shift's
+F_q digits, built from values of f (``planarity._det_table``).
 """
 
 from __future__ import annotations

@@ -28,17 +28,17 @@ rows, one dict per pair, off those arrays; only its brute sweeps go to worker
 processes.  The determinant is homogeneous of degree 3 over F_q in the shift,
 so both determinant paths look only at the q^2 + q + 1 projective shifts and
 name the least killing one as the witness.  Both read the determinant off
-one table per tower (``_det_table``), a polynomial over F_q in A, B and the
-three F_q digits of C, built from values of f alone: the difference map is
-F_q-bilinear in (shift, x), so its matrix over F_q comes from the digits of
-its values on the basis pairs (``_difference_tensor``).  ``is_planar_det``
-(used by ``verify``) combines the table into its pair's cubic
-(``_pair_cubic``) and evaluates it at every shift's digits.  ``scan`` takes
-every pair's verdict from one incidence pass (``det_witnesses``) at every q,
-which evaluates the table's coefficients of A^i B^j at every shift's digits
-and reads each pair's killing shifts off a table of the F_q roots of monic
-cubics.  ``_dets_at``, the Dickson determinant over F_{q^3} at given
-triples, is the oracle of both.
+one (10, 10) table per tower (``_det_table``), a cubic in (A, B, 1) whose
+coefficients are cubics over F_q in C's three F_q digits, built from values
+of f alone: the difference map is F_q-bilinear in (shift, x), so its matrix
+over F_q comes from the digits of its values on the basis pairs
+(``_difference_tensor``).  ``is_planar_det`` (used by ``verify``) contracts
+the table's rows into its pair's cubic (``_pair_cubic``) and evaluates it
+at every shift's digits.  ``scan`` takes every pair's verdict from one
+incidence pass (``det_witnesses``) at every q, which evaluates the rows
+(the coefficients of A^i B^j) at every shift's digits and reads each pair's
+killing shifts off a table of the F_q roots of monic cubics.  ``_dets_at``,
+the Dickson determinant over F_{q^3} at given triples, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Disagreement
-from .curves import _PRODUCT_SLOT, _evaluate
+from .curves import MONOMIALS, _MIDX, _PRODUCT_SLOT, _evaluate
 from .gf import (Field, FieldTower, _check_enumerable, _chunk_tables, _codes_in, _decode,
                  _encode, _generator, _ops, det3, frob_orbit_reps, orbit_reps)
 from .linearized import _dickson, _difference_coeffs, has_nonzero_root_subfield_coeffs
@@ -257,17 +257,17 @@ def _difference_tensor(tower: FieldTower) -> np.ndarray:
 
 
 def _det_table(tower: FieldTower) -> np.ndarray:
-    """T[i, j, n]: the coefficient of A^i B^j c^MONOMIALS[n] in det(A, B, C),
-    c = (c_0, c_1, c_2) the F_q digits of C; (4, 4, 10) codes of F_q, zero
-    where i + j > 3.
+    """T[r, n]: the coefficient of A^i B^j c^MONOMIALS[n] in det(A, B, C), where
+    MONOMIALS[r] = (i, j, 3 - i - j) and c = (c_0, c_1, c_2) are C's F_q digits:
+    (10, 10) codes of F_q, a cubic in (A, B, 1) with cubics in c as coefficients.
 
     Row j of D_C's matrix over F_q is sum_l c_l (N[0] + A N[1] + B N[2])[l, j],
     N the ``_difference_tensor`` (the rows are the map's columns, with the
     same determinant).  The determinant is linear in each row, so one ``det3``
     over F_q on each row's nine choices (part s, digit l), along three axes,
-    gives all 9^3 terms; a term adds to [number of parts 1, number of parts 2,
-    slot of c_{l_0} c_{l_1} c_{l_2}], digit-wise mod p.  T depends on the
-    tower alone, so it is built once and kept on F_{q^3}.
+    gives all 9^3 terms; a term adds to [slot of its three parts, with
+    A, B, 1 = X, Y, T; slot of c_{l_0} c_{l_1} c_{l_2}], digit-wise mod p.
+    T depends on the tower alone, so it is built once and kept on F_{q^3}.
     """
     f, fq, p = tower.fq3, tower.fq, tower.p
     if "det_table" not in f._cache:
@@ -276,8 +276,9 @@ def _det_table(tower: FieldTower) -> np.ndarray:
                 for j, axis in enumerate(((9, 1, 1), (1, 9, 1), (1, 1, 9)))]
         # way w takes row j from part s[j, w] and digit l[j, w]
         s, l = np.divmod(np.indices((9, 9, 9)).reshape(3, -1), 3)
-        cell = ((s == 1).sum(axis=0), (s == 2).sum(axis=0), np.array(_PRODUCT_SLOT)[tuple(l)])
-        digits = np.zeros((tower.m, 4, 4, 10), dtype=np.int64)
+        slot = np.array(_PRODUCT_SLOT)
+        cell = (slot[tuple((s + 2) % 3)], slot[tuple(l)])  # parts 0, 1, 2 are T, X, Y
+        digits = np.zeros((tower.m, 10, 10), dtype=np.int64)
         for total, d in zip(digits, _decode(det3(fq, rows).ravel(), p, tower.m)):
             np.add.at(total, cell, d)
         table = _encode(list(digits % p), p)
@@ -287,23 +288,19 @@ def _det_table(tower: FieldTower) -> np.ndarray:
 
 
 def _det_coefficients(tower: FieldTower, reps: np.ndarray) -> np.ndarray:
-    """m with det(A, B, R) = sum m[i, j] A^i B^j for every representative R:
-    the cubics of ``_det_table`` at R's F_q digits, zero where i + j > 3."""
-    i, j = np.nonzero(np.add.outer(np.arange(4), np.arange(4)) <= 3)  # the cells i + j <= 3
-    m = np.zeros((4, 4, len(reps)), dtype=np.int64)
-    m[i, j] = _evaluate(tower.fq, np.moveaxis(_det_table(tower)[i, j], -1, 0)[..., None],
-                        *_decode(reps, tower.q, 3))
-    return m
+    """m with det(A, B, R) = sum m[r] A^i B^j, MONOMIALS[r] = (i, j, 3 - i - j),
+    for every representative R: the ``_det_table``'s cubics at R's F_q
+    digits, shape (10, len(reps))."""
+    return _evaluate(tower.fq, _det_table(tower).T[..., None], *_decode(reps, tower.q, 3))
 
 
 def _pair_cubic(tower: FieldTower, a: int, b: int) -> list[int]:
-    """The ten F_q codes of det(a, b, C) as a cubic in C's F_q digits:
-    sum a^i b^j T[i, j] over the ``_det_table``, summed digit-wise."""
+    """The ten F_q codes of det(a, b, C) as a cubic in C's F_q digits: the
+    ``_det_table``'s rows times the monomials of (a, b, 1), summed digit-wise."""
     fq, p = tower.fq, tower.p
-    powers = np.array([[fq.pow(a, i), fq.pow(b, i)] for i in range(4)])
-    terms = fq.mul_vec(fq.mul_vec(powers[:, None, 0], powers[None, :, 1])[..., None],
-                       _det_table(tower))
-    return _encode([d.sum(axis=(0, 1)) % p for d in _decode(terms, p, tower.m)], p).tolist()
+    monomials = np.array([fq.mul(fq.pow(a, i), fq.pow(b, j)) for i, j, _ in MONOMIALS])
+    terms = fq.mul_vec(monomials[:, None], _det_table(tower))
+    return _encode([d.sum(axis=0) % p for d in _decode(terms, p, tower.m)], p).tolist()
 
 
 def is_planar_det(tower: FieldTower, A, B) -> tuple[bool, int | None]:
@@ -412,10 +409,10 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
 
     As there, only the q^2 + q + 1 projective representatives R are checked,
     and the least killing one is the witness; every q, q = 3 included, takes
-    the same pass.  With m[i, j](R) from ``_det_coefficients``, the B that R
-    kills for a given A are the F_q roots of the cubic
-    sum_j (sum_i m[i, j] A^i) B^j.  B enters only through B x^2, whose
-    difference map at R is x -> 2 B R x, so m[0, 3](R) = det(x -> 2 R x) =
+    the same pass.  With m_ij(R) the coefficient of A^i B^j from
+    ``_det_coefficients``, the B that R kills for a given A are the F_q roots
+    of the cubic sum_j (sum_i m_ij A^i) B^j.  B enters only through B x^2,
+    whose difference map at R is x -> 2 B R x, so m_03(R) = det(x -> 2 R x) =
     8 N(R) != 0: every cubic is made monic by one division and its roots are
     read, in chunks of A, from ``_cubic_root_table``; one minimum over the
     incidences (R, A, B) picks the witnesses.
@@ -424,10 +421,11 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
     _check_enumerable(tower.order_top, "determinant sweep")
     reps = orbit_reps(q, tower.order_top)
     m = _det_coefficients(tower, reps)
-    if not m[0, 3].all():
+    b3 = m[_MIDX[0, 3, 0]]
+    if not b3.all():
         raise Disagreement(f"the B^3 coefficient of the determinant over q = {q} "
                            f"vanishes at a nonzero shift")
-    m = fq.mul_vec(m, fq.pow_vec(m[0, 3], q - 2))  # every cubic in B monic
+    m = fq.mul_vec(m, fq.pow_vec(b3, q - 2))  # every cubic in B monic
     roots = _cubic_root_table(fq)
     none = tower.fq3.order
     wit = np.full(q * q, none, dtype=np.int64)
@@ -436,8 +434,8 @@ def det_witnesses(tower: FieldTower) -> np.ndarray:
         a = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
         powers = [1, a, fq.mul_vec(a, a)]
         powers.append(fq.mul_vec(powers[2], a))
-        e0, e1, e2 = (functools.reduce(fq.add_vec, (fq.mul_vec(m[i, j], powers[i])
-                                                    for i in range(4 - j)))
+        e0, e1, e2 = (functools.reduce(fq.add_vec, (fq.mul_vec(m[_MIDX[i, j, 3 - i - j]], x)
+                                                    for i, x in enumerate(powers[:4 - j])))
                       for j in range(3))
         killed = roots[(e2 * q + e1) * q + e0]
         ai, ri, slot = np.nonzero(killed < q)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from planarq import build_tower, find_normal_element, standard_extension
-from planarq.curves import (MONOMIALS, LineFactor, _cubic_codes, _det_coeffs, _evaluate,
-                            _expand_product, build_F_det, count_nonzero_fq_zeros,
+from planarq.curves import (MONOMIALS, _MIDX, LineFactor, _cubic_codes, _det_coeffs,
+                            _evaluate, _expand_product, build_F_det, count_nonzero_fq_zeros,
                             find_linear_factors, transform_H, verify_branch_factorization)
 from planarq.gf import _ops, orbit_reps
 from planarq.linearized import has_nonzero_root_subfield_coeffs, kernel_sizes
-from planarq.planarity import (_det_coefficients, _det_table, _dets_at, _pair_cubic,
-                               det_witnesses, is_planar_det)
+from planarq.planarity import (_det_coefficients, _dets_at, _pair_cubic, det_witnesses,
+                               is_planar_det)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -131,37 +131,28 @@ def check_kernel_criterion(tower):
 
 
 def check_det_coefficients(t):
-    """The scan's determinant coefficients m[i, j](R) of A^i B^j at every
-    projective shift R: the table behind them has no term with i + j > 3,
+    """The scan's determinant coefficients m_ij(R) of A^i B^j at every
+    projective shift R, in the table's row order (row ``_MIDX[i, j, 3 - i - j]``):
     the sum is the determinant, the pure cubes are multiples of the norm,
     and m is the Leibniz cubic's."""
     f, q = t.fq3, t.q
     reps = orbit_reps(q, t.order_top)
-    coeffs, table = _det_coefficients(t, reps), _det_table(t)
-    assert not any(table[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
-    # sum m[i, j] A^i B^j is the determinant: on every pair at q = 3, on 8
+    coeffs = _det_coefficients(t, reps)
+    # sum m_ij A^i B^j is the determinant: on every pair at q = 3, on 8
     # sampled ones above
     pairs = range(q * q) if q == 3 else random.Random(f"expansion:{q}").sample(range(q * q), 8)
     for a, b in (divmod(pair, q) for pair in pairs):
-        total = np.zeros(len(reps), dtype=np.int64)
-        for i in range(4):
-            for j in range(4 - i):
-                total = f.add_vec(total, f.mul_vec(coeffs[i, j], f.mul(f.pow(a, i), f.pow(b, j))))
-        assert np.array_equal(total, _dets_at(t, a, b, reps)), (a, b)
-    # the pure cubes: m[0, 3] = 8 N(R) and m[3, 0] = 2 N(R), N(R) = R R^q R^(q^2)
+        assert np.array_equal(_evaluate(f, coeffs, a, b, 1), _dets_at(t, a, b, reps)), (a, b)
+    # the pure cubes: m_03 = 8 N(R) and m_30 = 2 N(R), N(R) = R R^q R^(q^2)
     norm = f.mul_vec(f.mul_vec(reps, f.frob_vec(reps, 1)), f.frob_vec(reps, 2))
-    assert np.array_equal(coeffs[0, 3], f.mul_vec(t.fq.from_int(8), norm))
-    assert np.array_equal(coeffs[3, 0], f.mul_vec(t.fq.from_int(2), norm))
+    assert np.array_equal(coeffs[_MIDX[0, 3, 0]], f.mul_vec(t.fq.from_int(8), norm))
+    assert np.array_equal(coeffs[_MIDX[3, 0, 0]], f.mul_vec(t.fq.from_int(2), norm))
     # the Leibniz cubic at (R, R^q, R^(q^2)) on the grid of nodes A, B in
     # 0..3 (every pair at q = 3): both sides have degree <= 3 in A and in B,
     # so agreeing there, they agree on every pair
     k = min(q, 4)
     a, b = (x[:, None] for x in np.divmod(np.arange(k * k), k))
-    grid = np.zeros((k * k, len(reps)), dtype=np.int64)
-    for i in range(4):
-        for j in range(4 - i):
-            term = f.mul_vec(t.fq.pow_vec(a, i), t.fq.pow_vec(b, j))
-            grid = f.add_vec(grid, f.mul_vec(coeffs[i, j], term))
+    grid = _evaluate(f, coeffs[:, None], a, b, 1)
     leibniz = _evaluate(f, _det_coeffs(t.fq, a, b), reps, f.frob_vec(reps, 1),
                         f.frob_vec(reps, 2))
     assert np.array_equal(grid, leibniz)

@@ -389,14 +389,28 @@ def test_scan_reach(tmp_path, p, m, planar):
     assert summary["disagreements"] == []
 
 
+_CORNER = (curves._MIDX[0, 0, 3], curves._MIDX[3, 0, 0])
+
+
 def _table_corner_plus_one(fq, table):
     # the coefficient of c0^3 in det(0, 0, C) plus 1: every pair's cubic is wrong
-    table[0, 0, 0] = fq.add(int(table[0, 0, 0]), 1)
+    table[_CORNER] = fq.add(int(table[_CORNER]), 1)
 
 
 def _b_cubed_zeroed(fq, table):
-    # the B^3 coefficient m[0, 3] is 8 N(R), never 0 at a shift R != 0
-    table[0, 3] = 0
+    # the B^3 coefficient m_03 is 8 N(R), never 0 at a shift R != 0
+    table[curves._MIDX[0, 3, 0]] = 0
+
+
+def _tamper_table(monkeypatch, edit):
+    """Every reader of ``planarity._det_table`` gets a copy changed by edit."""
+    original = planarity._det_table
+
+    def patched(tower):
+        table = original(tower).copy()
+        edit(tower.fq, table)
+        return table
+    monkeypatch.setattr(planarity, "_det_table", patched)
 
 
 @pytest.mark.parametrize("p, edit, message", [
@@ -405,13 +419,7 @@ def _b_cubed_zeroed(fq, table):
     (5, _b_cubed_zeroed, "error: the B^3 coefficient"),
 ], ids=["tensor-corner", "tensor-corner-q3", "b-cubed"])
 def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, edit, message):
-    original = planarity._det_table
-
-    def patched(tower):
-        table = original(tower).copy()
-        edit(tower.fq, table)
-        return table
-    monkeypatch.setattr(planarity, "_det_table", patched)
+    _tamper_table(monkeypatch, edit)
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -419,6 +427,32 @@ def test_scan_determinant_check_exits_two(monkeypatch, capsys, p, edit, message)
     # the cached table is untouched: unpatched, the scan passes again
     monkeypatch.undo()
     assert run_cli("scan", "--p", str(p), "--workers", "1") == 0
+
+
+def test_identities_tampered_table_exits_two(monkeypatch, capsys):
+    # the determinant battery checks the table the deciders read
+    argv = ("identities", "--p", "3", "--samples", "100")
+    _tamper_table(monkeypatch, _table_corner_plus_one)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out.startswith("determinant identity: FAIL")
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0
+
+
+def test_identities_print_the_same_bytes_without_the_dickson_oracle(monkeypatch, capsys):
+    argvs = [("identities", "--p", "3", "--samples", "100"),
+             ("identities", "--p", "5", "--m", "2", "--samples", "10")]
+    plain = []
+    for argv in argvs:
+        assert run_cli(*argv) == 0
+        plain.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("identities called the Dickson oracle _dets_at")
+    monkeypatch.setattr(planarity, "_dets_at", refuse)
+    for argv, out in zip(argvs, plain):
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_deciders_print_the_same_bytes_without_dickson(monkeypatch, capsys):
@@ -621,8 +655,7 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
         lo = f.base.order if f.base else 2
         assert f._cache["generator"] == gf._least_code(lo, f.order, generates)
     table = t.fq3._cache["det_table"]
-    assert table.shape == (4, 4, 10) and table.max() < t.q
-    assert not any(table[i, j].any() for i in range(4) for j in range(4) if i + j > 3)
+    assert table.shape == (10, 10) and table.max() < t.q
     f = t.fq3
     assert f._cache["normal"] == gf._least_code(t.q, f.order, lambda codes: gf.det3(t.fq, [
         f.coords(codes), f.coords(f.frob_vec(codes, 1)), f.coords(f.frob_vec(codes, 2))]) != 0)

@@ -64,13 +64,18 @@ def test_root_battery_reports_flipped_criteria(towers, monkeypatch, triples):
 
 @pytest.mark.parametrize("shifts", _SHIFTS)
 def test_det_battery_reports_altered_determinants(towers, monkeypatch, shifts):
-    original = planarity._dets_at
+    original = planarity._det_coefficients
+    constant = curves._MIDX[0, 0, 3]  # the row of A^0 B^0
 
-    def altered(tower, a, b, c):
-        dets = original(tower, a, b, c)
-        return np.where(_hit(shifts, a, b, c), tower.fq.add_vec(dets, 1), dets)
+    def altered(tower, c):
+        m = original(tower, c)
+        # at q = 3 the battery takes every triple, in code order
+        a, b, _ = np.unravel_index(np.arange(len(c)), (3, 3, 27))
+        m[constant] = np.where(_hit(shifts, a, b, c), tower.fq.add_vec(m[constant], 1),
+                               m[constant])
+        return m
 
-    monkeypatch.setattr(planarity, "_dets_at", altered)
+    monkeypatch.setattr(planarity, "_det_coefficients", altered)
     r = battery_det_identity(towers[3], samples=0, rng=random.Random(0))
     assert not r.passed and r.checked == 9 * 27
     assert r.failures == tuple(sorted(shifts)[:5])
