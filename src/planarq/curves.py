@@ -242,24 +242,6 @@ def _on_line(f: Field, coeffs, p0, p1):
     return all(_evaluate(f, coeffs, *pt) == 0 for pt in pts)
 
 
-def _match_up_to_scalar(f: Field, P, Q) -> int | None:
-    """Scalar lam with P == lam * Q for the coefficient codes P, Q, or None."""
-    lam = None
-    for cp, cq in zip(P, Q):
-        if cq == 0:
-            if cp != 0:
-                return None
-            continue
-        cand = f.div(cp, cq)
-        if lam is None:
-            lam = cand
-        elif lam != cand:
-            return None
-    if lam == 0:
-        return None
-    return lam
-
-
 def verify_branch_factorization(tower: FieldTower, A, B, F) -> dict:
     """Check every reducibility locus that the F_q codes (A, B) lie on
     against F, the pair's cubic: ``build_F_det``'s ten F_q codes.
@@ -323,16 +305,16 @@ def _locus_checks(fq: Field, a, b, F):
     # a square is part of the published locus condition.  When it is not
     # (so p != 3), A^2 + A + 1 has no root, and the conic, whose discriminant
     # in A is -3(2B + 1)^2, meets F_q^2 only at (1, -1/2), on the trace line
-    root = fq.sqrt_code(fq.neg(fq.from_int(3)))
     conic = fq.add(fq.add(fq.add(fq.mul(a, a), fq.mul(two, fq.mul(a, b))), fq.neg(a)),
                    fq.add(fq.add(fq.mul(fq.from_int(4), fq.mul(b, b)), fq.mul(two, b)), 1))
     unit = fq.add(fq.add(fq.mul(a, a), a), 1)
-    for name, quadric_holds in (("alpha_line_conic", conic == 0),
-                                ("alpha_line_unit_cubic",
-                                 unit == 0 and b in (fq.mul(a, a),
-                                                     fq.neg(fq.div(fq.mul(a, a), two))))):
-        if not quadric_holds:
-            continue
+    loci = [name for name, quadric_holds in (
+        ("alpha_line_conic", conic == 0),
+        ("alpha_line_unit_cubic",
+         unit == 0 and b in (fq.mul(a, a), fq.neg(fq.div(fq.mul(a, a), two)))))
+        if quadric_holds]
+    root = fq.sqrt_code(fq.neg(fq.from_int(3))) if loci else None
+    for name in loci:
         if root is None:
             yield _check(name, None, note="-3 is a non-square in F_q")
         else:
@@ -358,8 +340,11 @@ def _verify_split(F, fq, lines, lam_formula, name) -> dict:
     for variant, ls in (("as printed", lines),
                         ("X<->Y", tuple((v, u, w) for (u, v, w) in lines))):
         prod = triple_product(fq, *ls)
-        lam = _match_up_to_scalar(fq, F, prod)
-        if lam is not None:
+        # three lines multiply to a nonzero cubic, so F == lam * prod fixes
+        # lam at its first nonzero slot k
+        k = next(n for n, c in enumerate(prod) if c)
+        lam = fq.div(F[k], prod[k])
+        if lam and F == tuple(fq.mul(lam, c) for c in prod):
             note = variant
             if lam != lam_formula:
                 note += f"; scalar {lam} != closed form {lam_formula}"
@@ -431,13 +416,18 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
     factor, so it exists only when e = k.  F_{q^k} is therefore searched only
     when some restriction leaves e = k.  Otherwise every root found there
     lies in F_q, every candidate line has F_q coefficients, and all of them
-    were already found over F_q; the search would only repeat lines that
-    :func:`_dedupe_lines` drops.  Second, a cubic R (d = 3) with no F_q line
-    has no line over F_{q^2} either: such a line l is not over F_q, so it
+    were already found over F_q.  For the same reason a search over F_{q^k}
+    builds no candidate whose roots all lie in F_q, the first q codes of
+    F_{q^k}.  Second, a cubic R (d = 3) with no F_q line has no line over
+    F_{q^2} either: such a line l is not over F_q, so it
     divides R together with its distinct conjugate l^q, and R = l * l^q * L.
     R is over F_q, so applying Frobenius gives R = l^q * l * L^q, and L^q = L
     makes L a line over F_q.  F_{q^2} is therefore not searched when d = 3
     and the F_q search found no line.
+
+    Each line is returned once, sorted by (ext, coeffs), although some are
+    found twice: a repeated coordinate factor such as X^2, or a candidate
+    that is a coordinate line.
     """
     fq = field
     coeffs = _cubic_codes(fq, coeffs)
@@ -465,18 +455,21 @@ def find_linear_factors(field: Field, coeffs) -> list[LineFactor]:
         roots = [codes[_horner_vec(f, poly, codes) == 0].tolist() for poly in polys]
         if ext == 1:
             left = {_degree_without_roots(fq, poly, rs) for poly, rs in zip(polys, roots)}
-        # (line, two of its points) per candidate
+        # (line, two of its points) per candidate; past F_q, a candidate needs
+        # a root code >= q, since one with every root in F_q is an F_q line
+        fresh = 0 if ext == 1 else fq.order
         cands = [((f.neg(a), 1, f.neg(b)), (1, a, 0), (0, b, 1))
-                 for a in roots[0] for b in roots[1]]
+                 for a in roots[0] for b in roots[1] if max(a, b) >= fresh]
         if vertical:
-            cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1)) for c in roots[2]]
+            cands += [((1, 0, f.neg(c)), (0, 1, 0), (c, 0, 1))
+                      for c in roots[2] if c >= fresh]
         if not cands:
             continue
         p0, p1 = (np.array([c[i] for c in cands], dtype=np.int64).T for i in (1, 2))
         for (line, _, _), on in zip(cands, _on_line(f, coeffs, p0, p1)):
             if on:
                 found.append(LineFactor(_normalize_line(f, line), ext))
-    return _dedupe_lines(found, fq.order)
+    return sorted(set(found), key=lambda lf: (lf.ext, lf.coeffs))
 
 
 def _degree_without_roots(f: Field, poly, roots) -> int:
@@ -490,19 +483,6 @@ def _degree_without_roots(f: Field, poly, roots) -> int:
                 break
             poly = quo
     return len(poly) - 1
-
-
-def _dedupe_lines(found, q: int) -> list[LineFactor]:
-    seen = set()
-    out = []
-    for lf in sorted(found, key=lambda x: (x.ext, x.coeffs)):
-        if lf.ext > 1 and all(c < q for c in lf.coeffs):
-            continue  # already reported over the base field
-        key = (lf.ext, lf.coeffs)
-        if key not in seen:
-            seen.add(key)
-            out.append(lf)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,35 +499,38 @@ def transform_H(tower: FieldTower, G, xi) -> tuple[int, ...]:
     linear in the coefficients, so H = M * G for the matrix M of
     :func:`_substitution_matrix`.  G is over F_q, and an F_{q^3} code times
     an F_q scalar scales its three F_q digits, so H is computed over F_q,
-    one product per digit of M; digits 1 and 2 of every coefficient must
-    vanish, or the coefficient, re-encoded, is not in F_q.
+    one product per digit plane of M; digits 1 and 2 of every coefficient
+    must vanish, or that coefficient's code is not in F_q.
     """
     fq, f3 = tower.fq, tower.fq3
     (xi,) = _codes_in(f3, xi)
     G = np.array(_cubic_codes(fq, G), dtype=np.int64)
     q = fq.order
-    M = np.stack(_decode(_substitution_matrix(f3, xi), q, 3))
+    M = _substitution_matrix(f3, xi)
     digits = functools.reduce(fq.add_vec, np.moveaxis(fq.mul_vec(M, G), -1, 0))
-    for c in _encode(digits, q).tolist():
-        if c >= q:
-            raise Disagreement(f"coefficient code {c} is not in F_{q}")
+    outside = np.flatnonzero(digits[1:].any(axis=0))
+    if outside.size:
+        c = _encode(digits[:, outside[0]].tolist(), q)
+        raise Disagreement(f"coefficient code {c} is not in F_{q}")
     return tuple(digits[0].tolist())
 
 
 def _substitution_matrix(f3: Field, xi: int) -> np.ndarray:
-    """10 x 10 codes whose column n is the cubic that monomial n becomes under
-    (X, Y, T) -> the conjugate-basis forms of xi: the product of its
-    variables' forms, expanded.  It depends on F_{q^3} and xi only, so it is
-    built once per xi and kept on F_{q^3}."""
+    """The 10 x 10 matrix whose column n is the cubic that monomial n becomes
+    under (X, Y, T) -> the conjugate-basis forms of xi (the product of its
+    variables' forms, expanded), as its three planes of F_q digits: a
+    read-only (3, 10, 10) array, plane d holding digit d of each F_{q^3}
+    code.  It depends on F_{q^3} and xi only, so it is built and decoded
+    once per xi and kept on F_{q^3}."""
     key = ("H_matrix", xi)
     if key not in f3._cache:
         x1, x2 = f3.frob(xi, 1), f3.frob(xi, 2)
         L0, L1, L2 = (xi, x1, x2), (x1, x2, xi), (x2, xi, x1)
         cols = [triple_product(f3, *([L0] * i + [L1] * j + [L2] * k))
                 for i, j, k in MONOMIALS]
-        matrix = np.array(cols, dtype=np.int64).T
-        matrix.setflags(write=False)
-        f3._cache[key] = matrix
+        planes = np.stack(_decode(np.array(cols, dtype=np.int64).T, f3.base.order, 3))
+        planes.setflags(write=False)
+        f3._cache[key] = planes
     return f3._cache[key]
 
 

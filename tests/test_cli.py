@@ -613,15 +613,16 @@ def test_tampering_leaves_nothing_in_shared_caches(monkeypatch, capsys, pair, ta
 
 
 def test_H_coefficient_outside_fq_exits_two(monkeypatch, capsys):
-    # every substitution column times q, a code of F_125 outside F_5: each
-    # nonzero coefficient of H leaves F_5
+    # the substitution matrix's F_5 digit planes rotated by one (digit 0
+    # into digit 1): H's true coefficients land in digit 1, so each nonzero
+    # coefficient of H leaves F_5
     argv = ("verify", "--p", "5", "--A", "2", "--B", "1")
     assert run_cli(*argv) == 0
     clean = capsys.readouterr().out
     original = curves._substitution_matrix
     with monkeypatch.context() as mp:
         mp.setattr(curves, "_substitution_matrix",
-                   lambda f3, xi: f3.mul_vec(original(f3, xi), 5))
+                   lambda f3, xi: np.roll(original(f3, xi), 1, axis=0))
         assert run_cli(*argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and re.fullmatch(r"error: coefficient code \d+ is not in F_5\n", err)
@@ -654,6 +655,10 @@ def test_shared_fields_cache_only_what_their_construction_fixes(capsys):
                           axis=0)
         lo = f.base.order if f.base else 2
         assert f._cache["generator"] == gf._least_code(lo, f.order, generates)
+    # verify's substitution matrix, kept as its F_q digit planes
+    planes = t.fq3._cache[("H_matrix", t.fq3._cache["normal"])]
+    assert planes.shape == (3, 10, 10) and not planes.flags.writeable
+    assert planes.min() >= 0 and planes.max() < t.q
     table = t.fq3._cache["det_table"]
     assert table.shape == (10, 10) and table.max() < t.q
     f = t.fq3

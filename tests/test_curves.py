@@ -8,6 +8,7 @@ from conftest import (all_lines, check_lines_exactly_on_the_loci, check_one_curv
                       divides_by_substitution, lines_by_enumeration, substitute_linear)
 
 import planarq.curves as curves
+import planarq.gf as gf
 from planarq import LevelMismatch, build_tower, find_normal_element, standard_extension
 from planarq.curves import (
     MONOMIALS,
@@ -223,6 +224,63 @@ def test_scalar_on_locus_never_zero(towers):
                         assert c["scalar"] != 0
 
 
+def test_split_check_reports_the_scalar_it_finds(towers):
+    # (2, 4) at q = 7 is on the cubic branch, F = lam * (three lines) with
+    # lam = 2B/A^2 = 2; mu * F is a split with scalar mu * lam, reported with
+    # the closed form it misses, and F with X and Y exchanged splits by the
+    # relabelled lines
+    t = towers[7]
+    fq = t.fq
+    F = build_F_det(t, 2, 4)
+    entry = _entry(verify_branch_factorization(t, 2, 4, F), "cubic_split")
+    assert entry["verified"] and entry["scalar"] == 2 and entry["note"] == "as printed"
+    for mu in range(2, 7):
+        scaled = tuple(fq.mul(mu, c) for c in F)
+        got = _entry(verify_branch_factorization(t, 2, 4, scaled), "cubic_split")
+        lam = fq.mul(mu, 2)
+        assert got == dict(entry, verified=False, scalar=lam,
+                           note=f"as printed; scalar {lam} != closed form 2")
+    swapped = tuple(F[n] for n in curves._SWAP_XY)
+    got = _entry(verify_branch_factorization(t, 2, 4, swapped), "cubic_split")
+    assert got["verified"] and got["scalar"] == 2 and got["note"] == "X<->Y"
+    assert got["lines"] == tuple((v, u, w) for u, v, w in entry["lines"])
+    # F plus one monomial is a multiple of neither orientation's product
+    for n in range(10):
+        bumped = F[:n] + (fq.add(F[n], 1),) + F[n + 1:]
+        got = _entry(verify_branch_factorization(t, 2, 4, bumped), "cubic_split")
+        assert got == {"name": "cubic_split", "verified": False, "scalar": None,
+                       "alpha": None, "lines": (), "note": "no orientation matches"}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_square_root_of_minus_three_is_searched_only_on_its_loci(monkeypatch, p):
+    # the alpha-line loci: the conic A^2 + 2AB - A + 4B^2 + 2B + 1 = 0, and
+    # A^2 + A + 1 = 0 with B = A^2 or B = -A^2/2; a pair with B = 0 gets
+    # only the monomial check
+    t = build_tower(p, 1)
+    half = (p + 1) // 2  # 1/2 mod p
+    loci = {(a, b) for a in range(p) for b in range(1, p)
+            if (a * a + 2 * a * b - a + 4 * b * b + 2 * b + 1) % p == 0
+            or ((a * a + a + 1) % p == 0 and b in (a * a % p, -a * a * half % p))}
+    calls = []
+    original = gf.Field.sqrt_code
+
+    def spy(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(gf.Field, "sqrt_code", spy)
+    searched = set()
+    for a in range(p):
+        for b in range(p):
+            before = len(calls)
+            verify_branch_factorization(t, a, b, build_F_det(t, a, b))
+            assert len(calls) - before in (0, 1)
+            if len(calls) > before:
+                searched.add((a, b))
+    assert loci and searched == loci
+
+
 def test_find_linear_factors_examples(towers):
     t = towers[5]
     lines = find_linear_factors(t.fq, build_F_det(t, 1, 1))
@@ -242,6 +300,44 @@ def test_find_linear_factors_zero_rejected(towers):
     t = towers[3]  # A = 2: A^3 = -1, the cubic vanishes identically
     with pytest.raises(ValueError):
         find_linear_factors(t.fq, build_F_det(t, 2, 0))
+
+
+def test_find_linear_factors_reports_each_line_once(towers):
+    # X^2*Y and X^3 repeat a coordinate factor; in Y*(XT + Y^2) the
+    # residual conic's restrictions both have the root 0, so its candidate
+    # line is the coordinate line Y again; T times an F_9-conjugate pair has
+    # its F_3 line at ext 1 only
+    t = towers[3]
+    f9 = standard_extension(t.fq, 2)
+    X, Y, T = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert find_linear_factors(t.fq, _cubic({(2, 1, 0): 1})) == [
+        LineFactor(Y, 1), LineFactor(X, 1)]
+    assert find_linear_factors(t.fq, _cubic({(3, 0, 0): 1})) == [LineFactor(X, 1)]
+    assert find_linear_factors(t.fq, _cubic({(1, 1, 1): 1, (0, 3, 0): 1})) == [
+        LineFactor(Y, 1)]
+    line = next(l for l in all_lines(f9) if any(c >= 3 for c in l))
+    P = _over_base(f9, t.fq, *_conjugates(f9, line), T)
+    lines = find_linear_factors(t.fq, P)
+    assert lines[0] == LineFactor(T, 1) and [lf.ext for lf in lines] == [1, 2, 2]
+    assert len(set(lines)) == 3 and all(any(c >= 3 for c in lf.coeffs) for lf in lines[1:])
+
+
+def test_find_linear_factors_tests_no_fq_candidate_past_fq(towers, monkeypatch):
+    # (1, 2) at q = 5: the F_25 pass tests only candidate lines through a
+    # point with a coordinate outside F_5, and still finds the conjugate pair
+    t = towers[5]
+    tested = []
+    original = curves._on_line
+
+    def spy(f, coeffs, p0, p1):
+        if f.order == 25:
+            tested.append(np.concatenate([p0, p1]))
+        return original(f, coeffs, p0, p1)
+
+    monkeypatch.setattr(curves, "_on_line", spy)
+    lines = find_linear_factors(t.fq, build_F_det(t, 1, 2))
+    assert [lf.coeffs for lf in lines if lf.ext == 2] == [(1, 7, 22), (1, 22, 7)]
+    assert len(tested) == 1 and (tested[0] >= 5).any(axis=0).all()
 
 
 def test_find_linear_factors_quadratic_extension(towers):
